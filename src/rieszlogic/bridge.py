@@ -22,13 +22,11 @@ encodes them:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .syntax import Formula, Imp, Join, Pos, Var, Zero, variables
-from .semantics import Valuation, holds_bal, holds_rl
+from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, is_bal, pos_to_join, variables
+from .semantics import Valuation, _samples, _valuation, holds_bal, holds_rl
 
 #: variable reserved for the zero encoding in translated formulas
 RESERVED_ZERO_VAR = "z"
@@ -50,48 +48,35 @@ class RlPair:
             raise ValueError("second component must be first -> 0")
 
 
-def _bal_zero() -> Formula:
-    z = Var(RESERVED_ZERO_VAR)
-    return Imp(z, z)
-
-
 def rl_to_bal(f: Formula) -> Formula:
     """BAL statement equivalent to the RL statement f, as ``(T(f) -> 0)^+``."""
     if RESERVED_ZERO_VAR in variables(f):
         raise ReservedVariableError(
             f"formula uses the reserved variable {RESERVED_ZERO_VAR!r}"
         )
-    return Pos(Imp(_translate(f), _bal_zero()))
+    z = Var(RESERVED_ZERO_VAR)
+    zero = Imp(z, z)
 
+    def leaf(g: Formula) -> Formula:
+        if type(g) is Var:
+            return g
+        if type(g) is Zero:
+            return zero
+        raise TypeError(f"not an RL formula: {g!r}")
 
-def _translate(f: Formula) -> Formula:
-    if isinstance(f, Var):
-        return f
-    if isinstance(f, Zero):
-        return _bal_zero()
-    if isinstance(f, Imp):
-        return Imp(_translate(f.left), _translate(f.right))
-    if isinstance(f, Join):
-        left, right = _translate(f.left), _translate(f.right)
+    def join(left: Formula, right: Formula) -> Formula:
         # x \/ y = x + (y - x)^+, written with -> and ^+ only
-        return Imp(Imp(Pos(Imp(left, right)), _bal_zero()), left)
-    raise TypeError(f"not an RL formula: {f!r}")
+        return Imp(Imp(Pos(Imp(left, right)), zero), left)
+
+    return Pos(Imp(fold(f, leaf, Imp, join), zero))
 
 
 def bal_to_rl(f: Formula) -> RlPair:
     """The pair of RL statements equivalent to the BAL statement f."""
-    first = _untranslate(f)
+    if not is_bal(f):
+        raise TypeError(f"not a BAL formula: {format_formula(f)}")
+    first = pos_to_join(f)
     return RlPair(first, Imp(first, Zero()))
-
-
-def _untranslate(f: Formula) -> Formula:
-    if isinstance(f, Var):
-        return f
-    if isinstance(f, Imp):
-        return Imp(_untranslate(f.left), _untranslate(f.right))
-    if isinstance(f, Pos):
-        return Join(_untranslate(f.inner), Zero())
-    raise TypeError(f"not a BAL formula: {f!r}")
 
 
 @dataclass(frozen=True)
@@ -114,14 +99,8 @@ def check_equivalence(
     """Sample valuations and compare holds_rl(f) with holds_bal(rl_to_bal(f))."""
     translated = rl_to_bal(f)
     names = sorted(variables(f))
-    rng = random.Random(seed)
-    span = 2 * bound + 1
-    for trial in range(trials):
-        assignment = {
-            name: tuple(Fraction(rng.randrange(span) - bound) for _ in range(dimension))
-            for name in names
-        }
-        v = Valuation(dimension, assignment)
+    for trial, coords in zip(range(trials), _samples(len(names), dimension, seed, bound)):
+        v = _valuation(names, coords, dimension)
         if holds_rl(f, v) != holds_bal(translated, v):
             return EquivalenceReport(trials, (trial, v))
     return EquivalenceReport(trials, None)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .syntax import Formula, Imp, Join, Pos, Var, Zero, format_formula, variables
+from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, pos_to_join, variables
 from .semantics import Valuation, Vector
 
 DEFAULT_BUDGET = 100_000
@@ -136,7 +136,23 @@ def _size(clauses: list[Clause]) -> int:
 
 def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     """Normal form with exactly the same value as the formula everywhere."""
-    clauses = _linearize(f, budget)
+
+    def leaf(g: Formula) -> list[Clause]:
+        if type(g) is Var:
+            return [frozenset((LinearTerm.var(g.name),))]
+        if type(g) is Zero:
+            return [frozenset((LinearTerm.zero(),))]
+        if type(g) is Pos:
+            raise TypeError(f"not an RL formula (desugar first): {format_formula(g)}")
+        raise TypeError(f"not an RL formula: {g!r}")
+
+    clauses = fold(
+        f,
+        leaf,
+        lambda left, right: _check(_add(_negate(left, budget), right, budget), budget),
+        # max of min-max forms: distribute the meet over the join
+        lambda left, right: _check([ci | dk for ci in left for dk in right], budget),
+    )
     return MeetJoinNormalForm(tuple(clauses))
 
 
@@ -146,25 +162,6 @@ def _check(clauses: list[Clause], budget: int) -> list[Clause]:
     if size > budget:
         raise BudgetExceededError("normal form", size, budget)
     return clauses
-
-
-def _linearize(f: Formula, budget: int) -> list[Clause]:
-    if isinstance(f, Var):
-        return [frozenset((LinearTerm.var(f.name),))]
-    if isinstance(f, Zero):
-        return [frozenset((LinearTerm.zero(),))]
-    if isinstance(f, Join):
-        left = _linearize(f.left, budget)
-        right = _linearize(f.right, budget)
-        # max of min-max forms: distribute the meet over the join
-        return _check([ci | dk for ci in left for dk in right], budget)
-    if isinstance(f, Imp):
-        left = _linearize(f.left, budget)
-        right = _linearize(f.right, budget)
-        return _check(_add(_negate(left, budget), right, budget), budget)
-    if isinstance(f, Pos):
-        raise TypeError(f"not an RL formula (desugar first): {format_formula(f)}")
-    raise TypeError(f"not an RL formula: {f!r}")
 
 
 def _add(left: list[Clause], right: list[Clause], budget: int) -> list[Clause]:
@@ -338,14 +335,3 @@ def decide_equal(f: Formula, g: Formula, budget: int = DEFAULT_BUDGET) -> Verdic
     if isinstance(verdict, CounterExample):
         return verdict
     return decide_valid(Imp(g, f), budget)
-
-
-def pos_to_join(f: Formula) -> Formula:
-    """Structurally replace every ``x ^+`` by ``x \\/ 0``."""
-    if isinstance(f, Pos):
-        return Join(pos_to_join(f.inner), Zero())
-    if isinstance(f, Imp):
-        return Imp(pos_to_join(f.left), pos_to_join(f.right))
-    if isinstance(f, Join):
-        return Join(pos_to_join(f.left), pos_to_join(f.right))
-    return f

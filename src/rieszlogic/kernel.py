@@ -52,14 +52,11 @@ from .syntax import (
     Formula,
     Imp,
     Join,
-    MetaVar,
     Pos,
     Substitution,
-    Zero,
     format_formula,
-    match_schema,
+    match_or_conflict,
     parse_schema,
-    substitute,
 )
 
 
@@ -259,36 +256,12 @@ def _match_or_explain(
     schema: Formula, target: Formula, bindings: Optional[Substitution] = None
 ) -> tuple[Optional[Substitution], str]:
     """Match and, on failure, name the first conflicting metavariable."""
-    out = match_schema(schema, target, bindings)
-    if out is not None:
+    out = match_or_conflict(schema, target, bindings)
+    if isinstance(out, dict):
         return out, ""
-    conflict = _first_conflict(schema, target, dict(bindings) if bindings else {})
-    if conflict:
-        return None, f"metavariable {conflict} is bound inconsistently"
+    if out is not None:
+        return None, f"metavariable {out} is bound inconsistently"
     return None, "shape mismatch"
-
-
-def _first_conflict(schema: Formula, target: Formula, bindings: Substitution) -> Optional[str]:
-    if isinstance(schema, MetaVar):
-        bound = bindings.get(schema.name)
-        if bound is None:
-            bindings[schema.name] = target
-            return None
-        return schema.name if bound != target else None
-    pairs: tuple[tuple[Formula, Formula], ...]
-    if isinstance(schema, Imp) and isinstance(target, Imp):
-        pairs = ((schema.left, target.left), (schema.right, target.right))
-    elif isinstance(schema, Join) and isinstance(target, Join):
-        pairs = ((schema.left, target.left), (schema.right, target.right))
-    elif isinstance(schema, Pos) and isinstance(target, Pos):
-        pairs = ((schema.inner, target.inner),)
-    else:
-        return None
-    for s, t in pairs:
-        conflict = _first_conflict(s, t, bindings)
-        if conflict:
-            return conflict
-    return None
 
 
 def check_line(

@@ -17,6 +17,11 @@ Evaluation clauses:
 
 An RL formula holds under a valuation when every coordinate of its
 value is >= 0; a BAL formula holds when every coordinate equals 0.
+
+Coordinates are independent under every connective, so one fold over
+the formula (``syntax.fold``) evaluates whole columns of points: all
+coordinates of a valuation, or a batch of falsifier trials.  No code is
+generated.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .syntax import Formula, Imp, Join, MetaVar, Pos, Var, Zero, variables
+from .syntax import Formula, MetaVar, Var, Zero, fold, variables
 
 Vector = tuple[Fraction, ...]
 
@@ -69,37 +74,49 @@ class Valuation:
         )
 
 
+_ZERO = Fraction(0)
+
+
+def _imp(left: Sequence, right: Sequence) -> list:
+    return [b - a for a, b in zip(left, right)]
+
+
+def _join(left: Sequence, right: Sequence) -> list:
+    return [a if a >= b else b for a, b in zip(left, right)]
+
+
+def _pos(inner: Sequence) -> list:
+    return [c if c >= _ZERO else _ZERO for c in inner]
+
+
+def _pointwise(f: Formula, column: Callable[[str], Sequence], zeros: Sequence, system: str) -> Sequence:
+    """Value of the RL or BAL formula f at many points, one entry per point.
+
+    ``column(name)`` gives a variable's values and ``zeros`` the value of
+    ``0``; connectives act entry by entry.
+    """
+    rl = system == "RL"
+
+    def leaf(g: Formula) -> Sequence:
+        if type(g) is Var:
+            return column(g.name)
+        if type(g) is Zero and rl:
+            return zeros
+        if type(g) is MetaVar:
+            raise TypeError(f"cannot evaluate schema metavariable {g.name!r}")
+        raise TypeError(f"not {'an RL' if rl else 'a BAL'} formula: {g!r}")
+
+    return fold(f, leaf, _imp, _join if rl else None, None if rl else _pos)
+
+
 def eval_rl(f: Formula, v: Valuation) -> Vector:
     """Value of an RL formula as a vector of exact rationals."""
-    if isinstance(f, Var):
-        return v.vector(f.name)
-    if isinstance(f, Zero):
-        return (Fraction(0),) * v.dimension
-    if isinstance(f, Imp):
-        lv, rv = eval_rl(f.left, v), eval_rl(f.right, v)
-        return tuple(b - a for a, b in zip(lv, rv))
-    if isinstance(f, Join):
-        lv, rv = eval_rl(f.left, v), eval_rl(f.right, v)
-        return tuple(max(a, b) for a, b in zip(lv, rv))
-    if isinstance(f, MetaVar):
-        raise TypeError(f"cannot evaluate schema metavariable {f.name!r}")
-    raise TypeError(f"not an RL formula: {f!r}")
+    return tuple(_pointwise(f, v.vector, (_ZERO,) * v.dimension, "RL"))
 
 
 def eval_bal(f: Formula, v: Valuation) -> Vector:
     """Value of a BAL formula; ``x ^+`` takes the positive part."""
-    if isinstance(f, Var):
-        return v.vector(f.name)
-    if isinstance(f, Imp):
-        lv, rv = eval_bal(f.left, v), eval_bal(f.right, v)
-        return tuple(b - a for a, b in zip(lv, rv))
-    if isinstance(f, Pos):
-        iv = eval_bal(f.inner, v)
-        zero = Fraction(0)
-        return tuple(max(c, zero) for c in iv)
-    if isinstance(f, MetaVar):
-        raise TypeError(f"cannot evaluate schema metavariable {f.name!r}")
-    raise TypeError(f"not a BAL formula: {f!r}")
+    return tuple(_pointwise(f, v.vector, (_ZERO,) * v.dimension, "BAL"))
 
 
 def holds_rl(f: Formula, v: Valuation) -> bool:
@@ -120,41 +137,48 @@ class EvalResult:
 
 def evaluate(f: Formula, v: Valuation, system: str = "RL") -> EvalResult:
     """Evaluate under either reading and report value plus holds flag."""
-    if system == "RL":
-        value = eval_rl(f, v)
-        return EvalResult(value, all(c >= 0 for c in value))
-    if system == "BAL":
-        value = eval_bal(f, v)
-        return EvalResult(value, all(c == 0 for c in value))
-    raise ValueError(f"unknown system {system!r}")
+    if system not in ("RL", "BAL"):
+        raise ValueError(f"unknown system {system!r}")
+    value = tuple(_pointwise(f, v.vector, (_ZERO,) * v.dimension, system))
+    return EvalResult(value, all(c >= 0 if system == "RL" else c == 0 for c in value))
 
 
 # ---------------------------------------------------------------------------
 # randomized falsifier
 
-def compile_scalar(f: Formula) -> "tuple[tuple[str, ...], object]":
-    """Compile an RL formula to a fast one-coordinate evaluator.
+#: most falsifier trials per pass; passes double from one trial up to it
+_MAX_CHUNK = 128
 
-    Returns the sorted variable names and a function taking one integer
-    (or Fraction) per variable.  Coordinates are independent under all
-    connectives, so an n-dimensional evaluation is n scalar calls.
+
+def compile_scalar(f: Formula) -> tuple[tuple[str, ...], Callable[[Sequence[Sequence]], Sequence]]:
+    """Evaluator of an RL formula at many scalar points at once.
+
+    Returns the sorted variable names and a function that takes one column
+    of numbers per name, all of one length (entry i of each is point i),
+    and returns the column of values.  It folds columns; no code is generated.
     """
     names = tuple(sorted(variables(f)))
-    args = ", ".join(f"v_{name}" for name in names)
 
-    def expr(g: Formula) -> str:
-        if isinstance(g, Var):
-            return f"v_{g.name}"
-        if isinstance(g, Zero):
-            return "0"
-        if isinstance(g, Imp):
-            return f"({expr(g.right)} - {expr(g.left)})"
-        if isinstance(g, Join):
-            return f"max({expr(g.left)}, {expr(g.right)})"
-        raise TypeError(f"not an RL formula: {g!r}")
+    def fn(columns: Sequence[Sequence]) -> Sequence:
+        zeros = [0] * (len(columns[0]) if columns else 1)
+        return _pointwise(f, dict(zip(names, columns)).__getitem__, zeros, "RL")
 
-    fn = eval(f"lambda {args}: {expr(f)}" if names else f"lambda: {expr(f)}")
     return names, fn
+
+
+def _samples(count: int, dimension: int, seed: int, bound: int) -> Iterator[list[tuple[int, ...]]]:
+    """Endless seeded trials of ``count`` integer vectors in [-bound, bound]^n,
+    drawn trial by trial, then vector by vector, then coordinate."""
+    rng = random.Random(seed)
+    span = 2 * bound + 1
+    while True:
+        yield [tuple(rng.randrange(span) - bound for _ in range(dimension)) for _ in range(count)]
+
+
+def _valuation(names: Sequence[str], coords: Sequence[tuple[int, ...]], dimension: int) -> Valuation:
+    return Valuation(
+        dimension, {name: tuple(Fraction(c) for c in vec) for name, vec in zip(names, coords)}
+    )
 
 
 def random_falsify(
@@ -173,22 +197,17 @@ def random_falsify(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     names, fn = compile_scalar(f)
-    rng = random.Random(seed)
-    span = 2 * bound + 1
-    for _ in range(trials):
-        coords = [
-            tuple(rng.randrange(span) - bound for _ in range(dimension)) for _ in names
-        ]
-        falsified = False
-        for k in range(dimension):
-            if fn(*(coords[i][k] for i in range(len(names)))) < 0:
-                falsified = True
-                break
-        if falsified:
-            assignment = {
-                name: tuple(Fraction(c) for c in coords[i]) for i, name in enumerate(names)
-            }
-            return Valuation(dimension, assignment)
+    samples = _samples(len(names), dimension, seed, bound)
+    done, chunk = 0, 1
+    while done < trials:
+        batch = [next(samples) for _ in range(min(chunk, trials - done))]
+        # entry t * dimension + k is coordinate k of trial t
+        columns = [[c for coords in batch for c in coords[i]] for i in range(len(names))]
+        for j, value in enumerate(fn(columns)):
+            if value < 0:
+                return _valuation(names, batch[j // dimension], dimension)
+        done += len(batch)
+        chunk = min(2 * chunk, _MAX_CHUNK)
     return None
 
 

@@ -26,8 +26,9 @@ Grammar (ASCII only, ``#`` starts a comment):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 
 class FormulaError(Exception):
@@ -276,42 +277,87 @@ def parse_schema(text: str, system: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# structural recursion
+
+_EMIT = object()  # stack marker: the node below it has all children done
+
+
+def fold(f: Formula, leaf: Callable, imp: Callable, join: Optional[Callable], pos: Optional[Callable] = None):
+    """Value of f in the algebra (leaf, imp, join, pos), computed bottom-up
+    without recursion; each distinct node (by identity) is evaluated once.
+
+    ``Imp``, ``Join`` and ``Pos`` nodes map to ``imp``, ``join`` and ``pos``
+    of their children's values.  Any other node, or one whose operation is
+    None, maps to ``leaf(node)``, which raises for nodes the algebra does
+    not accept.  Nodes are evaluated in left-to-right postorder, so errors
+    surface in the order a recursive evaluator would raise them.
+    """
+    # an inner node goes back on the stack under _EMIT and its children;
+    # when _EMIT comes off, the children's values top the value stack
+    memo, values, stack = {}, [], [f]
+    while stack:
+        g = stack.pop()
+        if g is _EMIT:
+            g = stack.pop()
+            if type(g) is Pos:
+                value = pos(values.pop())
+            else:
+                right = values.pop()
+                value = (imp if type(g) is Imp else join)(values.pop(), right)
+            memo[id(g)] = value
+        elif id(g) in memo:
+            value = memo[id(g)]
+        else:
+            t = type(g)
+            if t is Imp or (t is Join and join is not None):
+                stack += (g, _EMIT, g.right, g.left)
+                continue
+            if t is Pos and pos is not None:
+                stack += (g, _EMIT, g.inner)
+                continue
+            value = memo[id(g)] = leaf(g)
+        values.append(value)
+    return values[0]
+
+
+def _same(g: Formula) -> Formula:
+    return g
+
+
+def _ignore(*_) -> None:
+    return None
+
+
+# ---------------------------------------------------------------------------
 # printer
 
 _LEVEL_IMP, _LEVEL_JOIN, _LEVEL_POS, _LEVEL_ATOM = 0, 1, 2, 3
 
 
-def _level(f: Formula) -> int:
-    if isinstance(f, Imp):
-        return _LEVEL_IMP
-    if isinstance(f, Join):
-        return _LEVEL_JOIN
-    if isinstance(f, Pos):
-        return _LEVEL_POS
-    return _LEVEL_ATOM
+def _paren(part: tuple[str, int], min_level: int) -> str:
+    text, level = part
+    return f"({text})" if level < min_level else text
 
 
-def _fmt(f: Formula, min_level: int) -> str:
-    if isinstance(f, Var) or isinstance(f, MetaVar):
-        return f.name
-    if isinstance(f, Zero):
-        return "0"
-    if isinstance(f, Imp):
-        text = f"{_fmt(f.left, _LEVEL_JOIN)} -> {_fmt(f.right, _LEVEL_IMP)}"
-    elif isinstance(f, Join):
-        text = f"{_fmt(f.left, _LEVEL_JOIN)} \\/ {_fmt(f.right, _LEVEL_POS)}"
-    elif isinstance(f, Pos):
-        text = f"{_fmt(f.inner, _LEVEL_POS)} ^+"
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    if _level(f) < min_level:
-        return f"({text})"
-    return text
+def _print_leaf(g: Formula) -> tuple[str, int]:
+    if type(g) is Var or type(g) is MetaVar:
+        return g.name, _LEVEL_ATOM
+    if type(g) is Zero:
+        return "0", _LEVEL_ATOM
+    raise TypeError(f"not a formula: {g!r}")
 
 
 def format_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; reparses to the same AST."""
-    return _fmt(f, _LEVEL_IMP)
+    # the printing algebra's values are (text, precedence level) pairs
+    text, _ = fold(
+        f,
+        _print_leaf,
+        lambda x, y: (f"{_paren(x, _LEVEL_JOIN)} -> {y[0]}", _LEVEL_IMP),
+        lambda x, y: (f"{_paren(x, _LEVEL_JOIN)} \\/ {_paren(y, _LEVEL_POS)}", _LEVEL_JOIN),
+        lambda x: (f"{_paren(x, _LEVEL_POS)} ^+", _LEVEL_POS),
+    )
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +365,15 @@ def format_formula(f: Formula) -> str:
 
 def substitute(schema: Formula, subst: Substitution) -> Formula:
     """Simultaneously replace every metavariable by its image under subst."""
-    if isinstance(schema, MetaVar):
-        try:
-            return subst[schema.name]
-        except KeyError:
-            raise SubstitutionError(f"no binding for metavariable {schema.name!r}") from None
-    if isinstance(schema, Imp):
-        return Imp(substitute(schema.left, subst), substitute(schema.right, subst))
-    if isinstance(schema, Join):
-        return Join(substitute(schema.left, subst), substitute(schema.right, subst))
-    if isinstance(schema, Pos):
-        return Pos(substitute(schema.inner, subst))
-    return schema
+
+    def leaf(g: Formula) -> Formula:
+        if type(g) is not MetaVar:
+            return g
+        if g.name not in subst:
+            raise SubstitutionError(f"no binding for metavariable {g.name!r}")
+        return subst[g.name]
+
+    return fold(schema, leaf, Imp, Join, Pos)
 
 
 def match_schema(
@@ -345,28 +388,39 @@ def match_schema(
     consistent with all later occurrences.  Metavariables in ``target`` are
     treated as opaque constants.
     """
+    out = match_or_conflict(schema, target, bindings)
+    return out if isinstance(out, dict) else None
+
+
+def match_or_conflict(
+    schema: Formula, target: Formula, bindings: Optional[Substitution] = None
+) -> Union[Substitution, str, None]:
+    """The match_schema bindings, else the name of the first metavariable
+    (left to right) bound inconsistently, else None for a shape mismatch.
+
+    Shape-mismatched pairs are skipped, so a conflict behind one is found.
+    """
     out = dict(bindings) if bindings else {}
-    if _match(schema, target, out):
-        return out
-    return None
-
-
-def _match(schema: Formula, target: Formula, bindings: Substitution) -> bool:
-    if isinstance(schema, MetaVar):
-        bound = bindings.get(schema.name)
-        if bound is None:
-            bindings[schema.name] = target
-            return True
-        return bound == target
-    if isinstance(schema, Var) or isinstance(schema, Zero):
-        return schema == target
-    if isinstance(schema, Imp) and isinstance(target, Imp):
-        return _match(schema.left, target.left, bindings) and _match(schema.right, target.right, bindings)
-    if isinstance(schema, Join) and isinstance(target, Join):
-        return _match(schema.left, target.left, bindings) and _match(schema.right, target.right, bindings)
-    if isinstance(schema, Pos) and isinstance(target, Pos):
-        return _match(schema.inner, target.inner, bindings)
-    return False
+    mismatch = False
+    stack = [(schema, target)]
+    while stack:
+        s, t = stack.pop()
+        kind = type(s)
+        if kind is MetaVar:
+            bound = out.get(s.name)
+            if bound is None:
+                out[s.name] = t
+            elif bound != t:
+                return s.name
+        elif kind is not type(t):
+            mismatch = True
+        elif kind is Imp or kind is Join:
+            stack += ((s.right, t.right), (s.left, t.left))
+        elif kind is Pos:
+            stack.append((s.inner, t.inner))
+        elif s != t:
+            mismatch = True
+    return None if mismatch else out
 
 
 # ---------------------------------------------------------------------------
@@ -374,43 +428,30 @@ def _match(schema: Formula, target: Formula, bindings: Substitution) -> bool:
 
 def variables(f: Formula) -> set[str]:
     """Names of the object variables occurring in f."""
-    out: set[str] = set()
-    _walk_names(f, out, Var)
-    return out
+    return _names(f, Var)
 
 
 def metavariables(f: Formula) -> set[str]:
     """Names of the metavariables occurring in f."""
+    return _names(f, MetaVar)
+
+
+def _names(f: Formula, cls: type) -> set[str]:
     out: set[str] = set()
-    _walk_names(f, out, MetaVar)
+    fold(f, lambda g: out.add(g.name) if type(g) is cls else None, _ignore, _ignore, _ignore)
     return out
-
-
-def _walk_names(f: Formula, out: set[str], cls: type) -> None:
-    if isinstance(f, cls):
-        out.add(f.name)  # type: ignore[attr-defined]
-    elif isinstance(f, (Imp, Join)):
-        _walk_names(f.left, out, cls)
-        _walk_names(f.right, out, cls)
-    elif isinstance(f, Pos):
-        _walk_names(f.inner, out, cls)
 
 
 def is_rl(f: Formula) -> bool:
     """True iff f is a pure RL formula (no Pos nodes, no metavariables)."""
-    if isinstance(f, (Pos, MetaVar)):
-        return False
-    if isinstance(f, (Imp, Join)):
-        return is_rl(f.left) and is_rl(f.right)
-    return True
+    return fold(f, lambda g: type(g) is Var or type(g) is Zero, operator.and_, operator.and_)
 
 
 def is_bal(f: Formula) -> bool:
     """True iff f is a pure BAL formula (no Zero or Join, no metavariables)."""
-    if isinstance(f, (Zero, Join, MetaVar)):
-        return False
-    if isinstance(f, Imp):
-        return is_bal(f.left) and is_bal(f.right)
-    if isinstance(f, Pos):
-        return is_bal(f.inner)
-    return True
+    return fold(f, lambda g: type(g) is Var, operator.and_, None, _same)
+
+
+def pos_to_join(f: Formula) -> Formula:
+    """Structurally replace every ``x ^+`` by ``x \\/ 0``."""
+    return fold(f, _same, Imp, Join, lambda inner: Join(inner, ZERO))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rieszlogic import bridge
 from rieszlogic.bridge import (
     RESERVED_ZERO_VAR,
     ReservedVariableError,
@@ -11,7 +12,7 @@ from rieszlogic.bridge import (
     rl_to_bal,
 )
 from rieszlogic.decide import Valid, decide_bal_valid
-from rieszlogic.semantics import eval_bal, eval_rl, holds_bal, holds_rl
+from rieszlogic.semantics import Valuation, eval_bal, eval_rl, holds_bal, holds_rl, vector
 from rieszlogic.syntax import (
     Imp,
     Join,
@@ -72,6 +73,14 @@ def test_check_equivalence_examples():
     assert check_equivalence(parse_rl("a -> a \\/ b"), trials=500, seed=3).agreed
     assert check_equivalence(parse_rl("a"), trials=500, seed=3).agreed
     assert check_equivalence(parse_rl("0"), trials=20, seed=3).agreed
+
+
+def test_check_equivalence_reports_first_discrepancy(monkeypatch):
+    # with the translation replaced by the identity, "a -> b" holds in RL
+    # when b >= a but in BAL only when b == a
+    monkeypatch.setattr(bridge, "rl_to_bal", lambda f: f)
+    report = check_equivalence(parse_rl("a -> b"), trials=200, seed=4, dimension=2)
+    assert report.discrepancy == (3, Valuation(2, {"a": vector(-9, -3), "b": vector(6, 7)}))
 
 
 def test_forward_round_trip_law_sampled():

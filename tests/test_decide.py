@@ -24,6 +24,11 @@ from util import random_bal_formula, random_rl_formula, random_valuation
 
 # -- normal form ----------------------------------------------------------------
 
+def test_linearize_rejects_pos():
+    with pytest.raises(TypeError, match=r"^not an RL formula \(desugar first\): a \^\+$"):
+        linearize(parse_bal("a ^+ -> b"))
+
+
 def test_linearize_cancelling_chain():
     # the composition chain cancels to the zero function
     nf = linearize(parse_rl("(a -> b) -> (c -> a) -> (c -> b)"))

@@ -103,6 +103,16 @@ def test_axiom_mismatch_reports_conflicting_metavariable():
     assert "PHI" in report.first_error.message
 
 
+def test_axiom_conflict_is_reported_past_a_shape_mismatch():
+    # PHI -> PSI does not fit a \/ b, yet CHI's clash (d, then e) is named
+    conflict = rl_proof("AX_CONFLICT", [("(a \\/ b) -> (c -> d) -> a -> e", Axiom("R1a"))])
+    assert check_proof(conflict).first_error.message == (
+        "not an instance of R1a: metavariable CHI is bound inconsistently"
+    )
+    mismatch = rl_proof("AX_SHAPE", [("(a \\/ b) -> (c -> d) -> a -> d", Axiom("R1a"))])
+    assert check_proof(mismatch).first_error.message == "not an instance of R1a: shape mismatch"
+
+
 def test_unknown_axiom_name():
     proof = rl_proof("AX_UNKNOWN", [("a -> a", Axiom("R99"))])
     assert "unknown axiom" in check_proof(proof).first_error.message

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from rieszlogic.bridge import bal_to_rl, rl_to_bal
+from rieszlogic.decide import linearize
 from rieszlogic.kernel import RL_AXIOMS
 from rieszlogic.semantics import (
     Valuation,
@@ -17,7 +19,18 @@ from rieszlogic.semantics import (
     random_falsify,
     vector,
 )
-from rieszlogic.syntax import Imp, Join, Var, parse_bal, parse_rl, substitute, variables
+from rieszlogic.syntax import (
+    Imp,
+    Join,
+    MetaVar,
+    Pos,
+    Var,
+    format_formula,
+    parse_bal,
+    parse_rl,
+    substitute,
+    variables,
+)
 from util import random_rl_formula, random_valuation
 
 # rows from the shipped term-document fixture, reused as handy vectors
@@ -116,6 +129,73 @@ def test_falsify_higher_dimension():
     witness = random_falsify(f, trials=200, dimension=3, seed=1)
     assert witness is not None and witness.dimension == 3
     assert not holds_rl(f, witness)
+
+
+# witnesses recorded from the falsifier's seeded stream; they come from
+# trials 344, 145 and 149, so they lie past the first evaluation passes
+PINNED_WITNESSES = [
+    (
+        "c \\/ (c \\/ d -> a \\/ d \\/ b \\/ d) \\/ d", 386, 1, 344,
+        {"a": (-5,), "b": (-5,), "c": (-3,), "d": (-4,)},
+    ),
+    (
+        "(a -> d) \\/ (b \\/ c) \\/ (b \\/ c -> b \\/ a)", 496, 3, 145,
+        {"a": (3, -7, -3), "b": (-1, -8, -5), "c": (4, -6, 1), "d": (9, -10, -9)},
+    ),
+    (
+        "(c -> b) \\/ d \\/ ((d -> a) \\/ ((0 -> c) \\/ c)) \\/ (b -> d)", 802, 3, 149,
+        {"a": (-10, 3, 8), "b": (-8, 8, 8), "c": (-7, 7, 7), "d": (-9, 5, -10)},
+    ),
+]
+
+
+@pytest.mark.parametrize("text, seed, dimension, trial, coords", PINNED_WITNESSES)
+def test_falsify_pinned_witnesses(text, seed, dimension, trial, coords):
+    f = parse_rl(text)
+    expected = Valuation(dimension, {name: vector(*c) for name, c in coords.items()})
+    assert random_falsify(f, trials=1000, dimension=dimension, seed=seed) == expected
+    assert random_falsify(f, trials=trial + 1, dimension=dimension, seed=seed) == expected
+    assert random_falsify(f, trials=trial, dimension=dimension, seed=seed) is None
+
+
+def test_falsify_runs_no_code_from_variable_names(capsys):
+    name = "a: print('INJECTED') #"
+    witness = random_falsify(Var(name), 5)
+    assert capsys.readouterr().out == ""
+    assert witness is not None and set(witness.assignment) == {name}
+
+
+def test_deep_formulas_need_no_recursion():
+    f = Var("a")
+    for _ in range(3000):
+        f = Imp(Var("a"), f)
+    v = Valuation(1, {"a": vector(1)})
+    assert format_formula(f) == "a -> " * 3000 + "a"
+    assert variables(f) == {"a"}
+    assert not holds_rl(f, v)  # the value is -2999 a
+    assert random_falsify(f, 5) is not None
+    translated = rl_to_bal(f)
+    assert not holds_bal(translated, v)
+    pair = bal_to_rl(translated)
+    assert holds_rl(pair.first, v) and not holds_rl(pair.second, v)
+    assert [str(t) for t in linearize(f).clauses[0]] == ["-2999a"]
+
+
+def test_falsify_deep_parsed_formula():
+    # decide accepts 500 nested implications, so the falsifier must too
+    f = parse_rl("a -> " * 500 + "a")
+    assert random_falsify(f, 20) == Valuation(1, {"a": vector(2)})
+
+
+def test_evaluator_type_errors():
+    v = Valuation(1)
+    with pytest.raises(TypeError, match=r"^not an RL formula: Pos\(inner=Var\(name='a'\)\)$"):
+        eval_rl(Pos(Var("a")), v)
+    with pytest.raises(TypeError, match=r"^not a BAL formula: Join\(left=Var\(name='a'\), right=Var\(name='b'\)\)$"):
+        eval_bal(parse_rl("a \\/ b"), v)
+    for evaluate_ in (eval_rl, eval_bal):
+        with pytest.raises(TypeError, match=r"^cannot evaluate schema metavariable 'PHI'$"):
+            evaluate_(Imp(Var("a"), MetaVar("PHI")), v)
 
 
 # -- semantic laws ------------------------------------------------------------

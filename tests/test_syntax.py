@@ -1,6 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+
+import rieszlogic
 
 from rieszlogic.syntax import (
     Imp,
@@ -218,3 +222,10 @@ def test_language_predicates():
 def test_variable_collection():
     assert variables(parse_rl("a -> b \\/ a")) == {"a", "b"}
     assert metavariables(parse_rl_schema("PHI -> a \\/ PSI")) == {"PHI", "PSI"}
+
+
+def test_package_never_runs_generated_code():
+    for path in sorted(Path(rieszlogic.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("eval", "exec", "compile"), f"{path.name}:{node.lineno}"
