@@ -87,15 +87,16 @@ def _load_library_dir(path: Path) -> kernel.TheoremLibrary:
     pending = {p: kernel.parse_proof(p.read_text("utf-8")) for p in sorted(path.glob("*.rlproof"))}
     library = kernel.TheoremLibrary()
     while pending:
-        progressed = False
-        for file in list(pending):
-            report = kernel.check_proof(pending[file], library)
-            if report.accepted:
-                library = library.register(pending.pop(file))
-                progressed = True
-        if not progressed:
-            names = ", ".join(p.name for p in pending)
-            raise _UsageError(f"library proofs failed to check: {names}")
+        rejected = {}
+        for file, proof in pending.items():
+            try:
+                library = library.register(proof)
+            except kernel.RegistrationError as exc:
+                rejected[file] = exc
+        if len(rejected) == len(pending):
+            reasons = "; ".join(f"{p.name}: {exc}" for p, exc in rejected.items())
+            raise _UsageError(f"library proofs failed to check: {reasons}")
+        pending = {file: pending[file] for file in rejected}
     return library
 
 
@@ -227,6 +228,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except decide.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except RecursionError as exc:
+        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     except (
         _UsageError,
         ParseError,

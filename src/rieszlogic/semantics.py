@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .syntax import Formula, MetaVar, Var, Zero, fold, variables
+from .syntax import _VAR_NAME, Formula, MetaVar, Var, Zero, fold, variables
 
 Vector = tuple[Fraction, ...]
 
@@ -225,7 +225,7 @@ def parse_valuation(text: str) -> Valuation:
             raise ValuationError(f"line {lineno}: expected `var = (r1, ..., rn)`")
         name, _, rhs = line.partition("=")
         name, rhs = name.strip(), rhs.strip()
-        if not name or not (name[0].islower() and name.isidentifier()):
+        if not _VAR_NAME.fullmatch(name):
             raise ValuationError(f"line {lineno}: bad variable name {name!r}")
         if not (rhs.startswith("(") and rhs.endswith(")")):
             raise ValuationError(f"line {lineno}: vector must be parenthesized")

@@ -21,14 +21,19 @@ Grammar (ASCII only, ``#`` starts a comment):
 
 ``(+)`` sits at the precedence of ``->``, ``/\\`` at the precedence of
 ``\\/``.  Object variables match ``[a-z][a-zA-Z0-9_]*``, metavariables
-``[A-Z][a-zA-Z0-9_]*``.
+``[A-Z][a-zA-Z0-9_]*``.  Whitespace is space, tab, CR and LF.
+
+Parsing is iterative (one operand and one operator stack), so it has no
+nesting limit; the node classes' generated ``==`` and ``hash`` still
+recurse.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 
 class FormulaError(Exception):
@@ -93,187 +98,122 @@ Substitution = dict[str, Formula]
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
-
-_OPERATORS = ("->", "(+)", "\\/", "/\\", "^+", "~", "(", ")", "0")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # operator text, "var", "meta" or "end"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                yield _Token(op, op, i)
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isalpha() and c.isascii():
-            j = i + 1
-            while j < n and (text[j].isalnum() and text[j].isascii() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            yield _Token("meta" if c.isupper() else "var", name, i)
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i, frozenset(_OPERATORS + ("variable",)))
-    yield _Token("end", "", n)
-
-
-# ---------------------------------------------------------------------------
 # parser
 
-class _Parser:
-    def __init__(self, text: str, lang: str, schema: bool):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.lang = lang
-        self.schema = schema
+_OPERATORS = ("->", "(+)", "\\/", "/\\", "^+", "~", "(", ")", "0")  # "(+)" before "("
+_VAR_NAME = re.compile("[a-z][A-Za-z0-9_]*")
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+# whitespace and comments match no group; any other character is "bad"
+_TOKEN = re.compile(
+    r"[ \t\r\n]+|#[^\n]*|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    rf"|(?P<var>{_VAR_NAME.pattern})|(?P<meta>[A-Z][A-Za-z0-9_]*)|(?P<bad>.)",
+    re.DOTALL,
+)
 
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
+# binary operators with their sugar expanded; joins bind tighter than ->
+_BINARY = {
+    "->": Imp,
+    "(+)": lambda x, y: Imp(Imp(x, ZERO), y),
+    "\\/": Join,
+    "/\\": lambda x, y: Imp(Join(Imp(x, ZERO), Imp(y, ZERO)), ZERO),
+}
+_JOINS = ("\\/", "/\\")
 
-    def fail(self, expected: frozenset[str]) -> ParseError:
-        tok = self.cur
-        what = "end of input" if tok.kind == "end" else repr(tok.text)
-        return ParseError(f"unexpected {what}", tok.offset, expected)
 
-    def parse(self) -> Formula:
-        f = self.imp()
-        if self.cur.kind != "end":
-            raise self.fail(frozenset({"end of input"}))
-        return f
+def _parse(text: str, lang: str, schema: bool) -> Formula:
+    """Operator-precedence parse of the grammar above, without recursion.
 
-    def imp(self) -> Formula:
-        left = self.join()
-        if self.cur.kind == "->":
-            self.advance()
-            return Imp(left, self.imp())
-        if self.cur.kind == "(+)":
-            if self.lang == "bal":
-                raise self.fail(frozenset({"->", "end of input"}))
-            self.advance()
-            # x (+) y  ==  (x -> 0) -> y
-            return Imp(Imp(left, ZERO), self.imp())
-        return left
-
-    def join(self) -> Formula:
-        left = self.post()
-        while self.cur.kind in ("\\/", "/\\"):
-            if self.lang == "bal":
-                raise self.fail(frozenset({"->", "end of input"}))
-            op = self.advance().kind
-            right = self.post()
-            if op == "\\/":
-                left = Join(left, right)
+    ``ops`` holds "(", prefix "~" and the binary operators still waiting
+    for their right operand.  An incoming binary operator first applies
+    the joins on top of ``ops`` (joins associate to the left); ``->`` and
+    ``(+)`` associate to the right and wait for the end of their group.
+    Each token is checked in the state the grammar puts it in (an atom
+    expected, or an operator after one), so an error names the first
+    token the grammar cannot accept there.
+    """
+    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text) if m.lastgroup]
+    for kind, tok, offset in tokens:  # an unexpected character wins over any grammar error
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", offset, frozenset(_OPERATORS + ("variable",)))
+    tokens.append(("end", "", len(text)))
+    bal = lang == "bal"
+    operands: list[Formula] = []
+    ops: list[str] = []
+    depth = 0  # open parentheses
+    want_atom = True
+    for kind, tok, offset in tokens:
+        if want_atom:
+            if tok == "(" or tok == "~" and not bal:
+                ops.append(tok)
+                depth += tok == "("
+                continue
+            if kind == "var":
+                f = Var(tok)
+            elif kind == "meta" and schema:
+                f = MetaVar(tok)
+            elif tok == "0" and not bal:
+                f = ZERO
             else:
-                # x /\ y  ==  ((x -> 0) \/ (y -> 0)) -> 0
-                left = Imp(Join(Imp(left, ZERO), Imp(right, ZERO)), ZERO)
-        return left
-
-    def post(self) -> Formula:
-        f = self.atom()
-        while self.cur.kind == "^+":
-            self.advance()
-            if self.lang == "bal":
-                f = Pos(f)
-            else:
-                # x ^+  ==  x \/ 0
-                f = Join(f, ZERO)
-        return f
-
-    def atom(self) -> Formula:
-        tok = self.cur
-        if tok.kind == "0":
-            if self.lang == "bal":
-                raise self.fail(self._atom_expected())
-            self.advance()
-            return ZERO
-        if tok.kind == "var":
-            self.advance()
-            return Var(tok.text)
-        if tok.kind == "meta":
-            if not self.schema:
-                raise ParseError(
-                    f"metavariable {tok.text!r} not allowed outside schemas",
-                    tok.offset,
-                    self._atom_expected(),
-                )
-            self.advance()
-            return MetaVar(tok.text)
-        if tok.kind == "~":
-            if self.lang == "bal":
-                raise self.fail(self._atom_expected())
-            self.advance()
-            # ~x  ==  x -> 0
-            return Imp(self.atom(), ZERO)
-        if tok.kind == "(":
-            self.advance()
-            f = self.imp()
-            if self.cur.kind != ")":
-                raise self.fail(frozenset({")"}))
-            self.advance()
-            return f
-        raise self.fail(self._atom_expected())
-
-    def _atom_expected(self) -> frozenset[str]:
-        base = {"variable", "("}
-        if self.schema:
-            base.add("metavariable")
-        if self.lang == "rl":
-            base.update({"0", "~"})
-        return frozenset(base)
+                expected = frozenset(("variable", "(") + ("metavariable",) * schema + ("0", "~") * (not bal))
+                if kind == "meta":
+                    raise ParseError(f"metavariable {tok!r} not allowed outside schemas", offset, expected)
+                break
+        elif tok == "^+":  # x ^+  ==  x \/ 0  in RL
+            operands.append(Pos(operands.pop()) if bal else Join(operands.pop(), ZERO))
+            continue
+        elif bal and tok in _BINARY and tok != "->":
+            expected = frozenset(("->", "end of input"))
+            break
+        elif tok in _BINARY or tok == ")" and depth or kind == "end" and not depth:
+            while ops and ops[-1] in (_JOINS if tok in _BINARY else _BINARY):
+                right = operands.pop()
+                operands.append(_BINARY[ops.pop()](operands.pop(), right))
+            if tok in _BINARY:
+                ops.append(tok)
+                want_atom = True
+                continue
+            if kind == "end":
+                return operands.pop()
+            ops.pop()
+            depth -= 1
+            f = operands.pop()
+        else:
+            expected = frozenset((")",) if depth else ("end of input",))
+            break
+        # f completes an atom: apply the prefix ~ in front of it (~x == x -> 0)
+        while ops and ops[-1] == "~":
+            ops.pop()
+            f = Imp(f, ZERO)
+        operands.append(f)
+        want_atom = False
+    what = "end of input" if kind == "end" else repr(tok)
+    raise ParseError(f"unexpected {what}", offset, expected)
 
 
 def parse_rl(text: str) -> Formula:
     """Parse an RL formula; all sugar is expanded to ->, \\/ and 0."""
-    return _Parser(text, "rl", schema=False).parse()
+    return _parse(text, "rl", schema=False)
 
 
 def parse_bal(text: str) -> Formula:
     """Parse a BAL formula; only ->, postfix ^+ and variables are allowed."""
-    return _Parser(text, "bal", schema=False).parse()
+    return _parse(text, "bal", schema=False)
 
 
 def parse_rl_schema(text: str) -> Formula:
     """Parse an RL schema formula (uppercase tokens are metavariables)."""
-    return _Parser(text, "rl", schema=True).parse()
+    return _parse(text, "rl", schema=True)
 
 
 def parse_bal_schema(text: str) -> Formula:
     """Parse a BAL schema formula."""
-    return _Parser(text, "bal", schema=True).parse()
+    return _parse(text, "bal", schema=True)
 
 
 def parse_schema(text: str, system: str) -> Formula:
-    if system == "RL":
-        return parse_rl_schema(text)
-    if system == "BAL":
-        return parse_bal_schema(text)
-    raise ValueError(f"unknown system {system!r}")
+    if system not in ("RL", "BAL"):
+        raise ValueError(f"unknown system {system!r}")
+    return _parse(text, system.lower(), schema=True)
 
 
 # ---------------------------------------------------------------------------

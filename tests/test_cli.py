@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from rieszlogic import kernel
 from rieszlogic.cli import main
 from rieszlogic.kernel import CORPUS_NAMES, corpus_text
 
@@ -145,6 +146,53 @@ def test_check_several_files_in_sequence(corpus_dir, capsys):
     )
     assert code == 0
     assert out.count("OK (") == 4
+
+
+def test_check_library_loads_each_proof_with_one_check(corpus_dir, monkeypatch, capsys):
+    calls = []
+    check_proof = kernel.check_proof
+    monkeypatch.setattr(kernel, "check_proof", lambda *a: calls.append(a) or check_proof(*a))
+    code, out, _ = run(capsys, "check", str(corpus_dir / "balb_plus.rlproof"), "--library", str(corpus_dir))
+    assert (code, out.strip()) == (0, "OK (16 lines)")
+    # one check per library file, one retry for balmi_part3 (it cites
+    # balpi_minus, which sorts after it) and one for the checked file
+    assert len(calls) == len(CORPUS_NAMES) + 2
+
+
+def test_check_library_names_the_rejection(corpus_dir, capsys):
+    (corpus_dir / "balmi_part1.rlproof").unlink()
+    code, _, err = run(capsys, "check", str(corpus_dir / "balb_plus.rlproof"), "--library", str(corpus_dir))
+    assert code == 2
+    assert err.count("\n") == 1
+    assert "balmi_part3.rlproof: " in err
+    assert "unknown lemma 'BALMI_PART1'" in err
+
+
+def test_check_library_name_clash_exits_2(corpus_dir, capsys):
+    clash = corpus_text("balb_minus").replace("name: BALB_MINUS", "name: BALB_PLUS")
+    (corpus_dir / "zz_clash.rlproof").write_text(clash, "utf-8")
+    code, _, err = run(capsys, "check", str(corpus_dir / "balb_plus.rlproof"), "--library", str(corpus_dir))
+    assert code == 2
+    assert "zz_clash.rlproof: name 'BALB_PLUS' already registered with different content" in err
+
+
+def test_check_deeply_nested_line_exits_2(tmp_path, capsys):
+    # the line parses; replaying it compares 1,200-deep trees with ==
+    deep = "(" + "a -> " * 1200 + "a)"
+    path = tmp_path / "deep.rlproof"
+    line = f"(c -> {deep}) -> ({deep} -> e) -> c -> e | axiom R1a"
+    path.write_text(f"system: RL\nname: DEEP\n1: {line}\nqed: 1\n", "utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parse_deep_chain_from_file(tmp_path, capsys):
+    chain = "a -> " * 1500 + "a"
+    path = tmp_path / "deep.txt"
+    path.write_text(chain, "utf-8")
+    code, out, _ = run(capsys, "parse", "--file", str(path))
+    assert (code, out) == (0, chain + "\n")
 
 
 # -- translate ----------------------------------------------------------------------

@@ -287,3 +287,11 @@ def test_parse_valuation_rejects_bad_lines():
     for text in ("x = 1, 2", "x (1)", "x = ()", "X = (1)", "x = (1)\nx = (2)", "x = (1)\ny = (1, 2)", ""):
         with pytest.raises(ValuationError):
             parse_valuation(text)
+
+
+def test_parse_valuation_takes_only_grammar_variable_names():
+    # the names the formula grammar can write: ASCII [a-z][A-Za-z0-9_]*
+    assert parse_valuation("a_1Z = (1)\n").vector("a_1Z") == (Fraction(1),)
+    for name in ("é", "aé", "a\u0661", "_a", "PHI"):
+        with pytest.raises(ValuationError, match="bad variable name"):
+            parse_valuation(f"{name} = (1)")

@@ -229,3 +229,166 @@ def test_package_never_runs_generated_code():
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 assert node.func.id not in ("eval", "exec", "compile"), f"{path.name}:{node.lineno}"
+
+
+# -- pinned parser behaviour -------------------------------------------------
+
+_ANY_TOKEN = {"->", "(+)", "\\/", "/\\", "^+", "~", "(", ")", "0", "variable"}
+_RL_ATOM = {"variable", "(", "0", "~"}
+_BAL_ATOM = {"variable", "("}
+_BAL_OPERATOR = {"->", "end of input"}
+_END = {"end of input"}
+
+_PARSERS = {
+    "rl": parse_rl,
+    "bal": parse_bal,
+    "rl_schema": parse_rl_schema,
+    "bal_schema": parse_bal_schema,
+}
+
+# (parser, text, message, offset, expected set)
+_PARSE_ERRORS = [
+    # an unexpected character anywhere wins over any grammar error
+    ("rl", "a $ b", "unexpected character '$'", 2, _ANY_TOKEN),
+    ("rl", "a b $", "unexpected character '$'", 4, _ANY_TOKEN),
+    ("rl", "( $", "unexpected character '$'", 2, _ANY_TOKEN),
+    ("rl", "01", "unexpected character '1'", 1, _ANY_TOKEN),
+    ("rl", "é", "unexpected character 'é'", 0, _ANY_TOKEN),
+    ("bal", "0 \\/ $", "unexpected character '$'", 5, _ANY_TOKEN),
+    ("rl_schema", "PHI -> \x0b", "unexpected character '\\x0b'", 7, _ANY_TOKEN),
+    # an atom expected
+    ("rl", "a ->", "unexpected end of input", 4, _RL_ATOM),
+    ("rl", "a -> ) b", "unexpected ')'", 5, _RL_ATOM),
+    ("rl", "a -> (", "unexpected end of input", 6, _RL_ATOM),
+    ("rl", "(+) a", "unexpected '(+)'", 0, _RL_ATOM),
+    ("rl", "a \\/ ^+", "unexpected '^+'", 5, _RL_ATOM),
+    ("rl", "a (+)", "unexpected end of input", 5, _RL_ATOM),
+    ("rl", "~ )", "unexpected ')'", 2, _RL_ATOM),
+    ("bal", "x -> ~y", "unexpected '~'", 5, _BAL_ATOM),
+    ("rl_schema", "PHI -> )", "unexpected ')'", 7, _RL_ATOM | {"metavariable"}),
+    ("bal_schema", "PHI -> 0", "unexpected '0'", 7, _BAL_ATOM | {"metavariable"}),
+    # metavariables outside schema mode
+    ("rl", "PHI -> a", "metavariable 'PHI' not allowed outside schemas", 0, _RL_ATOM),
+    ("bal", "x -> Y", "metavariable 'Y' not allowed outside schemas", 5, _BAL_ATOM),
+    # what BAL leaves out, also inside parentheses
+    ("bal", "0", "unexpected '0'", 0, _BAL_ATOM),
+    ("bal", "~x", "unexpected '~'", 0, _BAL_ATOM),
+    ("bal", "x (+) y", "unexpected '(+)'", 2, _BAL_OPERATOR),
+    ("bal", "x /\\ y", "unexpected '/\\\\'", 2, _BAL_OPERATOR),
+    ("bal", "x \\/ y", "unexpected '\\\\/'", 2, _BAL_OPERATOR),
+    ("bal", "(x \\/ y)", "unexpected '\\\\/'", 3, _BAL_OPERATOR),
+    # a missing closing parenthesis
+    ("rl", "(a -> b", "unexpected end of input", 7, {")"}),
+    ("rl", "((a)", "unexpected end of input", 4, {")"}),
+    ("rl", "(a b)", "unexpected 'b'", 3, {")"}),
+    ("bal", "(x y)", "unexpected 'y'", 3, {")"}),
+    # a trailing token
+    ("rl", "a b", "unexpected 'b'", 2, _END),
+    ("rl", "(a) b", "unexpected 'b'", 4, _END),
+    ("rl", "a )", "unexpected ')'", 2, _END),
+    ("rl", "a ^+ ~b", "unexpected '~'", 5, _END),
+    ("bal", "x 0", "unexpected '0'", 2, _END),
+    # nothing to parse
+    ("rl", "", "unexpected end of input", 0, _RL_ATOM),
+    ("rl", "  # only a comment\n", "unexpected end of input", 19, _RL_ATOM),
+    ("bal", "", "unexpected end of input", 0, _BAL_ATOM),
+]
+
+
+@pytest.mark.parametrize("parser, text, message, offset, expected", _PARSE_ERRORS)
+def test_parse_error_pinned(parser, text, message, offset, expected):
+    with pytest.raises(ParseError) as info:
+        _PARSERS[parser](text)
+    assert str(info.value).partition(" at offset ")[0] == message
+    assert (info.value.offset, info.value.expected) == (offset, frozenset(expected))
+
+
+_D = Var("d")
+
+_PARSED = [
+    (parse_rl, "~a ^+", Join(Imp(A, ZERO), ZERO)),  # ~ binds tighter than ^+
+    (parse_rl, "~(a -> b)", Imp(Imp(A, B), ZERO)),
+    (parse_rl, "a (+) b (+) c", Imp(Imp(A, ZERO), Imp(Imp(B, ZERO), C))),
+    (parse_rl, "a /\\ b \\/ c", Join(Imp(Join(Imp(A, ZERO), Imp(B, ZERO)), ZERO), C)),
+    (parse_rl, "a -> b \\/ c -> d", Imp(A, Imp(Join(B, C), _D))),
+    (parse_bal, "x ^+ ^+", Pos(Pos(Var("x")))),
+]
+
+
+@pytest.mark.parametrize("parser, text, tree", _PARSED)
+def test_parse_tree_pinned(parser, text, tree):
+    parsed = parser(text)
+    assert parsed == tree
+    zeros = [g for g in _nodes(parsed) if isinstance(g, type(ZERO))]
+    assert all(g is ZERO for g in zeros)
+
+
+def _nodes(f):
+    stack, out = [f], []
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        stack += [getattr(g, a) for a in ("left", "right", "inner") if hasattr(g, a)]
+    return out
+
+
+def test_tokenizer_whitespace_is_space_tab_cr_lf():
+    assert parse_rl(" a\t->\r\nb ") == Imp(A, B)
+    for space in ("\x0b", "\x0c", "\xa0", "\u2003"):
+        with pytest.raises(ParseError) as info:
+            parse_rl(f"a ->{space}b")
+        assert (info.value.offset, info.value.expected) == (4, frozenset(_ANY_TOKEN))
+
+
+def test_tokenizer_names_are_ascii():
+    assert parse_rl("a_1Z -> b0") == Imp(Var("a_1Z"), Var("b0"))
+    assert parse_rl_schema("PHI_2x") == MetaVar("PHI_2x")
+    for text, offset in (("aé", 1), ("a\u0661", 1), ("_a", 0), ("\u00aa", 0), ("\u212a", 0)):
+        with pytest.raises(ParseError) as info:
+            parse_rl_schema(text)
+        assert str(info.value).startswith("unexpected character")
+        assert info.value.offset == offset
+
+
+def test_tokenizer_tries_oplus_before_parenthesis():
+    assert parse_rl("a(+)b") == Imp(Imp(A, ZERO), B)
+    with pytest.raises(ParseError) as info:
+        parse_rl("(+)")
+    assert str(info.value).startswith("unexpected '(+)'")
+
+
+# -- deep nesting --------------------------------------------------------------
+
+_DEPTH = 1500
+
+
+def _chain(op, depth=_DEPTH):
+    f = A
+    for _ in range(depth):
+        f = op(f)
+    return f
+
+
+_DEEP = {
+    "rl-imp": (parse_rl, "a -> " * _DEPTH + "a", _chain(lambda f: Imp(A, f))),
+    "rl-oplus": (parse_rl, "a (+) " * _DEPTH + "a", _chain(lambda f: Imp(Imp(A, ZERO), f))),
+    "rl-paren": (parse_rl, "(" * _DEPTH + "a" + ")" * _DEPTH, A),
+    "rl-tilde": (parse_rl, "~" * _DEPTH + "a", _chain(lambda f: Imp(f, ZERO))),
+    "rl-join": (parse_rl, "(" * _DEPTH + "a" + " \\/ a)" * _DEPTH, _chain(lambda f: Join(f, A))),
+    "bal-imp": (parse_bal, "x -> " * _DEPTH + "a", _chain(lambda f: Imp(Var("x"), f))),
+    "bal-paren": (parse_bal, "(" * _DEPTH + "a" + " -> x)" * _DEPTH, _chain(lambda f: Imp(f, Var("x")))),
+    "schema-imp": (parse_rl_schema, "PHI -> " * _DEPTH + "a", _chain(lambda f: Imp(MetaVar("PHI"), f))),
+    "schema-oplus": (
+        parse_rl_schema,
+        "PHI (+) " * _DEPTH + "a",
+        _chain(lambda f: Imp(Imp(MetaVar("PHI"), ZERO), f)),
+    ),
+    "schema-tilde": (parse_rl_schema, "~(" * _DEPTH + "a" + ")" * _DEPTH, _chain(lambda f: Imp(f, ZERO))),
+}
+
+
+@pytest.mark.parametrize("case", _DEEP)
+def test_parse_deep_nesting(case):
+    parser, text, tree = _DEEP[case]
+    # deep trees are compared through the iterative printer: == recurses
+    assert format_formula(parser(text)) == format_formula(tree)
