@@ -105,13 +105,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failed = False
     for file in args.files:
         proof = kernel.parse_proof(Path(file).read_text("utf-8"))
-        report = kernel.check_proof(proof, library)
+        report, library = library.admit(proof)
         prefix = "" if len(args.files) == 1 else f"{file}: "
         print(f"{prefix}{report.summary()}")
-        if report.accepted:
-            if proof.name not in library:
-                library = library.register(proof)
-        else:
+        if not report.accepted:
             failed = True
             for status in report.statuses:
                 if not status.ok:

@@ -11,6 +11,16 @@ homogeneous integer linear terms using
 
 so the value at any point is ``min over clauses of (max over terms)``.
 
+Each step keeps only the minimal clauses: a clause whose terms include
+all of another's is everywhere at least as large, so the meet absorbs
+it.  The filter drops duplicates, visits the clauses shortest first,
+keeps a clause only when no kept shorter clause is a subset of it, and
+returns the survivors in first-occurrence order.  Each ``linearize``
+call interns its terms (and memoizes their sums) in tables of its own,
+so equal terms are one object and subset tests compare them by
+identity.  The size budget is checked after each step's product is
+built, so it bounds the result, not the work of building it.
+
 The formula is valid iff every clause satisfies ``max_j L_j >= 0``
 everywhere, which by homogeneity holds iff the rational system
 ``{L_j <= -1 for all j}`` is infeasible; the -1 right-hand side turns
@@ -29,7 +39,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from operator import itemgetter
+from typing import Callable, Mapping, Optional, Union
 
 from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, pos_to_join, variables
 from .semantics import Valuation, Vector
@@ -55,7 +66,7 @@ class LinearTerm:
 
     @staticmethod
     def of(mapping: Mapping[str, int]) -> "LinearTerm":
-        return LinearTerm(tuple(sorted((v, c) for v, c in mapping.items() if c != 0)))
+        return LinearTerm(tuple(sorted(filter(itemgetter(1), mapping.items()))))
 
     @staticmethod
     def var(name: str) -> "LinearTerm":
@@ -119,15 +130,21 @@ class MeetJoinNormalForm:
 
 
 def _dedupe_clauses(clauses: list[Clause]) -> list[Clause]:
-    # drop duplicates and supersets: a clause with more joined terms is
-    # everywhere >= one with a subset of them, so the meet ignores it
+    # keep the minimal clauses, without duplicates, in first-occurrence
+    # order: a clause with more joined terms is everywhere >= one with a
+    # subset of them, so the meet ignores it.  Visited shortest first, a
+    # clause is minimal iff no kept clause of smaller size is a subset of
+    # it; clauses of equal size are distinct, so none contains another.
+    if len(clauses) < 2:
+        return clauses
+    unique = list(dict.fromkeys(clauses))
     kept: list[Clause] = []
-    for clause in clauses:
-        if any(other <= clause for other in kept):
-            continue
-        kept = [other for other in kept if not clause < other]
-        kept.append(clause)
-    return kept
+    for _, same_size in itertools.groupby(sorted(unique, key=len), key=len):
+        kept += [c for c in same_size if not any(map(c.issuperset, kept))]
+    if len(kept) == len(unique):
+        return unique
+    minimal = set(kept)
+    return [c for c in unique if c in minimal]
 
 
 def _size(clauses: list[Clause]) -> int:
@@ -136,12 +153,31 @@ def _size(clauses: list[Clause]) -> int:
 
 def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     """Normal form with exactly the same value as the formula everywhere."""
+    # Tables that live for this call only, so memory does not grow across
+    # calls.  Interning makes equal terms one object, so the subset tests
+    # in _dedupe_clauses match terms by identity and call LinearTerm.__eq__
+    # only for distinct terms with equal hashes.  The cross products in
+    # _add sum the same few term pairs over and over, so sums are memoized,
+    # keyed by identity: `terms` keeps every interned term alive, so no id
+    # is reused.
+    terms: dict[LinearTerm, LinearTerm] = {}
+    sums: dict[tuple[int, int], LinearTerm] = {}
+
+    def intern(t: LinearTerm) -> LinearTerm:
+        return terms.setdefault(t, t)
+
+    def add(t: LinearTerm, u: LinearTerm) -> LinearTerm:
+        key = (id(t), id(u))
+        s = sums.get(key)
+        if s is None:
+            s = sums[key] = intern(t.add(u))
+        return s
 
     def leaf(g: Formula) -> list[Clause]:
         if type(g) is Var:
-            return [frozenset((LinearTerm.var(g.name),))]
+            return [frozenset((intern(LinearTerm.var(g.name)),))]
         if type(g) is Zero:
-            return [frozenset((LinearTerm.zero(),))]
+            return [frozenset((intern(LinearTerm.zero()),))]
         if type(g) is Pos:
             raise TypeError(f"not an RL formula (desugar first): {format_formula(g)}")
         raise TypeError(f"not an RL formula: {g!r}")
@@ -149,7 +185,7 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     clauses = fold(
         f,
         leaf,
-        lambda left, right: _check(_add(_negate(left, budget), right, budget), budget),
+        lambda left, right: _add(_negate(left, budget, intern), right, budget, add),
         # max of min-max forms: distribute the meet over the join
         lambda left, right: _check([ci | dk for ci in left for dk in right], budget),
     )
@@ -164,22 +200,29 @@ def _check(clauses: list[Clause], budget: int) -> list[Clause]:
     return clauses
 
 
-def _add(left: list[Clause], right: list[Clause], budget: int) -> list[Clause]:
+def _add(
+    left: list[Clause],
+    right: list[Clause],
+    budget: int,
+    add: Callable[[LinearTerm, LinearTerm], LinearTerm],
+) -> list[Clause]:
     out = [
-        frozenset(t.add(u) for t in ci for u in dk)
+        frozenset(add(t, u) for t in ci for u in dk)
         for ci in left
         for dk in right
     ]
     return _check(out, budget)
 
 
-def _negate(clauses: list[Clause], budget: int) -> list[Clause]:
+def _negate(
+    clauses: list[Clause], budget: int, intern: Callable[[LinearTerm], LinearTerm]
+) -> list[Clause]:
     # -(min_i max_j t_ij) = max_i min_j (-t_ij); each negated clause is a
     # meet of singletons, and the outer max folds in as pairwise joins,
     # pruning with absorption at every step to keep the blow-up honest
     out: list[Clause] = [frozenset()]
     for clause in clauses:
-        negated = [frozenset((t.neg(),)) for t in clause]
+        negated = [frozenset((intern(t.neg()),)) for t in clause]
         out = _check([ci | dk for ci in out for dk in negated], budget)
     return out
 

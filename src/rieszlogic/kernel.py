@@ -236,12 +236,22 @@ class TheoremLibrary:
             if existing == proof:
                 return self
             raise RegistrationError(f"name {proof.name!r} already registered with different content")
-        report = check_proof(proof, self)
+        report, library = self.admit(proof)
         if not report.accepted:
             raise RegistrationError(f"proof {proof.name!r} rejected: {report.summary()}")
-        entries = dict(self._entries)
-        entries[proof.name] = proof
-        return TheoremLibrary(entries)
+        return library
+
+    def admit(self, proof: Proof) -> tuple[CheckReport, "TheoremLibrary"]:
+        """Check the proof once against this library.
+
+        Returns the report and the library with the proof added; the
+        library is unchanged when the proof is rejected or its name is
+        already registered.
+        """
+        report = check_proof(proof, self)
+        if not report.accepted or proof.name in self._entries:
+            return report, self
+        return report, TheoremLibrary({**self._entries, proof.name: proof})
 
 
 def register_theorem(library: TheoremLibrary, proof: Proof) -> TheoremLibrary:

@@ -148,6 +148,16 @@ def test_check_several_files_in_sequence(corpus_dir, capsys):
     assert out.count("OK (") == 4
 
 
+def test_check_checks_each_file_once(corpus_dir, monkeypatch, capsys):
+    calls = []
+    check_proof = kernel.check_proof
+    monkeypatch.setattr(kernel, "check_proof", lambda *a: calls.append(a) or check_proof(*a))
+    names = ("balmi_part1", "balmi_part2", "balpi_minus", "balmi_part3")
+    code, out, _ = run(capsys, "check", *(str(corpus_dir / f"{n}.rlproof") for n in names))
+    assert (code, out.count("OK (")) == (0, 4)
+    assert len(calls) == 4
+
+
 def test_check_library_loads_each_proof_with_one_check(corpus_dir, monkeypatch, capsys):
     calls = []
     check_proof = kernel.check_proof

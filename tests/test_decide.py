@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from rieszlogic.decide import (
     CounterExample,
     LinearTerm,
     Valid,
+    _dedupe_clauses,
     clause_valid,
     decide_bal_valid,
     decide_equal,
@@ -18,7 +20,7 @@ from rieszlogic.decide import (
 )
 from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
 from rieszlogic.semantics import eval_rl, holds_bal, holds_rl, random_falsify
-from rieszlogic.syntax import Imp, Join, Var, parse_bal, parse_rl, substitute, variables
+from rieszlogic.syntax import ZERO, Imp, Join, Var, parse_bal, parse_rl, substitute, variables
 from util import random_bal_formula, random_rl_formula, random_valuation
 
 
@@ -53,6 +55,48 @@ def test_normal_form_equals_eval_exactly():
         for _ in range(10):
             v = random_valuation(rng, variables(f), dimension=2, bound=7)
             assert nf.eval_vector(v) == eval_rl(f, v)
+
+
+def _minimal_clauses_spec(clauses):
+    # the minimal clauses, first occurrences only, in input order
+    return [
+        c
+        for i, c in enumerate(clauses)
+        if c not in clauses[:i] and not any(other < c for other in clauses)
+    ]
+
+
+def test_dedupe_clauses_matches_spec():
+    rng = random.Random(4)
+    # fresh term objects for every clause: the filter must not rely on
+    # terms being interned
+    term = lambda k: LinearTerm.of({"a": k - 3, "b": k % 3})
+    cases = [[], [frozenset()], [frozenset({term(1), term(2)})]]
+    for _ in range(400):
+        clauses = []
+        for _ in range(rng.randrange(1, 16)):
+            r = rng.random()
+            if clauses and r < 0.25:  # duplicate
+                clauses.append(frozenset(rng.choice(clauses)))
+            elif clauses and r < 0.6:  # nested: a subset or a superset
+                base = list(rng.choice(clauses))
+                if rng.random() < 0.5 and base:
+                    clauses.append(frozenset(rng.sample(base, rng.randrange(len(base)))))
+                else:
+                    clauses.append(frozenset(base + [term(rng.randrange(6))]))
+            else:  # sizes 1-3 from six terms: many equal-size clauses
+                clauses.append(frozenset(term(rng.randrange(6)) for _ in range(rng.randint(1, 3))))
+        cases.append(clauses)
+    for clauses in cases:
+        assert _dedupe_clauses(list(clauses)) == _minimal_clauses_spec(clauses)
+
+
+def test_linearize_returns_antichain():
+    rng = random.Random(2024)
+    for _ in range(200):
+        clauses = linearize(random_rl_formula(rng)).clauses
+        assert len(set(clauses)) == len(clauses)
+        assert not any(c < d for c in clauses for d in clauses)
 
 
 # -- clause feasibility -----------------------------------------------------------
@@ -170,6 +214,18 @@ def _blowup_formula(depth: int):
 def test_budget_exceeded_is_distinct():
     with pytest.raises(BudgetExceededError):
         decide_valid(_blowup_formula(14), budget=2000)
+
+
+@pytest.mark.parametrize("n, budget, size", [(4, 50, 64), (6, 300, 384), (8, 1000, 2048)])
+def test_budget_error_keeps_stage_and_size(n, budget, size):
+    # the join of -(a_k \/ b_k) for k <= m has 2^m clauses of m terms, in
+    # any set iteration order, so the first size over budget is m * 2^m
+    f = functools.reduce(Join, [Imp(Join(Var(f"a{k}"), Var(f"b{k}")), ZERO) for k in range(1, n + 1)])
+    with pytest.raises(BudgetExceededError) as caught:
+        linearize(f, budget)
+    error = caught.value
+    assert (error.stage, error.size, error.budget) == ("normal form", size, budget)
+    assert str(error) == f"normal form size {size} exceeds budget {budget}"
 
 
 def test_budget_generous_enough_for_small_formulas():
