@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, is_bal, pos_to_join, variables
-from .semantics import Valuation, _samples, _valuation, holds_bal, holds_rl
+from .semantics import Valuation, _check_dimension, _draws, _valuation, holds_bal, holds_rl
 
 #: variable reserved for the zero encoding in translated formulas
 RESERVED_ZERO_VAR = "z"
@@ -96,11 +96,18 @@ def check_equivalence(
     dimension: int = 1,
     bound: int = 10,
 ) -> EquivalenceReport:
-    """Sample valuations and compare holds_rl(f) with holds_bal(rl_to_bal(f))."""
+    """Sample valuations and compare holds_rl(f) with holds_bal(rl_to_bal(f)).
+
+    Trials are drawn as in ``semantics.random_falsify``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _check_dimension(dimension)
+    take = _draws(seed, bound)
     translated = rl_to_bal(f)
     names = sorted(variables(f))
-    for trial, coords in zip(range(trials), _samples(len(names), dimension, seed, bound)):
-        v = _valuation(names, coords, dimension)
+    for trial in range(trials):
+        v = _valuation(names, take(len(names) * dimension), dimension)
         if holds_rl(f, v) != holds_bal(translated, v):
             return EquivalenceReport(trials, (trial, v))
     return EquivalenceReport(trials, None)

@@ -12,7 +12,8 @@ One executable, subcommand per capability::
 
 Exit codes: 0 success / valid / holds / entails; 1 semantic negative
 (countermodel found, proof rejected, entailment fails); 2 usage or I/O
-error; 3 budget exceeded.  Results go to stdout, diagnostics to stderr.
+error; 3 budget exceeded or out of memory.  Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -224,6 +225,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args)
     except decide.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError as exc:
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)

@@ -22,14 +22,22 @@ Coordinates are independent under every connective, so one fold over
 the formula (``syntax.fold``) evaluates whole columns of points: all
 coordinates of a valuation, or a batch of falsifier trials.  No code is
 generated.
+
+The falsifier and ``bridge.check_equivalence`` draw their trials from one
+seeded stream: the values ``random.Random(seed).randrange(2*bound+1) - bound``
+would give, in the order trial, sorted variable name, coordinate.  They
+are read from the generator in bulk, many 32-bit outputs per call, with
+``randrange``'s own rejection of values past the span; spans wider than
+32 bits call ``randrange`` itself.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .syntax import _VAR_NAME, Formula, MetaVar, Var, Zero, fold, variables
 
@@ -166,19 +174,51 @@ def compile_scalar(f: Formula) -> tuple[tuple[str, ...], Callable[[Sequence[Sequ
     return names, fn
 
 
-def _samples(count: int, dimension: int, seed: int, bound: int) -> Iterator[list[tuple[int, ...]]]:
-    """Endless seeded trials of ``count`` integer vectors in [-bound, bound]^n,
-    drawn trial by trial, then vector by vector, then coordinate."""
+def _draws(seed: int, bound: int) -> Callable[[int], list[int]]:
+    """``take(n)``: the next n values of ``rng.randrange(2*bound+1) - bound``
+    for a private ``rng = random.Random(seed)``.
+
+    For a span of k <= 32 bits, ``randrange`` keeps the top k bits of one
+    32-bit Mersenne Twister output when they fall below the span and
+    draws again otherwise.  ``take`` reads those outputs in bulk
+    (``getrandbits(32*m)`` holds m consecutive outputs, the first in the
+    lowest bits) and applies the same rejection, so it returns the same
+    values; what a read leaves over is kept for the next call.  Wider
+    spans call ``randrange`` itself.
+    """
+    if not isinstance(bound, int) or bound < 0:
+        raise ValueError(f"bound must be an int >= 0, not {bound!r}")
     rng = random.Random(seed)
     span = 2 * bound + 1
-    while True:
-        yield [tuple(rng.randrange(span) - bound for _ in range(dimension)) for _ in range(count)]
+    bits = span.bit_length()
+    if bits > 32:
+        return lambda n: [rng.randrange(span) - bound for _ in range(n)]
+    shift = 32 - bits
+    limit = span << shift  # w >> shift < span  iff  w < limit
+    pending: list[int] = []
+
+    def take(n: int) -> list[int]:
+        nonlocal pending
+        while len(pending) < n:
+            # enough outputs, on average, for the shortfall
+            m = ((n - len(pending)) << bits) // span + 1
+            words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+            pending += [(w >> shift) - bound for w in words if w < limit]
+        taken, pending = pending[:n], pending[n:]
+        return taken
+
+    return take
 
 
-def _valuation(names: Sequence[str], coords: Sequence[tuple[int, ...]], dimension: int) -> Valuation:
-    return Valuation(
-        dimension, {name: tuple(Fraction(c) for c in vec) for name, vec in zip(names, coords)}
-    )
+def _check_dimension(dimension: int) -> None:
+    if not isinstance(dimension, int) or dimension < 1:
+        raise ValueError(f"dimension must be an int >= 1, not {dimension!r}")
+
+
+def _valuation(names: Sequence[str], row: Sequence[int], dimension: int) -> Valuation:
+    """The valuation giving the i-th name the coordinates ``row[i*dimension:(i+1)*dimension]``."""
+    vectors = [tuple(map(Fraction, row[s : s + dimension])) for s in range(0, len(row), dimension)]
+    return Valuation(dimension, dict(zip(names, vectors)))
 
 
 def random_falsify(
@@ -190,23 +230,35 @@ def random_falsify(
 ) -> Optional[Valuation]:
     """Search for a valuation falsifying an RL formula.
 
-    Samples integer coordinates uniformly from [-bound, bound].  Returns
-    the valuation from the lowest-index successful trial, or None.
-    Deterministic for a fixed seed.
+    Samples integer coordinates uniformly from [-bound, bound], trial by
+    trial, then by sorted variable name, then by coordinate.  The values
+    are those of ``random.Random(seed).randrange(2*bound+1) - bound``,
+    read from the generator 32-bit words at a time (``randrange`` itself
+    when the span is wider than 32 bits).  Returns the valuation from the
+    lowest-index successful trial, or None.  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_dimension(dimension)
+    take = _draws(seed, bound)
     names, fn = compile_scalar(f)
-    samples = _samples(len(names), dimension, seed, bound)
+    width = len(names) * dimension  # values per trial
+    starts = range(0, width, dimension)  # each name's first coordinate in a trial
     done, chunk = 0, 1
     while done < trials:
-        batch = [next(samples) for _ in range(min(chunk, trials - done))]
-        # entry t * dimension + k is coordinate k of trial t
-        columns = [[c for coords in batch for c in coords[i]] for i in range(len(names))]
-        for j, value in enumerate(fn(columns)):
-            if value < 0:
-                return _valuation(names, batch[j // dimension], dimension)
-        done += len(batch)
+        size = min(chunk, trials - done)
+        # entry t * width + s + k is coordinate k, in trial t, of the name starting at s
+        flat = take(size * width)
+        columns = [flat[s::width] for s in starts]
+        for k in range(1, dimension):
+            for column, s in zip(columns, starts):
+                column += flat[s + k :: width]
+        # entry k * size + t of a value column is coordinate k of trial t
+        values = fn(columns)
+        if min(values) < 0:
+            t = min(j % size for j, value in enumerate(values) if value < 0)
+            return _valuation(names, flat[t * width : (t + 1) * width], dimension)
+        done += size
         chunk = min(2 * chunk, _MAX_CHUNK)
     return None
 

@@ -83,6 +83,21 @@ def test_check_equivalence_reports_first_discrepancy(monkeypatch):
     assert report.discrepancy == (3, Valuation(2, {"a": vector(-9, -3), "b": vector(6, 7)}))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": -3}, "trials must be >= 1"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"dimension": 0}, "dimension must be an int >= 1"),
+        ({"bound": -1}, "bound must be an int >= 0"),
+        ({"bound": 1.5}, "bound must be an int >= 0"),
+    ],
+)
+def test_check_equivalence_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        check_equivalence(parse_rl("a -> b"), **kwargs)
+
+
 def test_forward_round_trip_law_sampled():
     rng = random.Random(31)
     for _ in range(150):

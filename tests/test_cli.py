@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from rieszlogic import kernel
+from rieszlogic import decide, kernel
 from rieszlogic.cli import main
 from rieszlogic.kernel import CORPUS_NAMES, corpus_text
 
@@ -103,6 +103,15 @@ def test_decide_budget_exit_3(capsys):
     code, _, err = run(capsys, "decide", "--budget", "500", formula)
     assert code == 3
     assert "budget" in err
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    def exhaust(f, budget):
+        raise MemoryError
+
+    monkeypatch.setattr(decide, "decide_valid", exhaust)
+    code, out, err = run(capsys, "decide", "a")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
 # -- check ------------------------------------------------------------------------
@@ -222,6 +231,12 @@ def test_translate_with_equivalence_trials(capsys):
     code, _, err = run(capsys, "translate", "--to", "bal", "a \\/ b", "--trials", "200", "--seed", "7")
     assert code == 0
     assert err == ""
+
+
+def test_translate_negative_trials_exits_2(capsys):
+    code, _, err = run(capsys, "translate", "--to", "bal", "--trials", "-5", "a")
+    assert code == 2
+    assert err == "error: trials must be >= 1\n"
 
 
 def test_translate_reserved_variable(capsys):

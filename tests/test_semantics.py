@@ -158,6 +158,39 @@ def test_falsify_pinned_witnesses(text, seed, dimension, trial, coords):
     assert random_falsify(f, trials=trial, dimension=dimension, seed=seed) is None
 
 
+# trial 134 lies inside the 128-trial pass, and each of its coordinates
+# comes from a different name's slice of the drawn stream
+def test_falsify_pinned_witness_dimension_2():
+    f = parse_rl("a \\/ (a -> (d -> d -> c -> a) \\/ d)")
+    expected = Valuation(2, {"a": vector(8, -1), "c": vector(-3, 5), "d": vector(0, -2)})
+    assert random_falsify(f, trials=1000, dimension=2, seed=634) == expected
+    assert random_falsify(f, trials=135, dimension=2, seed=634) == expected
+    assert random_falsify(f, trials=134, dimension=2, seed=634) is None
+
+
+def test_falsify_bound_0_finds_no_witness():
+    # every coordinate is 0, where every RL formula takes the value 0
+    f = parse_rl("a -> 0")
+    assert random_falsify(f, trials=300, dimension=2, seed=1, bound=0) is None
+    assert random_falsify(f, trials=300, dimension=2, seed=1, bound=1) is not None
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dimension": 0}, "dimension must be an int >= 1"),
+        ({"dimension": -2}, "dimension must be an int >= 1"),
+        ({"bound": -1}, "bound must be an int >= 0"),
+        ({"bound": 1.5}, "bound must be an int >= 0"),
+        ({"trials": 0}, "trials must be >= 1"),
+    ],
+)
+def test_falsify_rejects_bad_arguments(kwargs, message):
+    for text in ("a -> 0", "0"):  # with and without variables
+        with pytest.raises(ValueError, match=message):
+            random_falsify(parse_rl(text), **{"trials": 100, **kwargs})
+
+
 def test_falsify_runs_no_code_from_variable_names(capsys):
     name = "a: print('INJECTED') #"
     witness = random_falsify(Var(name), 5)
