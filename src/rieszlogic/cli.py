@@ -121,14 +121,14 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     if args.to == "bal":
         f = _read_formula(args, "rl")
         translated = bridge.rl_to_bal(f)
+        # sample before printing, so that a bad --trials leaves stdout empty
+        report = bridge.check_equivalence(f, trials=args.trials, seed=args.seed) if args.trials else None
         print(format_formula(translated))
-        if args.trials:
-            report = bridge.check_equivalence(f, trials=args.trials, seed=args.seed)
-            if not report.agreed:
-                trial, valuation = report.discrepancy
-                print(f"equivalence failed at trial {trial}:", file=sys.stderr)
-                print(semantics.format_valuation(valuation), file=sys.stderr)
-                return EXIT_NEGATIVE
+        if report is not None and not report.agreed:
+            trial, valuation = report.discrepancy
+            print(f"equivalence failed at trial {trial}:", file=sys.stderr)
+            print(semantics.format_valuation(valuation), file=sys.stderr)
+            return EXIT_NEGATIVE
         return EXIT_OK
     f = _read_formula(args, "bal")
     pair = bridge.bal_to_rl(f)

@@ -23,11 +23,12 @@ built, so it bounds the result, not the work of building it.
 
 The formula is valid iff every clause satisfies ``max_j L_j >= 0``
 everywhere, which by homogeneity holds iff the rational system
-``{L_j <= -1 for all j}`` is infeasible; the -1 right-hand side turns
-strict homogeneous infeasibility into non-strict rational feasibility
-without loss.  Feasibility is decided by exact Fourier-Motzkin
-elimination, and a feasible system yields a rational witness point,
-hence a one-dimensional countermodel.
+``{L_j <= -1 for all j}`` is infeasible.  An exact integer simplex on
+the Farkas side of that system settles each clause: either nonnegative
+integer weights on the terms that sum to the zero term, a certificate
+that ``check_certificate`` verifies without the solver, or a rational
+point where every term is ``<= -1``, hence a one-dimensional
+countermodel.
 
 Validity over these rational models coincides with validity over all
 abelian lattice-ordered groups; this relies on the standard algebraic
@@ -37,9 +38,10 @@ fact that the reals generate that variety.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Optional, Union
 
 from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, pos_to_join, variables
@@ -49,7 +51,8 @@ DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceededError(Exception):
-    """The normal form or the elimination grew past the configured budget."""
+    """The normal form grew past the budget, or the clause simplex took
+    more pivots than it allows (``size`` counts them)."""
 
     def __init__(self, stage: str, size: int, budget: int):
         super().__init__(f"{stage} size {size} exceeds budget {budget}")
@@ -147,10 +150,6 @@ def _dedupe_clauses(clauses: list[Clause]) -> list[Clause]:
     return [c for c in unique if c in minimal]
 
 
-def _size(clauses: list[Clause]) -> int:
-    return sum(len(c) for c in clauses)
-
-
 def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     """Normal form with exactly the same value as the formula everywhere."""
     # Tables that live for this call only, so memory does not grow across
@@ -194,7 +193,7 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
 
 def _check(clauses: list[Clause], budget: int) -> list[Clause]:
     clauses = _dedupe_clauses(clauses)
-    size = _size(clauses)
+    size = sum(map(len, clauses))
     if size > budget:
         raise BudgetExceededError("normal form", size, budget)
     return clauses
@@ -228,98 +227,102 @@ def _negate(
 
 
 # ---------------------------------------------------------------------------
-# clause feasibility by Fourier-Motzkin elimination
+# clause feasibility by an exact simplex on the Farkas side
 
-@dataclass(frozen=True)
-class _Inequality:
-    """sum(coeffs * x) <= rhs with exact rational entries."""
+def _farkas(
+    rows: list[list[int]], rhs: list[int], budget: int
+) -> tuple[Optional[list[int]], Optional[list[Fraction]]]:
+    """Solve ``A x <= b`` over the rationals, or prove it has no solution.
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    rhs: Fraction
+    Runs phase I of the simplex on the Farkas side ``A^T l = 0, -b^T l =
+    1, l >= 0``, whose tableau has one row per variable plus one.  When
+    phase I reaches 0 it returns ``(weights, None)``, integers
+    proportional to such an ``l``.  Otherwise it returns ``(None, x)``
+    with ``A x <= b``, read off the phase-I dual: ``y_i`` is 1 minus the
+    reduced cost of artificial ``i`` and ``x_v = y_v / y_last``.  The
+    tableau stays integral by fraction-free pivoting: its true entries
+    are ``table / d``, and every pivot is positive, so ``d`` is too.
+    Bland's rule keeps it from cycling; past ``budget`` pivots it raises.
+    """
+    m, n = len(rows), len(rows[0])
+    width = m + n + 1  # weight columns, then one artificial per row
+    table = [list(col) + [0] * v + [1] + [0] * (n - v) + [0] for v, col in enumerate(zip(*rows))]
+    table.append([-b for b in rhs] + [0] * n + [1, 1])
+    # phase-I reduced costs and objective: minimize the sum of the artificials
+    table.append([-sum(col) for col in zip(*table)][:m] + [0] * (n + 1) + [-1])
+    basis = list(range(m, width))
+    d, pivots = 1, 0
+    while table[-1][-1]:
+        cost = table[-1]
+        c = next((j for j in range(m) if cost[j] < 0), None)
+        if c is None:
+            y = [d - cost[j] for j in range(m, width)]
+            return None, [Fraction(yv, y[n]) for yv in y[:n]]
+        r = -1  # the tightest row, ties to the lowest basic column
+        for i in range(n + 1):
+            a = table[i][c]
+            if a > 0 and (r < 0 or (table[i][-1] * table[r][c], basis[i]) < (table[r][-1] * a, basis[r])):
+                r = i
+        pivots += 1
+        if pivots > budget:
+            raise BudgetExceededError("simplex", pivots, budget)
+        pivot_row, p = table[r], table[r][c]
+        for i, row in enumerate(table):
+            if i != r:
+                f = row[c]
+                table[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
+        d, basis[r] = p, c
+    value = {j: table[i][-1] for i, j in enumerate(basis)}
+    return [value.get(j, 0) for j in range(m)], None
 
-    @staticmethod
-    def of(mapping: Mapping[str, Fraction], rhs: Fraction) -> "_Inequality":
-        return _Inequality(tuple(sorted((v, c) for v, c in mapping.items() if c != 0)), rhs)
 
-    def coeff(self, name: str) -> Fraction:
-        for v, c in self.coeffs:
-            if v == name:
-                return c
-        return Fraction(0)
-
-    def scale(self, factor: Fraction) -> "_Inequality":
-        # factor must be positive: scaling keeps the <= direction
-        return _Inequality(tuple((v, c * factor) for v, c in self.coeffs), self.rhs * factor)
-
-    def drop(self, name: str) -> "_Inequality":
-        return _Inequality(tuple((v, c) for v, c in self.coeffs if v != name), self.rhs)
-
-    def combine(self, other: "_Inequality") -> "_Inequality":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs:
-            out[v] = out.get(v, Fraction(0)) + c
-        return _Inequality.of(out, self.rhs + other.rhs)
-
-
-def clause_valid(
+def clause_certificate(
     clause: Clause, budget: int = DEFAULT_BUDGET
-) -> Union[bool, dict[str, Fraction]]:
+) -> tuple[Optional[dict[LinearTerm, int]], Optional[dict[str, Fraction]]]:
+    """``(weights, None)`` that pass ``check_certificate`` when the clause
+    is valid, else ``(None, point)`` with every term ``<= -1`` there.
+
+    Terms are ordered by their coefficients and variables by name, so
+    neither result depends on set iteration order.
+    """
+    if not clause:
+        raise ValueError("clause must be nonempty")
+    terms = sorted(clause, key=attrgetter("coeffs"))
+    names = sorted({v for t in terms for v, _ in t.coeffs})
+    rows = [[coeffs.get(v, 0) for v in names] for coeffs in (dict(t.coeffs) for t in terms)]
+    weights, point = _farkas(rows, [-1] * len(terms), budget)
+    if point is not None:
+        return None, dict(zip(names, point))
+    g = math.gcd(*weights)
+    return {t: w // g for t, w in zip(terms, weights) if w}, None
+
+
+def clause_valid(clause: Clause, budget: int = DEFAULT_BUDGET) -> Union[bool, dict[str, Fraction]]:
     """True when max of the clause terms is >= 0 everywhere.
 
     Otherwise returns a rational witness point at which every term is
     <= -1 (so the max is strictly negative).
     """
-    if not clause:
-        raise ValueError("clause must be nonempty")
-    system = [
-        _Inequality.of({v: Fraction(c) for v, c in t.coeffs}, Fraction(-1)) for t in clause
-    ]
-    names = sorted({v for ineq in system for v, _ in ineq.coeffs})
-    steps: list[tuple[str, list[_Inequality], list[_Inequality]]] = []
-    for name in names:
-        uppers = []  # scaled to  x + rest <= r, i.e. x <= r - rest
-        lowers = []  # scaled to -x + rest <= r, i.e. x >= rest - r
-        remaining = []
-        for ineq in system:
-            c = ineq.coeff(name)
-            if c > 0:
-                uppers.append(ineq.scale(1 / c))
-            elif c < 0:
-                lowers.append(ineq.scale(-1 / c))
-            else:
-                remaining.append(ineq)
-        steps.append((name, uppers, lowers))
-        for up, low in itertools.product(uppers, lowers):
-            remaining.append(up.drop(name).combine(low.drop(name)))
-        system = list(dict.fromkeys(remaining))
-        if len(system) > budget:
-            raise BudgetExceededError("elimination", len(system), budget)
-    for ineq in system:
-        assert not ineq.coeffs
-        if ineq.rhs < 0:
-            return True
-    # feasible: back-substitute a witness in reverse elimination order
-    point: dict[str, Fraction] = {}
-    for name, uppers, lowers in reversed(steps):
-        ups = [ineq.rhs - _eval_rest(ineq, name, point) for ineq in uppers]
-        lows = [_eval_rest(ineq, name, point) - ineq.rhs for ineq in lowers]
-        if ups and lows:
-            value = (min(ups) + max(lows)) / 2
-        elif ups:
-            value = min(ups)
-        elif lows:
-            value = max(lows)
-        else:
-            value = Fraction(0)
-        point[name] = value
-    return point
+    _, point = clause_certificate(clause, budget)
+    return True if point is None else point
 
 
-def _eval_rest(ineq: _Inequality, name: str, point: Mapping[str, Fraction]) -> Fraction:
-    return sum(
-        (c * point[v] for v, c in ineq.coeffs if v != name),
-        Fraction(0),
-    )
+def check_certificate(clause: Clause, weights: Mapping[LinearTerm, int]) -> bool:
+    """True when ``weights`` prove that max of the clause terms is >= 0.
+
+    No solver: the weights must be ints ``>= 0``, not all zero, on terms
+    of the clause, and weight the terms to the zero term.  Then at every
+    point some term of positive weight is ``>= 0``.
+    """
+    if not any(weights.values()):
+        return False
+    if not all(type(w) is int and w >= 0 and t in clause for t, w in weights.items()):
+        return False
+    total: dict[str, int] = {}
+    for t, w in weights.items():
+        for v, c in t.coeffs:
+            total[v] = total.get(v, 0) + w * c
+    return not any(total.values())
 
 
 # ---------------------------------------------------------------------------
@@ -340,22 +343,16 @@ Verdict = Union[Valid, CounterExample]
 VALID = Valid()
 
 
-def _witness_valuation(f: Formula, point: Mapping[str, Fraction]) -> Valuation:
-    assignment = {name: (point.get(name, Fraction(0)),) for name in variables(f)}
-    return Valuation(1, assignment)
-
-
 def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide RL validity; countermodels are one-dimensional.
 
     A single real point falsifies some clause, so higher dimensions add
     nothing for refutation.
     """
-    normal_form = linearize(f, budget)
-    for clause in normal_form.clauses:
-        outcome = clause_valid(clause, budget)
-        if outcome is not True:
-            return CounterExample(_witness_valuation(f, outcome))
+    for clause in linearize(f, budget).clauses:
+        point = clause_valid(clause, budget)
+        if point is not True:  # variables outside the clause are 0 there
+            return CounterExample(Valuation(1, {v: (point.get(v, Fraction(0)),) for v in variables(f)}))
     return VALID
 
 

@@ -239,6 +239,13 @@ def test_translate_negative_trials_exits_2(capsys):
     assert err == "error: trials must be >= 1\n"
 
 
+def test_translate_negative_trials_prints_nothing(capsys):
+    # the argument is rejected before the translation is printed
+    code, out, _ = run(capsys, "translate", "--to", "bal", "--trials", "-5", "a")
+    assert code == 2
+    assert out == ""
+
+
 def test_translate_reserved_variable(capsys):
     code, _, err = run(capsys, "translate", "--to", "bal", "z -> a")
     assert code == 2

@@ -1,9 +1,13 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from rieszlogic import decide
 from rieszlogic.bridge import bal_to_rl
 from rieszlogic.decide import (
     BudgetExceededError,
@@ -11,6 +15,8 @@ from rieszlogic.decide import (
     LinearTerm,
     Valid,
     _dedupe_clauses,
+    check_certificate,
+    clause_certificate,
     clause_valid,
     decide_bal_valid,
     decide_equal,
@@ -125,6 +131,105 @@ def test_witness_makes_all_terms_at_most_minus_one():
         outcome = clause_valid(terms)
         if outcome is not True:
             assert all(t.eval(outcome) <= -1 for t in terms)
+
+
+def _assert_settled(clause, outcome=None):
+    # the clause's certificate checks, or its point puts every term at <= -1
+    weights, point = clause_certificate(clause)
+    if point is None:
+        assert check_certificate(clause, weights)
+    else:
+        assert all(t.eval(point) <= -1 for t in clause)
+    if outcome is not None:
+        assert outcome == (True if point is None else point)
+
+
+def _clauses_checked(f, monkeypatch):
+    checked = []
+
+    def recording(clause, budget):
+        outcome = clause_valid(clause, budget)
+        checked.append((clause, outcome))
+        return outcome
+
+    monkeypatch.setattr(decide, "clause_valid", recording)
+    verdict = decide_valid(f)
+    monkeypatch.undo()
+    return verdict, checked
+
+
+def test_certificates_and_witnesses_on_acceptance_formulas(monkeypatch):
+    rng = random.Random(2024)
+    valid = refuted = 0
+    for _ in range(200):
+        _, checked = _clauses_checked(random_rl_formula(rng, max_connectives=12, max_vars=4), monkeypatch)
+        for clause, outcome in checked:
+            _assert_settled(clause, outcome)
+            valid += outcome is True
+            refuted += outcome is not True
+    assert valid and refuted
+
+
+def test_check_certificate_rejects_bad_weights():
+    x, minus_x, y = LinearTerm.var("x"), LinearTerm.of({"x": -1}), LinearTerm.var("y")
+    clause = frozenset({x, minus_x, y})
+    assert check_certificate(clause, {x: 1, minus_x: 1})
+    assert check_certificate(clause, {x: 3, minus_x: 3, y: 0})
+    assert not check_certificate(clause, {x: -1, minus_x: -1})  # negative weights
+    assert not check_certificate(clause, {x: 0, minus_x: 0})  # all zero
+    assert not check_certificate(clause, {})
+    assert not check_certificate(clause, {x: 1})  # a weight dropped
+    assert not check_certificate(clause, {x: Fraction(1), minus_x: Fraction(1)})  # not ints
+    # sums to zero, but 2x is not a term of the clause
+    assert not check_certificate(clause, {LinearTerm.of({"x": 2}): 1, minus_x: 2})
+
+
+def test_simplex_budget_bounds_pivots():
+    # x \/ -x takes two pivots
+    clause = frozenset({LinearTerm.var("x"), LinearTerm.of({"x": -1})})
+    with pytest.raises(BudgetExceededError) as caught:
+        clause_valid(clause, budget=1)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("simplex", 2, 1)
+    assert clause_valid(clause, budget=2) is True
+
+
+def test_formula_248_settles_every_clause(monkeypatch):
+    # formula #248 of the first 300 that Random(32) draws over a-f
+    f = parse_rl(
+        "(f \\/ (0 \\/ d \\/ d \\/ a -> 0 \\/ (a -> d \\/ e -> 0 -> f) \\/ b \\/ b) -> (0 -> e) \\/ 0)"
+        " -> (d \\/ ((d -> f) \\/ 0) -> b \\/ e) -> (b -> b \\/ e)"
+        " \\/ (f \\/ (f \\/ (0 \\/ (d -> (f -> f) -> f))))"
+    )
+    verdict, checked = _clauses_checked(f, monkeypatch)
+    assert isinstance(verdict, CounterExample)
+    assert not holds_rl(f, verdict.valuation)
+    for clause, outcome in checked:
+        _assert_settled(clause, outcome)
+    clauses = linearize(f).clauses
+    assert max(map(len, clauses)) == 48
+    for clause in clauses:
+        _assert_settled(clause)
+
+
+def test_witness_independent_of_hash_seed():
+    # five terms over x, y, z; with the terms taken in set order, the
+    # simplex would end at different points under these two hash seeds
+    script = (
+        "from rieszlogic.decide import LinearTerm, clause_valid\n"
+        "terms = [{'x': 2}, {'x': 2, 'y': -2, 'z': 1}, {'x': -1, 'y': -2, 'z': -1},"
+        " {'x': -2, 'z': 1}, {'x': -1, 'y': 1, 'z': 2}]\n"
+        "print(sorted(clause_valid(frozenset(map(LinearTerm.of, terms))).items()))\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("[('x', Fraction(")
 
 
 # -- verdicts ---------------------------------------------------------------------
