@@ -12,8 +12,8 @@ One executable, subcommand per capability::
 
 Exit codes: 0 success / valid / holds / entails; 1 semantic negative
 (countermodel found, proof rejected, entailment fails); 2 usage or I/O
-error; 3 budget exceeded or out of memory.  Results go to stdout,
-diagnostics to stderr.
+error, or a decision that failed its self-check; 3 budget exceeded or
+out of memory.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -184,7 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide validity, print VALID or COUNTEREXAMPLE")
     _add_formula_args(p)
     p.add_argument("--lang", choices=("rl", "bal"), default="rl")
-    p.add_argument("--budget", type=int, default=decide.DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=decide.DEFAULT_BUDGET,
+        help="bound on the search, 2^k x rows for k binary negative joins, and on the simplex pivots per LP"
+        " (exit 3 past it; default %(default)s)",
+    )
     p.set_defaults(run=_cmd_decide)
 
     p = sub.add_parser("check", help="replay proof script files")
@@ -234,6 +240,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (
         _UsageError,
+        decide.SelfCheckError,
         ParseError,
         OSError,
         ValueError,

@@ -1,34 +1,34 @@
-"""Exact validity decisions with countermodel extraction.
+"""Exact validity decisions with countermodels and certificates.
 
 Every RL value function is piecewise linear and homogeneous: variables
 and ``0`` are linear, ``->`` is subtraction and ``\\/`` is the maximum.
-``linearize`` rewrites a formula into an equivalent *meet of joins* of
-homogeneous integer linear terms using
+So f is valid iff no point gives ``f <= -1``.
 
-    (A \\/ B) + C = (A + C) \\/ (B + C)
-    -(A \\/ B)    = (-A) /\\ (-B)
-    A \\/ (B /\\ C) = (A \\/ B) /\\ (A \\/ C)
+``decide_valid`` gives each join occurrence a column ``y`` of a linear
+system asserting ``f <= -1``.  A join is *positive* when an even number
+of ``->`` left sides lie above it, else *negative*.  A positive join adds
+the rows ``y >= l`` and ``y >= r``; a negative join is searched depth
+first by substituting ``y := l`` or ``y := r``, and its column is free
+until then.  Joins directly under a join are flattened into one n-ary
+maximum, with one row per side if positive and one branch per side if
+negative.  Each node's system goes to ``_farkas``, an exact integer
+simplex.  An infeasible node is closed by weights that ``check_farkas``
+confirms before they are kept.  A feasible node's point is evaluated
+exactly: where f is negative, it is the countermodel; otherwise some
+free negative join's column lies above the maximum of its sides there
+(were there none, f would be at most its form, so ``<= -1``), and the
+search branches on the lowest such join.  At a countermodel, the side
+attaining each negative join's maximum gives a feasible branch, so the
+closed branches prove validity.  ``--budget`` bounds the search before
+any LP, as the product of the negative joins' side counts (``2^k`` for
+``k`` binary ones) times the rows (one for the root, or one per side of
+a root join; one per side of a positive join; one per negative join),
+and the pivots of each LP.
 
-so the value at any point is ``min over clauses of (max over terms)``.
-
-Each step keeps only the minimal clauses: a clause whose terms include
-all of another's is everywhere at least as large, so the meet absorbs
-it.  The filter drops duplicates, visits the clauses shortest first,
-keeps a clause only when no kept shorter clause is a subset of it, and
-returns the survivors in first-occurrence order.  Each ``linearize``
-call interns its terms (and memoizes their sums) in tables of its own,
-so equal terms are one object and subset tests compare them by
-identity.  The size budget is checked after each step's product is
-built, so it bounds the result, not the work of building it.
-
-The formula is valid iff every clause satisfies ``max_j L_j >= 0``
-everywhere, which by homogeneity holds iff the rational system
-``{L_j <= -1 for all j}`` is infeasible.  An exact integer simplex on
-the Farkas side of that system settles each clause: either nonnegative
-integer weights on the terms that sum to the zero term, a certificate
-that ``check_certificate`` verifies without the solver, or a rational
-point where every term is ``<= -1``, hence a one-dimensional
-countermodel.
+``linearize``, kept for its callers, rewrites a formula into an
+equivalent *meet of joins* of integer linear terms, absorption-pruned
+after every step, whose clauses ``clause_certificate`` settles with the
+same simplex.
 
 Validity over these rational models coincides with validity over all
 abelian lattice-ordered groups; this relies on the standard algebraic
@@ -41,18 +41,22 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
-from typing import Callable, Mapping, Optional, Union
+from operator import attrgetter, itemgetter, mul
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, pos_to_join, variables
-from .semantics import Valuation, Vector
+from .syntax import Formula, Imp, Join, Pos, Var, Zero, fold, format_formula, pos_to_join, postorder
+from .semantics import Valuation, Vector, _replay
 
 DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceededError(Exception):
-    """The normal form grew past the budget, or the clause simplex took
-    more pivots than it allows (``size`` counts them)."""
+    """Work past the budget.  ``stage`` is ``"search"`` when the a-priori
+    bound of ``decide_valid``'s search, ``2^k × rows`` for ``k`` binary
+    negative joins, exceeds it (module docstring), ``"simplex"`` when one
+    LP takes more pivots, and
+    ``"normal form"`` when ``linearize``'s result grows past it;
+    ``size`` is the bound, the pivots or the result size."""
 
     def __init__(self, stage: str, size: int, budget: int):
         super().__init__(f"{stage} size {size} exceeds budget {budget}")
@@ -150,8 +154,21 @@ def _dedupe_clauses(clauses: list[Clause]) -> list[Clause]:
     return [c for c in unique if c in minimal]
 
 
+def _not_rl(g: Formula) -> None:
+    if type(g) is Pos:
+        raise TypeError(f"not an RL formula (desugar first): {format_formula(g)}")
+    raise TypeError(f"not an RL formula: {g!r}")
+
+
 def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
-    """Normal form with exactly the same value as the formula everywhere."""
+    """Normal form with exactly the same value as the formula everywhere.
+
+    Built with ``(A \\/ B) + C = (A + C) \\/ (B + C)``, ``-(A \\/ B) =
+    (-A) /\\ (-B)`` and ``A \\/ (B /\\ C) = (A \\/ B) /\\ (A \\/ C)``,
+    keeping the minimal clauses after each step (``_dedupe_clauses``).
+    The budget is checked after each step's product is built, so it
+    bounds the result, not the work of building it.
+    """
     # Tables that live for this call only, so memory does not grow across
     # calls.  Interning makes equal terms one object, so the subset tests
     # in _dedupe_clauses match terms by identity and call LinearTerm.__eq__
@@ -177,9 +194,7 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
             return [frozenset((intern(LinearTerm.var(g.name)),))]
         if type(g) is Zero:
             return [frozenset((intern(LinearTerm.zero()),))]
-        if type(g) is Pos:
-            raise TypeError(f"not an RL formula (desugar first): {format_formula(g)}")
-        raise TypeError(f"not an RL formula: {g!r}")
+        _not_rl(g)
 
     clauses = fold(
         f,
@@ -276,6 +291,13 @@ def _farkas(
     return [value.get(j, 0) for j in range(m)], None
 
 
+def _clause_rows(terms: Iterable[LinearTerm]) -> tuple[list[str], list[list[int]]]:
+    # the sorted variable names, and each term's coefficients on them
+    terms = list(terms)
+    names = sorted({v for t in terms for v, _ in t.coeffs})
+    return names, [[coeffs.get(v, 0) for v in names] for coeffs in (dict(t.coeffs) for t in terms)]
+
+
 def clause_certificate(
     clause: Clause, budget: int = DEFAULT_BUDGET
 ) -> tuple[Optional[dict[LinearTerm, int]], Optional[dict[str, Fraction]]]:
@@ -288,8 +310,7 @@ def clause_certificate(
     if not clause:
         raise ValueError("clause must be nonempty")
     terms = sorted(clause, key=attrgetter("coeffs"))
-    names = sorted({v for t in terms for v, _ in t.coeffs})
-    rows = [[coeffs.get(v, 0) for v in names] for coeffs in (dict(t.coeffs) for t in terms)]
+    names, rows = _clause_rows(terms)
     weights, point = _farkas(rows, [-1] * len(terms), budget)
     if point is not None:
         return None, dict(zip(names, point))
@@ -307,30 +328,53 @@ def clause_valid(clause: Clause, budget: int = DEFAULT_BUDGET) -> Union[bool, di
     return True if point is None else point
 
 
+def check_farkas(rows: Sequence[Sequence[int]], rhs: Sequence[int], weights: Sequence[int]) -> bool:
+    """True when ``weights`` prove that ``rows · x <= rhs`` has no
+    rational solution.
+
+    No solver: one int ``>= 0`` per row, not all zero, with ``λᵀA = 0``
+    and ``λᵀb < 0``.  Summing the rows with these weights would give
+    ``0 <= λᵀb``, which no point satisfies.
+    """
+    if len(weights) != len(rows) or not all(type(w) is int and w >= 0 for w in weights) or not any(weights):
+        return False
+    if any(sum(map(mul, weights, col)) for col in zip(*rows)):
+        return False
+    return sum(map(mul, weights, rhs)) < 0
+
+
 def check_certificate(clause: Clause, weights: Mapping[LinearTerm, int]) -> bool:
     """True when ``weights`` prove that max of the clause terms is >= 0.
 
-    No solver: the weights must be ints ``>= 0``, not all zero, on terms
-    of the clause, and weight the terms to the zero term.  Then at every
+    The weights must be on terms of the clause and pass ``check_farkas``
+    for the system ``{t <= -1 for each weighted term t}``: then at every
     point some term of positive weight is ``>= 0``.
     """
-    if not any(weights.values()):
+    if not all(t in clause for t in weights):
         return False
-    if not all(type(w) is int and w >= 0 and t in clause for t, w in weights.items()):
-        return False
-    total: dict[str, int] = {}
-    for t, w in weights.items():
-        for v, c in t.coeffs:
-            total[v] = total.get(v, 0) + w * c
-    return not any(total.values())
+    _, rows = _clause_rows(weights)
+    return check_farkas(rows, [-1] * len(rows), list(weights.values()))
 
 
 # ---------------------------------------------------------------------------
 # verdicts
 
 @dataclass(frozen=True)
+class Refutation:
+    """Integer weights proving that ``rows · x <= rhs`` has no rational
+    solution; ``check_farkas`` confirms them."""
+
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    weights: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Valid:
-    pass
+    """The formula is valid; ``branches`` holds one refutation per closed
+    branch of the search."""
+
+    branches: tuple[Refutation, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -340,20 +384,139 @@ class CounterExample:
 
 Verdict = Union[Valid, CounterExample]
 
-VALID = Valid()
+
+class SelfCheckError(Exception):
+    """The search found a point that exact evaluation does not confirm as
+    a countermodel.  It means a defect in this module, never a verdict."""
+
+
+def _minus(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    # the linear form a - b, without zero coefficients
+    out = dict(a)
+    for c, k in b.items():
+        out[c] = out.get(c, 0) - k
+    return {c: k for c, k in out.items() if k}
+
+
+def _system(
+    roots: list[dict[int, int]], joins: list[tuple], fixed: dict[int, int]
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """The branch's system ``A x <= b`` as (columns, A, b).
+
+    A fixed negative join's column is replaced by its chosen side's form.
+    The rows ``form <= -1`` of ``roots`` come first; then, from the root
+    down, the rows ``side - y <= 0`` of each positive join that a row
+    already kept mentions.  Unfixed negative joins stay free columns.
+    """
+    resolved: dict[int, dict[int, int]] = {}
+
+    def sub(form: dict[int, int]) -> dict[int, int]:
+        if resolved.keys().isdisjoint(form):
+            return form
+        out: dict[int, int] = {}
+        for c, k in form.items():
+            for d, m in resolved.get(c, {c: 1}).items():
+                out[d] = out.get(d, 0) + k * m
+        return {c: k for c, k in out.items() if k}
+
+    for c in sorted(fixed):  # a join's sides mention only lower columns
+        resolved[c] = sub(joins[c][2][fixed[c]])
+    forms = [sub(form) for form in roots]
+    rhs = [-1] * len(forms)
+    live = set().union(*forms)
+    for c in range(len(joins) - 1, -1, -1):
+        _, positive, sides = joins[c]
+        if positive and c in live:
+            for side in sides:
+                form = sub(side)
+                live.update(form)
+                forms.append({**form, c: -1})
+                rhs.append(0)
+    columns = sorted(live)
+    return columns, [[form.get(c, 0) for c in columns] for form in forms], rhs
 
 
 def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide RL validity; countermodels are one-dimensional.
 
-    A single real point falsifies some clause, so higher dimensions add
-    nothing for refutation.
+    Join occurrences become columns of a linear system asserting ``f <=
+    -1``, and negative joins are searched depth first (module docstring).
+    A countermodel is returned only once exact evaluation finds ``f``
+    negative there; VALID carries one refutation per closed branch.
     """
-    for clause in linearize(f, budget).clauses:
-        point = clause_valid(clause, budget)
-        if point is not True:  # variables outside the clause are 0 there
-            return CounterExample(Valuation(1, {v: (point.get(v, Fraction(0)),) for v in variables(f)}))
-    return VALID
+    steps = postorder(f, _not_rl)
+    names = sorted({i for op, i, _ in steps if op is Var})
+    # polarity of each step: bit 1 when it occurs positively, bit 2 negatively
+    polarity = [0] * len(steps)
+    polarity[-1] = 1
+    for s in range(len(steps) - 1, -1, -1):
+        op, i, j = steps[s]
+        if op is Imp:
+            polarity[i] |= (polarity[s] & 1) << 1 | polarity[s] >> 1
+            polarity[j] |= polarity[s]
+        elif op is Join:
+            polarity[i] |= polarity[s]
+            polarity[j] |= polarity[s]
+    # the linear form of each (step, polarity): variable k is column ~k,
+    # join occurrence c is column c, with joins[c] = (step, positive,
+    # sides); children come first, so sides mention only lower columns
+    column = {name: ~k for k, name in enumerate(names)}
+    forms: dict[tuple[int, int], dict[int, int]] = {}
+    joins: list[tuple] = []
+    for s, (op, i, j) in enumerate(steps):
+        for p in (1, 2):
+            if polarity[s] & p:
+                if op is Imp:
+                    forms[s, p] = _minus(forms[j, p], forms[i, 3 - p])
+                elif op is Join:
+                    sides = []
+                    for child in (i, j):  # max(max(l, r), ...) = max(l, r, ...)
+                        flat = steps[child][0] is Join
+                        sides += joins[next(iter(forms[child, p]))][2] if flat else [forms[child, p]]
+                    forms[s, p] = {len(joins): 1}
+                    joins.append((s, p == 1, sides))
+                else:
+                    forms[s, p] = {column[i]: 1} if op is Var else {}
+    # f <= -1, or every side of a positive join at the root <= -1
+    roots = joins[-1][2] if steps[-1][0] is Join else [forms[len(steps) - 1, 1]]
+    # the joins whose columns the system mentions: a join flattened into
+    # its parent has none unless another step shares it
+    live = set().union(*roots)
+    for c in range(len(joins) - 1, -1, -1):
+        if c in live:
+            live.update(*joins[c][2])
+    negative = [c for c in range(len(joins)) if c in live and not joins[c][1]]
+    positive_rows = sum(len(joins[c][2]) for c in live if c >= 0 and joins[c][1])
+    size = math.prod(len(joins[c][2]) for c in negative) * (len(roots) + positive_rows + len(negative))
+    if size > budget:
+        raise BudgetExceededError("search", size, budget)
+
+    closed: list[Refutation] = []
+    stack: list[dict[int, int]] = [{}]  # fixed negative joins: column -> side
+    while stack:
+        fixed = stack.pop()
+        columns, rows, rhs = _system(roots, joins, fixed)
+        weights, point = _farkas(rows, rhs, budget)
+        if point is None:
+            if not check_farkas(rows, rhs, weights):
+                raise SelfCheckError(f"self-check failed: weights {weights} do not refute branch {fixed}")
+            g = math.gcd(*weights)
+            closed.append(Refutation(tuple(map(tuple, rows)), tuple(rhs), tuple(w // g for w in weights)))
+            continue
+        # the system is homogeneous but for b, so a positive multiple of
+        # the point is feasible up to scaling b: take the integer one
+        scale = math.lcm(*(q.denominator for q in point))
+        x = {c: int(q * scale) for c, q in zip(columns, point)}
+        values = _replay(steps, lambda name: (x.get(column[name], 0),), (0,))
+        if values[-1][0] < 0:
+            return CounterExample(Valuation(1, {name: (Fraction(x.get(column[name], 0)),) for name in names}))
+        # f is not negative here, so a free negative join's column lies
+        # above its value; branch on the lowest such column, side 0 first
+        c = next((c for c in negative if c not in fixed and c in x and x[c] > values[joins[c][0]][0]), None)
+        if c is None:
+            raise SelfCheckError(f"self-check failed: feasible branch {fixed} has value {values[-1][0]} >= 0")
+        stack += ({**fixed, c: k} for k in reversed(range(len(joins[c][2]))))
+    return Valid(tuple(closed))
 
 
 def decide_bal_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -363,15 +526,17 @@ def decide_bal_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     ``-t >= 0``; a countermodel is any valuation with nonzero value.
     """
     term = pos_to_join(f)
-    verdict = decide_valid(term, budget)
-    if isinstance(verdict, CounterExample):
-        return verdict
-    return decide_valid(Imp(term, Zero()), budget)
+    return _both(decide_valid(term, budget), lambda: decide_valid(Imp(term, Zero()), budget))
 
 
 def decide_equal(f: Formula, g: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Valid iff f -> g and g -> f are both valid RL formulas."""
-    verdict = decide_valid(Imp(f, g), budget)
-    if isinstance(verdict, CounterExample):
-        return verdict
-    return decide_valid(Imp(g, f), budget)
+    return _both(decide_valid(Imp(f, g), budget), lambda: decide_valid(Imp(g, f), budget))
+
+
+def _both(first: Verdict, second: Callable[[], Verdict]) -> Verdict:
+    # the first countermodel, else VALID with the refutations of both
+    if isinstance(first, CounterExample):
+        return first
+    verdict = second()
+    return verdict if isinstance(verdict, CounterExample) else Valid(first.branches + verdict.branches)

@@ -20,8 +20,9 @@ value is >= 0; a BAL formula holds when every coordinate equals 0.
 
 Coordinates are independent under every connective, so one fold over
 the formula (``syntax.fold``) evaluates whole columns of points: all
-coordinates of a valuation, or a batch of falsifier trials.  No code is
-generated.
+coordinates of a valuation, or a batch of falsifier trials.  The
+falsifier folds the formula once, into a ``syntax.postorder`` program,
+and replays that for each batch.  No code is generated.
 
 The falsifier and ``bridge.check_equivalence`` draw their trials from one
 seeded stream: the values ``random.Random(seed).randrange(2*bound+1) - bound``
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .syntax import _VAR_NAME, Formula, MetaVar, Var, Zero, fold, variables
+from .syntax import _VAR_NAME, Formula, Imp, Join, MetaVar, Var, Zero, fold, postorder
 
 Vector = tuple[Fraction, ...]
 
@@ -97,6 +98,13 @@ def _pos(inner: Sequence) -> list:
     return [c if c >= _ZERO else _ZERO for c in inner]
 
 
+def _reject(g: Formula, rl: bool = True) -> None:
+    """Raise the TypeError for a node the RL (or BAL) evaluator cannot take."""
+    if type(g) is MetaVar:
+        raise TypeError(f"cannot evaluate schema metavariable {g.name!r}")
+    raise TypeError(f"not {'an RL' if rl else 'a BAL'} formula: {g!r}")
+
+
 def _pointwise(f: Formula, column: Callable[[str], Sequence], zeros: Sequence, system: str) -> Sequence:
     """Value of the RL or BAL formula f at many points, one entry per point.
 
@@ -110,11 +118,24 @@ def _pointwise(f: Formula, column: Callable[[str], Sequence], zeros: Sequence, s
             return column(g.name)
         if type(g) is Zero and rl:
             return zeros
-        if type(g) is MetaVar:
-            raise TypeError(f"cannot evaluate schema metavariable {g.name!r}")
-        raise TypeError(f"not {'an RL' if rl else 'a BAL'} formula: {g!r}")
+        _reject(g, rl)
 
     return fold(f, leaf, _imp, _join if rl else None, None if rl else _pos)
+
+
+def _replay(steps: Sequence[tuple], column: Callable[[str], Sequence], zeros: Sequence) -> list:
+    """Values of every step of a ``syntax.postorder`` program, entry by
+    entry as in ``_pointwise``; the root's value is the last."""
+    values: list = []
+    push = values.append
+    for op, i, j in steps:
+        if op is Imp:
+            push(_imp(values[i], values[j]))
+        elif op is Join:
+            push(_join(values[i], values[j]))
+        else:
+            push(column(i) if op is Var else zeros)
+    return values
 
 
 def eval_rl(f: Formula, v: Valuation) -> Vector:
@@ -163,13 +184,16 @@ def compile_scalar(f: Formula) -> tuple[tuple[str, ...], Callable[[Sequence[Sequ
 
     Returns the sorted variable names and a function that takes one column
     of numbers per name, all of one length (entry i of each is point i),
-    and returns the column of values.  It folds columns; no code is generated.
+    and returns the column of values.  The formula is folded once, into a
+    ``syntax.postorder`` program, which each call replays on its columns;
+    no code is generated.
     """
-    names = tuple(sorted(variables(f)))
+    steps = postorder(f, _reject)
+    names = tuple(sorted({i for op, i, _ in steps if op is Var}))
 
     def fn(columns: Sequence[Sequence]) -> Sequence:
         zeros = [0] * (len(columns[0]) if columns else 1)
-        return _pointwise(f, dict(zip(names, columns)).__getitem__, zeros, "RL")
+        return _replay(steps, dict(zip(names, columns)).__getitem__, zeros)[-1]
 
     return names, fn
 

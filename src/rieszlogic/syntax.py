@@ -260,6 +260,32 @@ def fold(f: Formula, leaf: Callable, imp: Callable, join: Optional[Callable], po
     return values[0]
 
 
+def postorder(f: Formula, reject: Callable[[Formula], None]) -> list[tuple]:
+    """The distinct nodes of the RL formula f as a program of steps,
+    children first and the root last.
+
+    A step is ``(Var, name, None)``, ``(Zero, None, None)``, or ``(Imp,
+    i, j)`` and ``(Join, i, j)`` with the indices of the left and right
+    child's steps.  ``reject(node)`` raises for any other node.  One
+    ``fold`` builds it; replaying the steps walks no tree.
+    """
+    steps: list[tuple] = []
+
+    def emit(op, i, j) -> int:
+        steps.append((op, i, j))
+        return len(steps) - 1
+
+    def leaf(g: Formula) -> int:
+        if type(g) is Var:
+            return emit(Var, g.name, None)
+        if type(g) is Zero:
+            return emit(Zero, None, None)
+        reject(g)
+
+    fold(f, leaf, lambda i, j: emit(Imp, i, j), lambda i, j: emit(Join, i, j))
+    return steps
+
+
 def _same(g: Formula) -> Formula:
     return g
 

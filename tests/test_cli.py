@@ -105,6 +105,15 @@ def test_decide_budget_exit_3(capsys):
     assert "budget" in err
 
 
+def test_failed_self_check_exits_2(monkeypatch, capsys):
+    # a solver that calls every system feasible at the origin, where
+    # a -> 0 is not negative: decide must not print a verdict
+    monkeypatch.setattr(decide, "_farkas", lambda rows, rhs, budget: (None, [0] * len(rows[0])))
+    code, out, err = run(capsys, "decide", "a -> 0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: self-check failed") and err.count("\n") == 1
+
+
 def test_memory_error_exits_3(monkeypatch, capsys):
     def exhaust(f, budget):
         raise MemoryError

@@ -13,9 +13,11 @@ from rieszlogic.decide import (
     BudgetExceededError,
     CounterExample,
     LinearTerm,
+    SelfCheckError,
     Valid,
     _dedupe_clauses,
     check_certificate,
+    check_farkas,
     clause_certificate,
     clause_valid,
     decide_bal_valid,
@@ -144,26 +146,14 @@ def _assert_settled(clause, outcome=None):
         assert outcome == (True if point is None else point)
 
 
-def _clauses_checked(f, monkeypatch):
-    checked = []
-
-    def recording(clause, budget):
-        outcome = clause_valid(clause, budget)
-        checked.append((clause, outcome))
-        return outcome
-
-    monkeypatch.setattr(decide, "clause_valid", recording)
-    verdict = decide_valid(f)
-    monkeypatch.undo()
-    return verdict, checked
-
-
-def test_certificates_and_witnesses_on_acceptance_formulas(monkeypatch):
+def test_certificates_and_witnesses_on_acceptance_formulas():
+    # every clause of the normal form, not only those a clause-by-clause
+    # decision would visit
     rng = random.Random(2024)
     valid = refuted = 0
     for _ in range(200):
-        _, checked = _clauses_checked(random_rl_formula(rng, max_connectives=12, max_vars=4), monkeypatch)
-        for clause, outcome in checked:
+        for clause in linearize(random_rl_formula(rng, max_connectives=12, max_vars=4)).clauses:
+            outcome = clause_valid(clause)
             _assert_settled(clause, outcome)
             valid += outcome is True
             refuted += outcome is not True
@@ -193,18 +183,16 @@ def test_simplex_budget_bounds_pivots():
     assert clause_valid(clause, budget=2) is True
 
 
-def test_formula_248_settles_every_clause(monkeypatch):
+def test_formula_248_settles_every_clause():
     # formula #248 of the first 300 that Random(32) draws over a-f
     f = parse_rl(
         "(f \\/ (0 \\/ d \\/ d \\/ a -> 0 \\/ (a -> d \\/ e -> 0 -> f) \\/ b \\/ b) -> (0 -> e) \\/ 0)"
         " -> (d \\/ ((d -> f) \\/ 0) -> b \\/ e) -> (b -> b \\/ e)"
         " \\/ (f \\/ (f \\/ (0 \\/ (d -> (f -> f) -> f))))"
     )
-    verdict, checked = _clauses_checked(f, monkeypatch)
+    verdict = decide_valid(f)
     assert isinstance(verdict, CounterExample)
     assert not holds_rl(f, verdict.valuation)
-    for clause, outcome in checked:
-        _assert_settled(clause, outcome)
     clauses = linearize(f).clauses
     assert max(map(len, clauses)) == 48
     for clause in clauses:
@@ -233,6 +221,162 @@ def test_witness_independent_of_hash_seed():
 
 
 # -- verdicts ---------------------------------------------------------------------
+
+def _assert_refutations(verdict):
+    assert isinstance(verdict, Valid) and verdict.branches
+    for branch in verdict.branches:
+        assert check_farkas(branch.rows, branch.rhs, branch.weights)
+
+
+def test_valid_verdicts_carry_checked_refutations():
+    rng = random.Random(2024)
+    valid = 0
+    for _ in range(200):
+        verdict = decide_valid(random_rl_formula(rng, max_connectives=12, max_vars=4))
+        if isinstance(verdict, CounterExample):
+            continue
+        valid += 1
+        _assert_refutations(verdict)
+        for branch in verdict.branches:
+            rows, rhs, weights = branch.rows, branch.rhs, branch.weights
+            for i, w in enumerate(weights):
+                if w:
+                    dropped = rows[:i] + rows[i + 1 :], rhs[:i] + rhs[i + 1 :], weights[:i] + weights[i + 1 :]
+                    assert not check_farkas(*dropped)
+                    assert not check_farkas(rows, rhs, weights[:i] + (-w,) + weights[i + 1 :])
+            assert not check_farkas(rows, rhs, weights[:-1])
+    assert valid
+
+
+def test_check_farkas_rejects_bad_weights():
+    rows, rhs = ((1, 0), (-1, 1), (0, -1)), (0, 0, -1)  # x <= 0, y <= x and y >= 1
+    assert check_farkas(rows, rhs, (1, 1, 1))
+    assert check_farkas(rows, rhs, (2, 2, 2))
+    assert not check_farkas(rows, rhs, (1, 1, 0))  # a row dropped
+    assert not check_farkas(rows, rhs, (1, 1))  # one weight short
+    assert not check_farkas(rows, rhs, (-1, -1, -1))  # signs flipped: the sum is 0 <= 1
+    assert not check_farkas(rows, rhs, (0, 0, 0))
+    assert not check_farkas(rows, rhs, (1.0, 1, 1))  # not ints
+    assert not check_farkas(((0,),), (0,), (1,))  # 0 <= 0 is no contradiction
+    assert check_farkas(((),), (-1,), (1,))  # 0 <= -1 with no columns
+
+
+@pytest.mark.parametrize("text", ["0", "0 -> 0", "a -> a", "a \\/ (a -> 0)"])
+def test_systems_with_at_most_one_column(text):
+    verdict = decide_valid(parse_rl(text))
+    _assert_refutations(verdict)
+    assert all(len(row) <= 1 for branch in verdict.branches for row in branch.rows)
+
+
+def test_nested_positive_joins_are_one_maximum():
+    # columns a and b only: neither join gets a column of its own
+    verdict = decide_valid(parse_rl("(c -> c) \\/ b \\/ (a \\/ (b \\/ (a -> 0)))"))
+    _assert_refutations(verdict)
+    assert {len(row) for branch in verdict.branches for row in branch.rows} == {2}
+
+
+def test_nested_negative_joins_are_one_branch():
+    # a1 \/ ... \/ a13 on the left of -> is one 13-way branch, charged
+    # 13 x (1 root + 13 rows of the positive maximum + 1 negative join)
+    disjuncts = " \\/ ".join(f"a{k}" for k in range(1, 14))
+    f = parse_rl(f"{disjuncts} -> {disjuncts}")
+    verdict = decide_valid(f)
+    _assert_refutations(verdict)
+    assert len(verdict.branches) == 13
+    with pytest.raises(BudgetExceededError) as caught:
+        decide_valid(f, budget=194)
+    assert (caught.value.stage, caught.value.size) == ("search", 195)
+    g = parse_rl(" \\/ ".join(f"a{k}" for k in range(1, 17)) + " -> 0")
+    verdict = decide_valid(g)
+    assert isinstance(verdict, CounterExample) and not holds_rl(g, verdict.valuation)
+
+
+def test_deep_api_chains_decide():
+    # ((0 -> a) -> a) -> ... 3,000 deep is 0; a 3,000-deep join of
+    # variables is valid with a and a -> 0 among them, refuted without
+    f = ZERO
+    for _ in range(3000):
+        f = Imp(f, Var("a"))
+    _assert_refutations(decide_valid(f))
+    for last, valid in ((Join(Var("a"), Imp(Var("a"), ZERO)), True), (Var("a"), False)):
+        g = last
+        for k in range(3000):
+            g = Join(Var(f"v{k % 5}"), g)
+        verdict = decide_valid(g)
+        if valid:
+            _assert_refutations(verdict)
+        else:
+            assert isinstance(verdict, CounterExample) and not holds_rl(g, verdict.valuation)
+
+
+def test_failed_self_check_raises(monkeypatch):
+    monkeypatch.setattr(decide, "_farkas", lambda rows, rhs, budget: (None, [0] * len(rows[0])))
+    with pytest.raises(SelfCheckError, match="^self-check failed"):
+        decide_valid(parse_rl("a -> 0"))
+
+
+def test_unchecked_weights_raise(monkeypatch):
+    # a solver that calls every system infeasible with zero weights: the
+    # branch must not close
+    monkeypatch.setattr(decide, "_farkas", lambda rows, rhs, budget: ([0] * len(rows), None))
+    with pytest.raises(SelfCheckError, match="^self-check failed"):
+        decide_valid(parse_rl("a -> a"))
+
+
+def test_bal_and_equal_verdicts_keep_both_directions():
+    # each direction closes at least one branch
+    assert len(decide_equal(parse_rl("a"), parse_rl("a")).branches) == 2
+    assert len(decide_bal_valid(parse_bal("x -> x")).branches) == 2
+
+
+#: the ten formulas of the decide-tail family (the first 300 that
+#: Random(32) draws over a-f) whose normal form took seconds or grew
+#: past the default budget, by their index in the family
+TAIL_FORMULAS = {
+    84: "(0 \\/ (c -> b \\/ e -> a) -> e) \\/ (((d \\/ (d -> f \\/ 0) -> d) -> 0 \\/ ((f -> 0) -> b)) -> d \\/ (0 -> 0) \\/ (e -> c)) \\/ (f -> 0 -> b) -> 0 \\/ c \\/ (f -> a) \\/ ((c -> f) \\/ (b -> c))",
+    115: "((b -> f \\/ e \\/ ((d \\/ d -> e) -> b \\/ (a \\/ c -> f))) -> (b -> (a -> 0) \\/ (f \\/ e)) -> c \\/ f) -> 0",
+    120: "(((c \\/ (e -> b) \\/ (b \\/ d -> f) -> b -> 0) -> 0 -> (d -> a \\/ 0) -> b \\/ (d -> 0) -> f -> (c -> f) \\/ e) -> a -> b) -> 0 -> d \\/ f",
+    121: "(d \\/ e \\/ (a -> b) -> (c \\/ (d \\/ f) -> a -> d \\/ a) \\/ a \\/ (b \\/ ((0 -> b -> c) -> f) -> (b -> 0) -> b -> c)) -> e -> ((b \\/ e -> b) -> a \\/ (e \\/ (b -> b))) -> d \\/ 0",
+    151: "0 \\/ (b \\/ c \\/ (a \\/ e) \\/ (d \\/ f \\/ f -> e) -> a \\/ ((b -> b) -> e \\/ d) \\/ (d -> f \\/ ((a -> e -> b) -> b -> d))) -> c \\/ (0 -> 0 -> e)",
+    155: "((e \\/ b -> b \\/ d) -> d \\/ b -> (c -> (d -> c) \\/ e) -> f \\/ b \\/ (0 \\/ (f \\/ (f \\/ c) \\/ e \\/ (b \\/ (d -> b))) -> d -> c)) -> f -> f",
+    181: "c \\/ (0 \\/ (a \\/ (a -> d) -> e) -> (f -> f) \\/ (0 -> c) -> (d \\/ 0 -> f) \\/ ((b -> f \\/ a \\/ (d -> d)) \\/ (a \\/ d -> a \\/ b)) -> a \\/ (d \\/ d)) -> a \\/ ((a \\/ a -> a) -> a \\/ d)",
+    183: "(((e \\/ c \\/ a -> 0 \\/ (((f -> e -> b -> c) -> d) \\/ (c -> 0)) -> f -> c \\/ (b \\/ c \\/ (c -> f))) -> (d \\/ f -> e) -> a) -> c) \\/ d -> a",
+    224: "((0 -> b -> e) -> ((((f -> e \\/ e) -> a) -> a -> e) -> (f -> a \\/ d) \\/ (b \\/ (((0 -> a) -> b -> e -> d) \\/ (f -> f)) -> e \\/ e)) \\/ (f \\/ (a -> e) -> f \\/ d \\/ f) -> a \\/ f \\/ c) -> c",
+    236: "((0 -> 0) -> 0 \\/ e) -> ((c \\/ e -> (f -> f \\/ c \\/ (0 -> d)) \\/ c) -> ((e -> a) -> 0) \\/ 0 \\/ f) \\/ ((((a -> d) \\/ b -> 0) -> f \\/ (a -> a \\/ c)) -> f \\/ b) -> d -> c -> b",
+}
+
+
+@pytest.mark.parametrize("k", sorted(TAIL_FORMULAS))
+def test_tail_formulas_decide_under_default_budget(k):
+    f = parse_rl(TAIL_FORMULAS[k])
+    verdict = decide_valid(f)
+    assert isinstance(verdict, CounterExample)
+    assert not holds_rl(f, verdict.valuation)
+
+
+FORMULA_248 = (
+    "(f \\/ (0 \\/ d \\/ d \\/ a -> 0 \\/ (a -> d \\/ e -> 0 -> f) \\/ b \\/ b) -> (0 -> e) \\/ 0)"
+    " -> (d \\/ ((d -> f) \\/ 0) -> b \\/ e) -> (b -> b \\/ e)"
+    " \\/ (f \\/ (f \\/ (0 \\/ (d -> (f -> f) -> f))))"
+)
+
+
+def test_countermodel_independent_of_hash_seed():
+    script = (
+        "from rieszlogic.decide import decide_valid\n"
+        "from rieszlogic.syntax import parse_rl\n"
+        f"print(sorted(decide_valid(parse_rl({FORMULA_248!r})).valuation.assignment.items()))\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("[('a', (Fraction(")
 
 def test_decide_axiom_valid():
     assert isinstance(decide_valid(parse_rl("a -> a \\/ b")), Valid)
@@ -331,6 +475,15 @@ def test_budget_error_keeps_stage_and_size(n, budget, size):
     error = caught.value
     assert (error.stage, error.size, error.budget) == ("normal form", size, budget)
     assert str(error) == f"normal form size {size} exceeds budget {budget}"
+
+
+@pytest.mark.parametrize("depth, budget, size", [(14, 2000, 3072), (15, 500, 6400), (3, 27, 28)])
+def test_search_budget_is_checked_before_any_lp(monkeypatch, depth, budget, size):
+    # 2^k x rows for k binary negative joins; rows: 1 + 2 per positive join + 1 per negative
+    monkeypatch.setattr(decide, "_farkas", None)
+    with pytest.raises(BudgetExceededError) as caught:
+        decide_valid(_blowup_formula(depth), budget=budget)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", size, budget)
 
 
 def test_budget_generous_enough_for_small_formulas():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rieszlogic import syntax
 from rieszlogic.bridge import bal_to_rl, rl_to_bal
 from rieszlogic.decide import linearize
 from rieszlogic.kernel import RL_AXIOMS
@@ -196,6 +197,16 @@ def test_falsify_runs_no_code_from_variable_names(capsys):
     witness = random_falsify(Var(name), 5)
     assert capsys.readouterr().out == ""
     assert witness is not None and set(witness.assignment) == {name}
+
+
+def test_falsifier_folds_once_per_call(monkeypatch):
+    # 500 trials are eleven passes; each replays the one compiled program
+    folds = []
+    fold = syntax.fold
+    monkeypatch.setattr(syntax, "fold", lambda *args: folds.append(args[0]) or fold(*args))
+    f = parse_rl("a -> a \\/ b")
+    assert random_falsify(f, trials=500, seed=3) is None
+    assert folds == [f]
 
 
 def test_deep_formulas_need_no_recursion():
