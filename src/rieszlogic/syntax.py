@@ -23,16 +23,19 @@ Grammar (ASCII only, ``#`` starts a comment):
 ``\\/``.  Object variables match ``[a-z][a-zA-Z0-9_]*``, metavariables
 ``[A-Z][a-zA-Z0-9_]*``.  Whitespace is space, tab, CR and LF.
 
-Parsing is iterative (one operand and one operator stack), so it has no
-nesting limit; the node classes' generated ``==`` and ``hash`` still
-recurse.
+Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): a constructor returns the one live node with its
+class and fields, so a formula is a DAG of shared subterms, and ``==``
+and ``hash`` are object identity.  Parsing is iterative (one operand and
+one operator stack), so neither it nor comparison has a nesting limit.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+import weakref
+from functools import partial
 from typing import Callable, Optional, Union
 
 
@@ -53,45 +56,102 @@ class SubstitutionError(FormulaError):
     """A schema metavariable has no binding in the substitution."""
 
 
-class Formula:
-    """Base class of all formula nodes.  Instances are immutable."""
+# (class, *fields) -> weak reference to the one live node with them; a
+# node's death pops its entry in C, through the reference's callback
+_NODES: dict[tuple, weakref.ref] = {}
+_new, _set, _ref, _pop = object.__new__, object.__setattr__, weakref.ref, _NODES.pop
 
+
+class Formula:
+    """Base class of all formula nodes.  Instances are immutable and
+    hash-consed: equal fields give the same object."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Var(Formula):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> Var:
+        ref = _NODES.get(key := (cls, name))
+        if ref is None or (node := ref()) is None:
+            node = _new(cls)
+            _set(node, "name", name)
+            _NODES[key] = _ref(node, partial(_pop, key))
+        return node
+
+
+class Zero(Formula):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Var(Formula):
-    name: str
+    def __new__(cls) -> Zero:
+        return ZERO
 
 
-@dataclass(frozen=True)
-class Zero(Formula):
-    pass
-
-
-@dataclass(frozen=True)
 class Imp(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> Imp:
+        ref = _NODES.get(key := (cls, left, right))
+        if ref is None or (node := ref()) is None:
+            node = _new(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _NODES[key] = _ref(node, partial(_pop, key))
+        return node
 
 
-@dataclass(frozen=True)
 class Join(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula) -> Join:
+        ref = _NODES.get(key := (cls, left, right))
+        if ref is None or (node := ref()) is None:
+            node = _new(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _NODES[key] = _ref(node, partial(_pop, key))
+        return node
 
 
-@dataclass(frozen=True)
 class Pos(Formula):
-    inner: Formula
+    __slots__ = ("inner",)
+
+    def __new__(cls, inner: Formula) -> Pos:
+        ref = _NODES.get(key := (cls, inner))
+        if ref is None or (node := ref()) is None:
+            node = _new(cls)
+            _set(node, "inner", inner)
+            _NODES[key] = _ref(node, partial(_pop, key))
+        return node
 
 
-@dataclass(frozen=True)
 class MetaVar(Formula):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str) -> MetaVar:
+        ref = _NODES.get(key := (cls, name))
+        if ref is None or (node := ref()) is None:
+            node = _new(cls)
+            _set(node, "name", name)
+            _NODES[key] = _ref(node, partial(_pop, key))
+        return node
 
 
-ZERO = Zero()
+ZERO = _new(Zero)
 
 #: substitution: metavariable name -> formula
 Substitution = dict[str, Formula]
@@ -103,10 +163,10 @@ Substitution = dict[str, Formula]
 _OPERATORS = ("->", "(+)", "\\/", "/\\", "^+", "~", "(", ")", "0")  # "(+)" before "("
 _VAR_NAME = re.compile("[a-z][A-Za-z0-9_]*")
 
-# whitespace and comments match no group; any other character is "bad"
+# whitespace and comments match no group; the group holds an operator, a
+# name or a single character no token starts with (a "bad" one)
 _TOKEN = re.compile(
-    r"[ \t\r\n]+|#[^\n]*|(?P<op>" + "|".join(map(re.escape, _OPERATORS)) + ")"
-    rf"|(?P<var>{_VAR_NAME.pattern})|(?P<meta>[A-Z][A-Za-z0-9_]*)|(?P<bad>.)",
+    r"[ \t\r\n]+|#[^\n]*|(" + "|".join(map(re.escape, _OPERATORS)) + "|[A-Za-z][A-Za-z0-9_]*|.)",
     re.DOTALL,
 )
 
@@ -131,32 +191,29 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
     expected, or an operator after one), so an error names the first
     token the grammar cannot accept there.
     """
-    tokens = [(m.lastgroup, m[0], m.start()) for m in _TOKEN.finditer(text) if m.lastgroup]
-    for kind, tok, offset in tokens:  # an unexpected character wins over any grammar error
-        if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", offset, frozenset(_OPERATORS + ("variable",)))
-    tokens.append(("end", "", len(text)))
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    tokens.append("")  # end of input
     bal = lang == "bal"
     operands: list[Formula] = []
     ops: list[str] = []
     depth = 0  # open parentheses
     want_atom = True
-    for kind, tok, offset in tokens:
+    # a token is a name iff its first character is an ASCII letter, that is
+    # iff "a" <= tok < "{" (a variable) or "A" <= tok < "[" (a metavariable)
+    for i, tok in enumerate(tokens):
         if want_atom:
             if tok == "(" or tok == "~" and not bal:
                 ops.append(tok)
                 depth += tok == "("
                 continue
-            if kind == "var":
+            if "a" <= tok < "{":
                 f = Var(tok)
-            elif kind == "meta" and schema:
+            elif "A" <= tok < "[" and schema:
                 f = MetaVar(tok)
             elif tok == "0" and not bal:
                 f = ZERO
             else:
                 expected = frozenset(("variable", "(") + ("metavariable",) * schema + ("0", "~") * (not bal))
-                if kind == "meta":
-                    raise ParseError(f"metavariable {tok!r} not allowed outside schemas", offset, expected)
                 break
         elif tok == "^+":  # x ^+  ==  x \/ 0  in RL
             operands.append(Pos(operands.pop()) if bal else Join(operands.pop(), ZERO))
@@ -164,7 +221,7 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
         elif bal and tok in _BINARY and tok != "->":
             expected = frozenset(("->", "end of input"))
             break
-        elif tok in _BINARY or tok == ")" and depth or kind == "end" and not depth:
+        elif tok in _BINARY or tok == ")" and depth or not tok and not depth:
             while ops and ops[-1] in (_JOINS if tok in _BINARY else _BINARY):
                 right = operands.pop()
                 operands.append(_BINARY[ops.pop()](operands.pop(), right))
@@ -172,7 +229,7 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
                 ops.append(tok)
                 want_atom = True
                 continue
-            if kind == "end":
+            if not tok:
                 return operands.pop()
             ops.pop()
             depth -= 1
@@ -186,8 +243,19 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
             f = Imp(f, ZERO)
         operands.append(f)
         want_atom = False
-    what = "end of input" if kind == "end" else repr(tok)
-    raise ParseError(f"unexpected {what}", offset, expected)
+    # tokens[i] failed, unless a bad character comes anywhere: the first
+    # of those wins over any grammar error.  Offsets come from matching
+    # _TOKEN again, so only a failed parse pays for them.
+    if want_atom and "A" <= tok < "[":
+        message = f"metavariable {tok!r} not allowed outside schemas"
+    else:
+        message = f"unexpected {repr(tok) if tok else 'end of input'}"
+    for j, tok in enumerate(tokens[:-1]):
+        if tok not in _OPERATORS and not ("a" <= tok < "{" or "A" <= tok < "["):
+            i, message, expected = j, f"unexpected character {tok!r}", frozenset(_OPERATORS + ("variable",))
+            break
+    offsets = [m.start() for m in _TOKEN.finditer(text) if m.lastindex] + [len(text)]
+    raise ParseError(message, offsets[i], expected)
 
 
 def parse_rl(text: str) -> Formula:

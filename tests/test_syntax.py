@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 
 import rieszlogic
 
+from rieszlogic import syntax
+from rieszlogic.bridge import rl_to_bal
 from rieszlogic.syntax import (
     Imp,
     Join,
@@ -15,6 +18,7 @@ from rieszlogic.syntax import (
     SubstitutionError,
     Var,
     ZERO,
+    Zero,
     format_formula,
     is_bal,
     is_rl,
@@ -392,3 +396,88 @@ def test_parse_deep_nesting(case):
     parser, text, tree = _DEEP[case]
     # deep trees are compared through the iterative printer: == recurses
     assert format_formula(parser(text)) == format_formula(tree)
+
+
+# -- hash-consing --------------------------------------------------------------
+
+def test_constructors_return_the_shared_node():
+    assert Var("a") is A and Zero() is ZERO
+    assert Imp(Var("a"), Join(B, ZERO)) is Imp(A, Join(Var("b"), Zero()))
+    assert MetaVar("a") is not A and Join(A, B) is not Imp(A, B)
+    assert repr(Join(A, Pos(ZERO))) == "Join(left=Var(name='a'), right=Pos(inner=Zero()))"
+
+
+def test_parsing_returns_the_shared_node():
+    rng = random.Random(2024)  # the acceptance-3 formulas
+    for _ in range(1000):
+        f = random_rl_formula(rng, max_connectives=12, max_vars=4)
+        assert parse_rl(format_formula(f)) is f
+        assert parse_bal(format_formula(rl_to_bal(f))) is rl_to_bal(f)
+
+
+def test_deep_formulas_compare_hash_and_match():
+    def chain(leaf, depth=3000):
+        f = leaf
+        for _ in range(depth):
+            f = Imp(A, f)
+        return f
+
+    f, g = chain(B), chain(B)
+    assert f == g and f is g and hash(f) == hash(g)
+    assert f != chain(C) and f != Imp(A, f)
+    assert match_schema(chain(MetaVar("P")), f) == {"P": B}
+    assert match_schema(Imp(MetaVar("P"), MetaVar("P")), Imp(f, g)) == {"P": f}
+    assert match_schema(Imp(MetaVar("P"), MetaVar("P")), Imp(f, chain(C))) is None
+
+
+def test_nodes_are_immutable():
+    node = Imp(A, B)
+    for target, field in ((node, "left"), (node, "right"), (A, "name"), (Pos(A), "inner")):
+        with pytest.raises(AttributeError):
+            setattr(target, field, C)
+        with pytest.raises(AttributeError):
+            delattr(target, field)
+    assert (node.left, node.right, A.name) == (A, B, "a")
+
+
+def _ladder_table_sizes(depth):
+    before = len(syntax._NODES)
+    text = format_formula(rl_to_bal(parse_rl(" \\/ ".join(f"l{i}" for i in range(depth + 1)))))
+    bal = parse_bal(text)
+    during = len(syntax._NODES)
+    del bal, text
+    gc.collect()
+    return before, during, len(syntax._NODES)
+
+
+def test_intern_table_drops_unreferenced_nodes():
+    before, during, after = _ladder_table_sizes(11)  # a ladder of 2^11 leaves
+    assert during > before + 11
+    assert after == before
+
+
+# -- error offsets, computed only when a parse fails --------------------------
+
+_LADDER_TEXT = format_formula(rl_to_bal(parse_rl(" \\/ ".join(f"a{i}" for i in range(12)))))
+
+_OFFSET_ERRORS = [
+    # a bad character after a comment; after CRLF and tab whitespace
+    ("rl", "a # note $ here\n-> $", "unexpected character '$'", 19, _ANY_TOKEN),
+    ("rl", "a ->\r\n\tb \t$", "unexpected character '$'", 10, _ANY_TOKEN),
+    ("rl", "a\r\n\t# x\r\n\t\u00e9", "unexpected character '\u00e9'", 10, _ANY_TOKEN),
+    # a grammar error on the last token of a 61,431-character text
+    ("bal", _LADDER_TEXT + " )", "unexpected ')'", 61432, _END),
+    ("bal", _LADDER_TEXT + " ->", "unexpected end of input", 61434, _BAL_ATOM),
+    # a bad character behind an earlier grammar error still wins
+    ("rl", "(a -> ) # c\n -> \u00e9", "unexpected character '\u00e9'", 16, _ANY_TOKEN),
+    ("rl_schema", "PHI PSI\t\r\n!", "unexpected character '!'", 10, _ANY_TOKEN),
+    ("bal", "x y " + _LADDER_TEXT + " $", "unexpected character '$'", 61436, _ANY_TOKEN),
+]
+
+
+@pytest.mark.parametrize("parser, text, message, offset, expected", _OFFSET_ERRORS)
+def test_parse_error_offsets(parser, text, message, offset, expected):
+    with pytest.raises(ParseError) as info:
+        _PARSERS[parser](text)
+    assert str(info.value).partition(" at offset ")[0] == message
+    assert (info.value.offset, info.value.expected) == (offset, frozenset(expected))
