@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -83,21 +84,29 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _load_library_dir(path: Path) -> kernel.TheoremLibrary:
-    """Register every proof file in the directory, resolving lemma
-    dependencies by fixpoint iteration over sorted file names."""
-    pending = {p: kernel.parse_proof(p.read_text("utf-8")) for p in sorted(path.glob("*.rlproof"))}
+    """Register every proof file in the directory once, each after the
+    files whose lemmas it cites; a file reusing a name goes after the
+    first file with it, so that the clash is blamed on the later one."""
+    proofs = {p: kernel.parse_proof(p.read_text("utf-8")) for p in sorted(path.glob("*.rlproof"))}
+    first: dict[str, Path] = {}
+    for file, proof in proofs.items():
+        first.setdefault(proof.name, file)
+    after: dict[Path, set[Path]] = {}
+    for file, proof in proofs.items():
+        names = {ln.justification.name for ln in proof.lines if isinstance(ln.justification, kernel.Lemma)}
+        after[file] = {first[name] for name in names | {proof.name} if name in first} - {file}
+    try:
+        order = list(TopologicalSorter(after).static_order())
+    except CycleError as exc:
+        # exc.args[1] lists the files so that each is cited by the next
+        cycle = " -> ".join(file.name for file in reversed(exc.args[1]))
+        raise _UsageError(f"library lemma citations form a cycle: {cycle}") from None
     library = kernel.TheoremLibrary()
-    while pending:
-        rejected = {}
-        for file, proof in pending.items():
-            try:
-                library = library.register(proof)
-            except kernel.RegistrationError as exc:
-                rejected[file] = exc
-        if len(rejected) == len(pending):
-            reasons = "; ".join(f"{p.name}: {exc}" for p, exc in rejected.items())
-            raise _UsageError(f"library proofs failed to check: {reasons}")
-        pending = {file: pending[file] for file in rejected}
+    for file in order:
+        try:
+            library = library.register(proofs[file])
+        except kernel.RegistrationError as exc:
+            raise _UsageError(f"library proofs failed to check: {file.name}: {exc}") from None
     return library
 
 

@@ -44,9 +44,9 @@ increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from importlib import resources
-from typing import Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 from .syntax import (
     Formula,
@@ -140,6 +140,9 @@ class Lemma:
 
 
 Justification = Union[Assume, Axiom, Mp, Ri, BalG, BalPi, BalMi, Lemma]
+
+#: a rule's keyword in proof files is its class name in lower case
+_KEYWORDS: dict[str, type] = {rule.__name__.lower(): rule for rule in get_args(Justification)}
 
 _RL_RULES = (Assume, Axiom, Mp, Ri, Lemma)
 _BAL_RULES = (Assume, Axiom, Mp, BalG, BalPi, BalMi, Lemma)
@@ -262,16 +265,17 @@ def register_theorem(library: TheoremLibrary, proof: Proof) -> TheoremLibrary:
 # ---------------------------------------------------------------------------
 # checking
 
-def _match_or_explain(
-    schema: Formula, target: Formula, bindings: Optional[Substitution] = None
-) -> tuple[Optional[Substitution], str]:
-    """Match and, on failure, name the first conflicting metavariable."""
+class _Rejected(Exception):
+    """A line's justification does not hold; the message says why."""
+
+
+def _match(schema: Formula, target: Formula, bindings: Optional[Substitution], failure: str, *args) -> Substitution:
+    """Match, or reject with ``failure.format(*args)`` and the first conflicting metavariable."""
     out = match_or_conflict(schema, target, bindings)
     if isinstance(out, dict):
-        return out, ""
-    if out is not None:
-        return None, f"metavariable {out} is bound inconsistently"
-    return None, "shape mismatch"
+        return out
+    why = "shape mismatch" if out is None else f"metavariable {out} is bound inconsistently"
+    raise _Rejected(f"{failure.format(*args)}: {why}")
 
 
 def check_line(
@@ -284,7 +288,9 @@ def check_line(
 
     ``checked`` maps the indices of accepted earlier lines to their
     formulas.  Returns None when the line is justified, otherwise an
-    error message.
+    error message.  Each rule's check raises ``_Rejected`` at its first
+    failing condition, citations included; the one handler turns it
+    into the message.
     """
     line = proof.lines[position]
     just = line.justification
@@ -293,139 +299,101 @@ def check_line(
     if not isinstance(just, allowed):
         return f"rule {type(just).__name__.lower()} is not part of {proof.system}"
 
-    def cited(idx: int) -> Union[Formula, str]:
+    def cited(idx: int) -> Formula:
         if idx >= line.index:
-            return f"citation of line {idx} is not backward"
+            raise _Rejected(f"citation of line {idx} is not backward")
         if idx not in checked:
-            return f"cited line {idx} does not exist or failed"
+            raise _Rejected(f"cited line {idx} does not exist or failed")
         return checked[idx]
 
-    if isinstance(just, Assume):
-        if not 1 <= just.index <= len(proof.assumptions):
-            return f"no assumption {just.index}"
-        if formula != proof.assumptions[just.index - 1]:
-            return f"formula differs from assumption {just.index}"
-        return None
+    try:
+        if isinstance(just, Assume):
+            if not 1 <= just.index <= len(proof.assumptions):
+                raise _Rejected(f"no assumption {just.index}")
+            if formula != proof.assumptions[just.index - 1]:
+                raise _Rejected(f"formula differs from assumption {just.index}")
 
-    if isinstance(just, Axiom):
-        table = AXIOM_TABLES[proof.system]
-        schema = table.get(just.name)
-        if schema is None:
-            return f"unknown axiom {just.name!r} in {proof.system}"
-        subst, why = _match_or_explain(schema, formula)
-        if subst is None:
-            return f"not an instance of {just.name}: {why}"
-        return None
+        elif isinstance(just, Axiom):
+            schema = AXIOM_TABLES[proof.system].get(just.name)
+            if schema is None:
+                raise _Rejected(f"unknown axiom {just.name!r} in {proof.system}")
+            _match(schema, formula, None, "not an instance of {}", just.name)
 
-    if isinstance(just, Mp):
-        minor, major = cited(just.minor), cited(just.major)
-        if isinstance(minor, str):
-            return minor
-        if isinstance(major, str):
-            return major
-        if major != Imp(minor, formula):
-            return (
-                f"line {just.major} is not (line {just.minor}) -> (this formula): "
-                f"expected {format_formula(Imp(minor, formula))}"
-            )
-        return None
+        elif isinstance(just, Mp):
+            minor, major = cited(just.minor), cited(just.major)
+            if major != Imp(minor, formula):
+                raise _Rejected(
+                    f"line {just.major} is not (line {just.minor}) -> (this formula): "
+                    f"expected {format_formula(Imp(minor, formula))}"
+                )
 
-    if isinstance(just, Ri):
-        premise = cited(just.premise)
-        if isinstance(premise, str):
-            return premise
-        if not isinstance(premise, Imp):
-            return f"line {just.premise} is not an implication"
-        if not (isinstance(formula, Imp) and isinstance(formula.left, Join) and isinstance(formula.right, Join)):
-            return "formula does not have shape a \\/ c -> b \\/ c"
-        if formula.left.right != formula.right.right:
-            return "join tails differ"
-        if formula.left.left != premise.left or formula.right.left != premise.right:
-            return f"heads do not come from line {just.premise}"
-        return None
+        elif isinstance(just, Ri):
+            premise = cited(just.premise)
+            if not isinstance(premise, Imp):
+                raise _Rejected(f"line {just.premise} is not an implication")
+            if not (isinstance(formula, Imp) and isinstance(formula.left, Join) and isinstance(formula.right, Join)):
+                raise _Rejected("formula does not have shape a \\/ c -> b \\/ c")
+            if formula.left.right != formula.right.right:
+                raise _Rejected("join tails differ")
+            if formula.left.left != premise.left or formula.right.left != premise.right:
+                raise _Rejected(f"heads do not come from line {just.premise}")
 
-    if isinstance(just, BalG):
-        left, right = cited(just.left), cited(just.right)
-        if isinstance(left, str):
-            return left
-        if isinstance(right, str):
-            return right
-        if formula != Imp(left, right):
-            return f"formula is not (line {just.left}) -> (line {just.right})"
-        return None
+        elif isinstance(just, BalG):
+            if formula != Imp(cited(just.left), cited(just.right)):
+                raise _Rejected(f"formula is not (line {just.left}) -> (line {just.right})")
 
-    if isinstance(just, BalPi):
-        premise = cited(just.premise)
-        if isinstance(premise, str):
-            return premise
-        if formula != Pos(premise):
-            return f"formula is not (line {just.premise}) ^+"
-        return None
+        elif isinstance(just, BalPi):
+            if formula != Pos(cited(just.premise)):
+                raise _Rejected(f"formula is not (line {just.premise}) ^+")
 
-    if isinstance(just, BalMi):
-        premise = cited(just.premise)
-        if isinstance(premise, str):
-            return premise
-        if not (isinstance(premise, Pos) and isinstance(premise.inner, Imp)):
-            return f"line {just.premise} does not have shape (a -> b) ^+"
-        a, b = premise.inner.left, premise.inner.right
-        if formula != Pos(Imp(Pos(a), Pos(b))):
-            return f"formula is not (a ^+ -> b ^+) ^+ for line {just.premise}"
-        return None
+        elif isinstance(just, BalMi):
+            premise = cited(just.premise)
+            if not (isinstance(premise, Pos) and isinstance(premise.inner, Imp)):
+                raise _Rejected(f"line {just.premise} does not have shape (a -> b) ^+")
+            a, b = premise.inner.left, premise.inner.right
+            if formula != Pos(Imp(Pos(a), Pos(b))):
+                raise _Rejected(f"formula is not (a ^+ -> b ^+) ^+ for line {just.premise}")
 
-    if isinstance(just, Lemma):
-        if library is None or just.name not in library:
-            return f"unknown lemma {just.name!r}"
-        entry = library.get(just.name)
-        assert entry is not None
-        if entry.system != proof.system:
-            return f"lemma {just.name!r} belongs to {entry.system}"
-        if len(just.premises) != len(entry.assumptions):
-            return (
-                f"lemma {just.name!r} needs {len(entry.assumptions)} premises, "
-                f"{len(just.premises)} cited"
-            )
-        subst: Optional[Substitution] = {}
-        for k, (pattern, idx) in enumerate(zip(entry.assumptions, just.premises), start=1):
-            target = cited(idx)
-            if isinstance(target, str):
-                return target
-            subst, why = _match_or_explain(pattern, target, subst)
-            if subst is None:
-                return f"premise {k} does not match assumption of {just.name!r}: {why}"
-        subst, why = _match_or_explain(entry.conclusion_formula, formula, subst)
-        if subst is None:
-            return f"formula does not match conclusion of {just.name!r}: {why}"
-        return None
-
-    return f"unknown justification {just!r}"
+        else:  # Lemma, the last rule both systems allow
+            entry = library.get(just.name) if library is not None else None
+            if entry is None:
+                raise _Rejected(f"unknown lemma {just.name!r}")
+            if entry.system != proof.system:
+                raise _Rejected(f"lemma {just.name!r} belongs to {entry.system}")
+            if len(just.premises) != len(entry.assumptions):
+                raise _Rejected(
+                    f"lemma {just.name!r} needs {len(entry.assumptions)} premises, "
+                    f"{len(just.premises)} cited"
+                )
+            subst: Substitution = {}
+            for k, (pattern, idx) in enumerate(zip(entry.assumptions, just.premises), start=1):
+                subst = _match(pattern, cited(idx), subst, "premise {} does not match assumption of {!r}", k, just.name)
+            _match(entry.conclusion_formula, formula, subst, "formula does not match conclusion of {!r}", just.name)
+    except _Rejected as exc:
+        return str(exc)
+    return None
 
 
 def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> CheckReport:
     """Replay a proof script; the report carries per-line statuses."""
-    statuses: list[LineStatus] = []
-    checked: dict[int, Formula] = {}
-    ok_all = True
     if proof.system not in AXIOM_TABLES:
         return CheckReport(proof.name, (LineStatus(0, False, f"unknown system {proof.system!r}"),), False)
+    statuses: list[LineStatus] = []
+    checked: dict[int, Formula] = {}
     previous = 0
     for position, line in enumerate(proof.lines):
         if line.index <= previous:
             statuses.append(LineStatus(line.index, False, "line indices must be strictly increasing"))
-            ok_all = False
             break
         previous = line.index
         error = check_line(proof, position, checked, library)
+        statuses.append(LineStatus(line.index, error is None, error or ""))
         if error is None:
-            statuses.append(LineStatus(line.index, True))
             checked[line.index] = line.formula
-        else:
-            statuses.append(LineStatus(line.index, False, error))
-            ok_all = False
-    if ok_all and proof.conclusion not in checked:
+    accepted = len(checked) == len(statuses)  # one status per line, one formula per accepted line
+    if accepted and proof.conclusion not in checked:
         statuses.append(LineStatus(proof.conclusion, False, "conclusion index is not a checked line"))
-        ok_all = False
-    return CheckReport(proof.name, tuple(statuses), ok_all)
+    return CheckReport(proof.name, tuple(statuses), accepted and proof.conclusion in checked)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +446,7 @@ def parse_proof(text: str) -> Proof:
             raise err("system must be declared before proof lines")
         index = int(idx_text.strip())
         formula = parse_schema(formula_text.strip(), system)
-        lines.append(ProofLine(index, formula, _parse_justification(just_text.strip(), lineno)))
+        lines.append(ProofLine(index, formula, _parse_justification(just_text.strip(), err)))
     if not system:
         raise ProofFormatError("missing `system:` header")
     if not name:
@@ -490,65 +458,44 @@ def parse_proof(text: str) -> Proof:
     return Proof(system, name, tuple(assumptions), tuple(lines), conclusion)
 
 
-def _parse_justification(text: str, lineno: int) -> Justification:
+def _parse_justification(text: str, err: Callable[[str], ProofFormatError]) -> Justification:
     parts = text.split()
-
-    def err(msg: str) -> ProofFormatError:
-        return ProofFormatError(f"line {lineno}: {msg}")
-
     if not parts:
         raise err("empty justification")
     head, args = parts[0], parts[1:]
-    if head == "axiom":
+    rule = _KEYWORDS.get(head)
+    if rule is None:
+        raise err(f"unknown justification {head!r}")
+    if rule is Axiom:
         if len(args) != 1:
             raise err("axiom needs one name")
         return Axiom(args[0])
-    if head == "assume":
+    if rule is Assume:
         if len(args) != 1 or not args[0].isdigit():
             raise err("assume needs one index")
         return Assume(int(args[0]))
-    if head == "lemma":
+    if rule is Lemma:
         if not args:
             raise err("lemma needs a name")
         if not all(a.isdigit() for a in args[1:]):
             raise err("lemma premises must be line indices")
         return Lemma(args[0], tuple(int(a) for a in args[1:]))
+    # the inference rules: one line index per field
     if not all(a.isdigit() for a in args):
         raise err(f"{head} arguments must be line indices")
-    indices = tuple(int(a) for a in args)
-    shapes: dict[str, tuple[int, type]] = {
-        "mp": (2, Mp),
-        "ri": (1, Ri),
-        "balg": (2, BalG),
-        "balpi": (1, BalPi),
-        "balmi": (1, BalMi),
-    }
-    if head not in shapes:
-        raise err(f"unknown justification {head!r}")
-    arity, cls = shapes[head]
-    if len(indices) != arity:
+    arity = len(fields(rule))
+    if len(args) != arity:
         raise err(f"{head} needs {arity} line indices")
-    return cls(*indices)
+    return rule(*map(int, args))
 
 
 def format_justification(just: Justification) -> str:
-    if isinstance(just, Assume):
-        return f"assume {just.index}"
-    if isinstance(just, Axiom):
-        return f"axiom {just.name}"
-    if isinstance(just, Mp):
-        return f"mp {just.minor} {just.major}"
-    if isinstance(just, Ri):
-        return f"ri {just.premise}"
-    if isinstance(just, BalG):
-        return f"balg {just.left} {just.right}"
-    if isinstance(just, BalPi):
-        return f"balpi {just.premise}"
-    if isinstance(just, BalMi):
-        return f"balmi {just.premise}"
-    if isinstance(just, Lemma):
-        return " ".join(["lemma", just.name, *map(str, just.premises)])
-    raise TypeError(f"unknown justification {just!r}")
+    if not isinstance(just, get_args(Justification)):
+        raise TypeError(f"unknown justification {just!r}")
+    words = [type(just).__name__.lower()]
+    for value in (getattr(just, f.name) for f in fields(just)):
+        words += map(str, value) if isinstance(value, tuple) else [str(value)]
+    return " ".join(words)
 
 
 def format_proof(proof: Proof, header: str = "") -> str:

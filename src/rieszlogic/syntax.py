@@ -75,8 +75,9 @@ class Formula:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        # the dataclass format, built by a fold so that deep formulas print
+        imp, join, pos = "Imp(left={}, right={})", "Join(left={}, right={})", "Pos(inner={})"
+        return fold(self, _repr_leaf, imp.format, join.format, pos.format)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -116,15 +117,7 @@ class Imp(Formula):
 
 class Join(Formula):
     __slots__ = ("left", "right")
-
-    def __new__(cls, left: Formula, right: Formula) -> Join:
-        ref = _NODES.get(key := (cls, left, right))
-        if ref is None or (node := ref()) is None:
-            node = _new(cls)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            _NODES[key] = _ref(node, partial(_pop, key))
-        return node
+    __new__ = Imp.__new__  # interns (cls, left, right) like Imp
 
 
 class Pos(Formula):
@@ -141,17 +134,19 @@ class Pos(Formula):
 
 class MetaVar(Formula):
     __slots__ = ("name",)
-
-    def __new__(cls, name: str) -> MetaVar:
-        ref = _NODES.get(key := (cls, name))
-        if ref is None or (node := ref()) is None:
-            node = _new(cls)
-            _set(node, "name", name)
-            _NODES[key] = _ref(node, partial(_pop, key))
-        return node
+    __new__ = Var.__new__  # interns (cls, name) like Var
 
 
 ZERO = _new(Zero)
+
+
+def _repr_leaf(g) -> str:
+    """Dataclass-style repr of a node without node fields, or of a non-node."""
+    if not isinstance(g, Formula):
+        return repr(g)
+    fields = ", ".join(f"{name}={getattr(g, name)!r}" for name in g.__slots__)
+    return f"{type(g).__name__}({fields})"
+
 
 #: substitution: metavariable name -> formula
 Substitution = dict[str, Formula]

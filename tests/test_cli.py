@@ -182,9 +182,8 @@ def test_check_library_loads_each_proof_with_one_check(corpus_dir, monkeypatch, 
     monkeypatch.setattr(kernel, "check_proof", lambda *a: calls.append(a) or check_proof(*a))
     code, out, _ = run(capsys, "check", str(corpus_dir / "balb_plus.rlproof"), "--library", str(corpus_dir))
     assert (code, out.strip()) == (0, "OK (16 lines)")
-    # one check per library file, one retry for balmi_part3 (it cites
-    # balpi_minus, which sorts after it) and one for the checked file
-    assert len(calls) == len(CORPUS_NAMES) + 2
+    # one check per library file, in lemma order, and one for the checked file
+    assert len(calls) == len(CORPUS_NAMES) + 1
 
 
 def test_check_library_names_the_rejection(corpus_dir, capsys):
@@ -194,6 +193,18 @@ def test_check_library_names_the_rejection(corpus_dir, capsys):
     assert err.count("\n") == 1
     assert "balmi_part3.rlproof: " in err
     assert "unknown lemma 'BALMI_PART1'" in err
+
+
+def test_check_library_citation_cycle_exits_2(corpus_dir, monkeypatch, capsys):
+    for name, cites in (("ALPHA", "BETA"), ("BETA", "ALPHA")):
+        text = f"system: RL\nname: {name}\n1: a -> a \\/ b | lemma {cites}\nqed: 1\n"
+        (corpus_dir / f"{name.lower()}.rlproof").write_text(text, "utf-8")
+    calls = []
+    monkeypatch.setattr(kernel, "check_proof", lambda *a: calls.append(a))
+    code, out, err = run(capsys, "check", str(corpus_dir / "balb_plus.rlproof"), "--library", str(corpus_dir))
+    assert (code, out, calls) == (2, "", [])
+    assert err.count("\n") == 1
+    assert "cycle" in err and "alpha.rlproof" in err and "beta.rlproof" in err
 
 
 def test_check_library_name_clash_exits_2(corpus_dir, capsys):

@@ -17,6 +17,7 @@ from rieszlogic.kernel import (
     Ri,
     TheoremLibrary,
     check_proof,
+    format_justification,
     format_proof,
     parse_proof,
     register_theorem,
@@ -341,6 +342,23 @@ def test_parse_proof_errors():
     for text in bad_texts:
         with pytest.raises(ProofFormatError):
             parse_proof(text)
+
+
+def test_unknown_justification_is_named_before_its_arguments():
+    with pytest.raises(ProofFormatError, match=r"^line 3: unknown justification 'nonsense'$"):
+        parse_proof("system: RL\nname: X\n1: a | nonsense x\nqed: 1\n")
+
+
+def test_rule_keywords_are_class_names():
+    rules = [Assume(1), Axiom("R2"), Mp(1, 2), Ri(1), BalG(1, 2), BalPi(1), BalMi(1), Lemma("L"), Lemma("L", (1, 2))]
+    for just in rules:
+        text = format_justification(just)
+        assert text.split()[0] == type(just).__name__.lower()
+        proof = parse_proof(f"system: BAL\nname: X\n1: a | {text}\nqed: 1\n")
+        assert proof.lines[0].justification == just
+    assert [format_justification(j) for j in rules[-2:]] == ["lemma L", "lemma L 1 2"]
+    with pytest.raises(TypeError, match="unknown justification"):
+        format_justification("mp 1 2")
 
 
 def test_parse_proof_allows_sparse_indices():

@@ -231,6 +231,17 @@ def test_falsify_deep_parsed_formula():
     assert random_falsify(f, 20) == Valuation(1, {"a": vector(2)})
 
 
+def test_deep_rejected_formula_keeps_its_type_error():
+    # the message embeds repr(g), which folds instead of recursing
+    g = Var("a")
+    for _ in range(3000):
+        g = Imp(Var("a"), g)
+    inner = "Imp(left=Var(name='a'), right=" * 3000 + "Var(name='a')" + ")" * 3000
+    with pytest.raises(TypeError) as caught:
+        eval_rl(Pos(g), Valuation(1))
+    assert str(caught.value) == f"not an RL formula: Pos(inner={inner})"
+
+
 def test_evaluator_type_errors():
     v = Valuation(1)
     with pytest.raises(TypeError, match=r"^not an RL formula: Pos\(inner=Var\(name='a'\)\)$"):
