@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import bridge, decide, distrib, fuzzy, kernel, semantics
+# the other modules are imported by the subcommands that use them, so
+# that each command loads only what it runs
 from .syntax import Formula, ParseError, format_formula, parse_bal, parse_rl
+
+if TYPE_CHECKING:
+    from . import kernel
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -61,6 +64,8 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import semantics
+
     f = _read_formula(args, args.lang)
     valuation = semantics.parse_valuation(Path(args.valuation).read_text("utf-8"))
     result = semantics.evaluate(f, valuation, "RL" if args.lang == "rl" else "BAL")
@@ -70,11 +75,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from . import decide, semantics
+
+    budget = decide.DEFAULT_BUDGET if args.budget is None else args.budget
     f = _read_formula(args, args.lang)
     if args.lang == "rl":
-        verdict = decide.decide_valid(f, args.budget)
+        verdict = decide.decide_valid(f, budget)
     else:
-        verdict = decide.decide_bal_valid(f, args.budget)
+        verdict = decide.decide_bal_valid(f, budget)
     if isinstance(verdict, decide.Valid):
         print("VALID")
         return EXIT_OK
@@ -87,7 +95,16 @@ def _load_library_dir(path: Path) -> kernel.TheoremLibrary:
     """Register every proof file in the directory once, each after the
     files whose lemmas it cites; a file reusing a name goes after the
     first file with it, so that the clash is blamed on the later one."""
-    proofs = {p: kernel.parse_proof(p.read_text("utf-8")) for p in sorted(path.glob("*.rlproof"))}
+    from graphlib import CycleError, TopologicalSorter
+
+    from . import kernel
+
+    proofs = {}
+    for file in sorted(path.glob("*.rlproof")):
+        try:
+            proofs[file] = kernel.parse_proof(file.read_text("utf-8"))
+        except (kernel.ProofFormatError, ParseError) as exc:
+            raise _UsageError(f"{file.name}: {exc}") from None
     first: dict[str, Path] = {}
     for file, proof in proofs.items():
         first.setdefault(proof.name, file)
@@ -111,6 +128,8 @@ def _load_library_dir(path: Path) -> kernel.TheoremLibrary:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import kernel
+
     library = _load_library_dir(Path(args.library)) if args.library else kernel.TheoremLibrary()
     failed = False
     for file in args.files:
@@ -127,6 +146,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from . import bridge, semantics
+
     if args.to == "bal":
         f = _read_formula(args, "rl")
         translated = bridge.rl_to_bal(f)
@@ -147,11 +168,15 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzzy(args: argparse.Namespace) -> int:
+    from . import fuzzy
+
     sys.stdout.write(fuzzy.grid_csv(args.op, args.n))
     return EXIT_OK
 
 
 def _cmd_distrib(args: argparse.Namespace) -> int:
+    from . import distrib, semantics
+
     matrix = distrib.load_matrix(Path(args.matrix).read_text("utf-8"))
     t1, t2 = args.terms
     if args.query == "meet":
@@ -172,6 +197,19 @@ def _cmd_distrib(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE
 
 
+class _BudgetHelpFormatter(argparse.HelpFormatter):
+    """Shows ``decide.DEFAULT_BUDGET`` as the default of ``--budget``,
+    importing ``decide`` only when the help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        text = super()._get_help_string(action)
+        if action.dest == "budget":
+            from . import decide
+
+            text = text.replace("%(default)s", str(decide.DEFAULT_BUDGET))
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rieszlogic",
@@ -190,13 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valuation", required=True, help="file with `var = (r1, ..., rn)` lines")
     p.set_defaults(run=_cmd_eval)
 
-    p = sub.add_parser("decide", help="decide validity, print VALID or COUNTEREXAMPLE")
+    p = sub.add_parser(
+        "decide", help="decide validity, print VALID or COUNTEREXAMPLE", formatter_class=_BudgetHelpFormatter
+    )
     _add_formula_args(p)
     p.add_argument("--lang", choices=("rl", "bal"), default="rl")
     p.add_argument(
         "--budget",
         type=int,
-        default=decide.DEFAULT_BUDGET,
         help="bound on the search, 2^k x rows for k binary negative joins, and on the simplex pivots per LP"
         " (exit 3 past it; default %(default)s)",
     )
@@ -230,6 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(*names: str) -> tuple[type[Exception], ...]:
+    """The named ``module.Class`` exceptions of the submodules loaded so
+    far.  A submodule that is not loaded cannot have raised, and an
+    ``except`` clause evaluates this only when an exception reaches it."""
+    found = []
+    for name in names:
+        module, _, cls = name.partition(".")
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            found.append(getattr(loaded, cls))
+    return tuple(found)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -238,26 +290,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
-    except decide.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MemoryError:
+    except MemoryError:  # first, so that matching it allocates nothing
         print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except RecursionError as exc:
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return EXIT_USAGE
+    except _loaded("decide.BudgetExceededError") as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (
         _UsageError,
-        decide.SelfCheckError,
         ParseError,
         OSError,
         ValueError,
-        semantics.ValuationError,
-        kernel.ProofFormatError,
-        distrib.MatrixFormatError,
-        distrib.UnknownTermError,
-        bridge.ReservedVariableError,
+        *_loaded(
+            "decide.SelfCheckError",
+            "semantics.ValuationError",
+            "kernel.ProofFormatError",
+            "distrib.MatrixFormatError",
+            "distrib.UnknownTermError",
+            "bridge.ReservedVariableError",
+        ),
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,6 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 Vector = tuple[Fraction, ...]
@@ -97,6 +96,8 @@ def load_matrix(text: str) -> TermDocumentMatrix:
 
 def load_word_counts() -> TermDocumentMatrix:
     """The fruit/computer occurrence fixture shipped with the package."""
+    from importlib import resources
+
     text = (resources.files(__package__) / "data" / "word_document_counts.csv").read_text("utf-8")
     return load_matrix(text)
 

@@ -45,7 +45,6 @@ increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from importlib import resources
 from typing import Callable, Optional, Union, get_args
 
 from .syntax import (
@@ -544,6 +543,8 @@ CORPUS_NAMES: tuple[str, ...] = (
 
 def corpus_text(stem: str) -> str:
     """Raw text of a shipped proof script."""
+    from importlib import resources
+
     return (resources.files(__package__) / "corpus" / f"{stem}.rlproof").read_text("utf-8")
 
 

@@ -207,6 +207,20 @@ def test_check_library_citation_cycle_exits_2(corpus_dir, monkeypatch, capsys):
     assert "cycle" in err and "alpha.rlproof" in err and "beta.rlproof" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1: a -> a \\/ b | zz 1", "line 3: unknown justification 'zz'"),
+        ("1: a -> ) | axiom R1a", "unexpected ')' at offset 5 (expected: (, 0, metavariable, variable, ~)"),
+    ],
+    ids=["proof-format", "formula"],
+)
+def test_check_library_names_a_malformed_file(corpus_dir, capsys, line, message):
+    (corpus_dir / "broken.rlproof").write_text(f"system: RL\nname: BROKEN\n{line}\nqed: 1\n", "utf-8")
+    code, out, err = run(capsys, "check", str(corpus_dir / "balb_plus.rlproof"), "--library", str(corpus_dir))
+    assert (code, out, err) == (2, "", f"error: broken.rlproof: {message}\n")
+
+
 def test_check_library_name_clash_exits_2(corpus_dir, capsys):
     clash = corpus_text("balb_minus").replace("name: BALB_MINUS", "name: BALB_PLUS")
     (corpus_dir / "zz_clash.rlproof").write_text(clash, "utf-8")
@@ -345,3 +359,103 @@ def test_determinism_same_inputs_same_output(capsys):
     first = run(capsys, "decide", "a \\/ b -> a")
     second = run(capsys, "decide", "a \\/ b -> a")
     assert first == second
+
+
+# -- fresh processes ------------------------------------------------------------------
+# The tests above call main in this process, where every module is already
+# imported; these run the CLI as a user does, so a subcommand that forgets
+# to import a module it uses fails here.
+
+def fresh(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "rieszlogic.cli", *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.fixture()
+def inputs(tmp_path, corpus_dir):
+    (tmp_path / "v.txt").write_text("p = (1, 0)\nq = (2, 3)\n", "utf-8")
+    (tmp_path / "bad_v.txt").write_text("p = 1\n", "utf-8")
+    (tmp_path / "m.csv").write_text("term,d1,d2,d3\norange,2,0,1\nfruit,3,1,1\n", "utf-8")
+    (tmp_path / "bad.rlproof").write_text("system: RL\nname: BAD\n1: a -> a \\/ b | zz 1\nqed: 1\n", "utf-8")
+    return {"dir": tmp_path, "corpus": corpus_dir}
+
+
+FRESH_CASES = {
+    "parse": (("parse", "a (+) b"), 0, "(a -> 0) -> b\n"),
+    "eval": (("eval", "p -> q", "--valuation", "{dir}/v.txt"), 0, "value: (1, 3)\nholds: true\n"),
+    "decide-rl": (("decide", "--lang", "rl", "a \\/ b -> a"), 1, "COUNTEREXAMPLE\na = (0)\nb = (1)\n"),
+    "decide-bal": (("decide", "--lang", "bal", "((x -> y) -> y) -> x"), 0, "VALID\n"),
+    "check-library": (("check", "{corpus}/balb_plus.rlproof", "--library", "{corpus}"), 0, "OK (16 lines)\n"),
+    "translate-bal": (("translate", "--to", "bal", "a"), 0, "(a -> z -> z) ^+\n"),
+    "translate-rl": (("translate", "--to", "rl", "x ^+"), 0, "x \\/ 0\nx \\/ 0 -> 0\n"),
+    "fuzzy-grid": (
+        ("fuzzy", "grid", "--op", "tr", "--n", "2"),
+        0,
+        "a,b,value\n0,0,0\n0,0.5,0\n0,1,\n0.5,0,0\n0.5,0.5,0.5\n0.5,1,1\n1,0,\n1,0.5,1\n1,1,1\n",
+    ),
+    "distrib": (("distrib", "meet", "--matrix", "{dir}/m.csv", "orange", "fruit"), 0, "(2, 0, 1)\n"),
+}
+
+
+@pytest.mark.parametrize("case", FRESH_CASES, ids=list(FRESH_CASES))
+def test_fresh_process_subcommand(inputs, case):
+    argv, code, out = FRESH_CASES[case]
+    result = fresh(*(arg.format(**inputs) for arg in argv))
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
+
+
+# one case per exception class that main maps to an exit code
+FRESH_ERRORS = {
+    "ParseError": (("parse", "a -> )"), 2, "unexpected ')' at offset 5 (expected: (, 0, variable, ~)"),
+    "ValuationError": (("eval", "p", "--valuation", "{dir}/bad_v.txt"), 2, "line 1: vector must be parenthesized"),
+    "BudgetExceededError": (("decide", "--budget", "1", "a \\/ b -> a"), 3, "search size 4 exceeds budget 1"),
+    "ProofFormatError": (("check", "{dir}/bad.rlproof"), 2, "line 3: unknown justification 'zz'"),
+    "UnknownTermError": (("distrib", "meet", "--matrix", "{dir}/m.csv", "kiwi", "fruit"), 2, "unknown term 'kiwi'"),
+    "ReservedVariableError": (("translate", "--to", "bal", "z"), 2, "formula uses the reserved variable 'z'"),
+}
+
+
+@pytest.mark.parametrize("error", FRESH_ERRORS, ids=list(FRESH_ERRORS))
+def test_fresh_process_error_exit_code(inputs, error):
+    argv, code, message = FRESH_ERRORS[error]
+    result = fresh(*(arg.format(**inputs) for arg in argv))
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", f"error: {message}\n")
+
+
+def test_fresh_process_decide_help_shows_default_budget():
+    result = fresh("decide", "--help")
+    assert result.returncode == 0
+    assert f"default {decide.DEFAULT_BUDGET})" in " ".join(result.stdout.split())
+
+
+_MODULES_AFTER = """
+import contextlib, io, sys
+from rieszlogic.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("rieszlogic")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("parse", "a -> b"), ()),
+        (("check", "{corpus}/balb_plus.rlproof", "--library", "{corpus}"), ("kernel",)),
+        (("decide", "a -> b"), ("decide", "semantics")),
+        (("translate", "--to", "bal", "a"), ("bridge", "semantics")),
+    ],
+    ids=["parse", "check", "decide", "translate"],
+)
+def test_subcommand_loads_only_its_modules(inputs, argv, loaded):
+    result = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, *(arg.format(**inputs) for arg in argv)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, *modules = result.stdout.split()
+    assert code in ("0", "1"), result.stderr
+    expected = {"rieszlogic", "rieszlogic.cli", "rieszlogic.syntax", *(f"rieszlogic.{m}" for m in loaded)}
+    assert set(modules) == expected
