@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, is_bal, pos_to_join, variables
-from .semantics import Valuation, _check_dimension, _draws, _valuation, holds_bal, holds_rl
+# holds_rl and holds_bal stay attributes here, where callers have found them
+from .semantics import Valuation, _sampler, compile_scalar, holds_bal, holds_rl
 
 #: variable reserved for the zero encoding in translated formulas
 RESERVED_ZERO_VAR = "z"
@@ -98,16 +99,10 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Sample valuations and compare holds_rl(f) with holds_bal(rl_to_bal(f)).
 
-    Trials are drawn as in ``semantics.random_falsify``.
+    Trials are drawn as in ``semantics.random_falsify``, for both at once.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_dimension(dimension)
-    take = _draws(seed, bound)
+    sample = _sampler(trials, dimension, seed, bound)
     translated = rl_to_bal(f)
-    names = sorted(variables(f))
-    for trial in range(trials):
-        v = _valuation(names, take(len(names) * dimension), dimension)
-        if holds_rl(f, v) != holds_bal(translated, v):
-            return EquivalenceReport(trials, (trial, v))
-    return EquivalenceReport(trials, None)
+    names, rl_factor, rl = compile_scalar(f, "RL")
+    _, bal_factor, bal = compile_scalar(translated, "BAL")
+    return EquivalenceReport(trials, sample(names, max(rl_factor, bal_factor), [(rl, True), (bal, False)]))

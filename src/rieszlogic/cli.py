@@ -133,9 +133,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     library = _load_library_dir(Path(args.library)) if args.library else kernel.TheoremLibrary()
     failed = False
     for file in args.files:
-        proof = kernel.parse_proof(Path(file).read_text("utf-8"))
-        report, library = library.admit(proof)
         prefix = "" if len(args.files) == 1 else f"{file}: "
+        try:
+            proof = kernel.parse_proof(Path(file).read_text("utf-8"))
+        except (kernel.ProofFormatError, ParseError) as exc:
+            raise _UsageError(f"{prefix}{exc}") from None
+        report, library = library.admit(proof)
         print(f"{prefix}{report.summary()}")
         if not report.accepted:
             failed = True

@@ -45,7 +45,7 @@ from operator import attrgetter, itemgetter, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .syntax import Formula, Imp, Join, Pos, Var, Zero, fold, format_formula, pos_to_join, postorder
-from .semantics import Valuation, Vector, _replay
+from .semantics import Valuation, Vector, _layout, compile_scalar
 
 DEFAULT_BUDGET = 100_000
 
@@ -246,15 +246,15 @@ def _negate(
 
 def _farkas(
     rows: list[list[int]], rhs: list[int], budget: int
-) -> tuple[Optional[list[int]], Optional[list[Fraction]]]:
+) -> tuple[Optional[list[int]], Optional[list[int]]]:
     """Solve ``A x <= b`` over the rationals, or prove it has no solution.
 
     Runs phase I of the simplex on the Farkas side ``A^T l = 0, -b^T l =
     1, l >= 0``, whose tableau has one row per variable plus one.  When
     phase I reaches 0 it returns ``(weights, None)``, integers
-    proportional to such an ``l``.  Otherwise it returns ``(None, x)``
-    with ``A x <= b``, read off the phase-I dual: ``y_i`` is 1 minus the
-    reduced cost of artificial ``i`` and ``x_v = y_v / y_last``.  The
+    proportional to such an ``l``.  Otherwise it returns ``(None, y)``,
+    the integer phase-I dual: ``y_i`` is 1 minus the reduced cost of
+    artificial ``i``, and ``x_v = y_v / y_last`` has ``A x <= b``.  The
     tableau stays integral by fraction-free pivoting: its true entries
     are ``table / d``, and every pivot is positive, so ``d`` is too.
     Bland's rule keeps it from cycling; past ``budget`` pivots it raises.
@@ -271,8 +271,7 @@ def _farkas(
         cost = table[-1]
         c = next((j for j in range(m) if cost[j] < 0), None)
         if c is None:
-            y = [d - cost[j] for j in range(m, width)]
-            return None, [Fraction(yv, y[n]) for yv in y[:n]]
+            return None, [d - cost[j] for j in range(m, width)]
         r = -1  # the tightest row, ties to the lowest basic column
         for i in range(n + 1):
             a = table[i][c]
@@ -311,9 +310,9 @@ def clause_certificate(
         raise ValueError("clause must be nonempty")
     terms = sorted(clause, key=attrgetter("coeffs"))
     names, rows = _clause_rows(terms)
-    weights, point = _farkas(rows, [-1] * len(terms), budget)
-    if point is not None:
-        return None, dict(zip(names, point))
+    weights, y = _farkas(rows, [-1] * len(terms), budget)
+    if y is not None:
+        return None, {name: Fraction(yv, y[-1]) for name, yv in zip(names, y)}
     g = math.gcd(*weights)
     return {t: w // g for t, w in zip(terms, weights) if w}, None
 
@@ -496,25 +495,26 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     while stack:
         fixed = stack.pop()
         columns, rows, rhs = _system(roots, joins, fixed)
-        weights, point = _farkas(rows, rhs, budget)
-        if point is None:
+        weights, y = _farkas(rows, rhs, budget)
+        if y is None:
             if not check_farkas(rows, rhs, weights):
                 raise SelfCheckError(f"self-check failed: weights {weights} do not refute branch {fixed}")
             g = math.gcd(*weights)
             closed.append(Refutation(tuple(map(tuple, rows)), tuple(rhs), tuple(w // g for w in weights)))
             continue
-        # the system is homogeneous but for b, so a positive multiple of
-        # the point is feasible up to scaling b: take the integer one
-        scale = math.lcm(*(q.denominator for q in point))
-        x = {c: int(q * scale) for c, q in zip(columns, point)}
-        values = _replay(steps, lambda name: (x.get(column[name], 0),), (0,))
-        if values[-1][0] < 0:
+        # homogeneous but for b, so y_v / y_last's least integer multiple is feasible
+        g = (math.gcd(*y) or 1) * (-1 if y[-1] < 0 else 1)  # all-zero y, which no solver returns: the origin
+        x = {c: yv // g for c, yv in zip(columns, y)}
+        _, factor, run = compile_scalar(f, "RL")
+        w, h = _layout(1, factor * max(map(abs, x.values()), default=0))  # one lane: v is held as v + h
+        values = run({name: x.get(column[name], 0) + h for name in names}, w, h, {joins[c][0] for c in negative})
+        if values[-1] < h:
             return CounterExample(Valuation(1, {name: (Fraction(x.get(column[name], 0)),) for name in names}))
         # f is not negative here, so a free negative join's column lies
         # above its value; branch on the lowest such column, side 0 first
-        c = next((c for c in negative if c not in fixed and c in x and x[c] > values[joins[c][0]][0]), None)
+        c = next((c for c in negative if c not in fixed and c in x and x[c] + h > values[joins[c][0]]), None)
         if c is None:
-            raise SelfCheckError(f"self-check failed: feasible branch {fixed} has value {values[-1][0]} >= 0")
+            raise SelfCheckError(f"self-check failed: feasible branch {fixed} has value {values[-1] - h} >= 0")
         stack += ({**fixed, c: k} for k in reversed(range(len(joins[c][2]))))
     return Valid(tuple(closed))
 

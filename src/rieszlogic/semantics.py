@@ -18,29 +18,37 @@ Evaluation clauses:
 An RL formula holds under a valuation when every coordinate of its
 value is >= 0; a BAL formula holds when every coordinate equals 0.
 
-Coordinates are independent under every connective, so one fold over
-the formula (``syntax.fold``) evaluates whole columns of points: all
-coordinates of a valuation, or a batch of falsifier trials.  The
-falsifier folds the formula once, into a ``syntax.postorder`` program,
-and replays that for each batch.  No code is generated.
+Coordinates are independent under every connective, so an evaluator
+replays the formula's ``syntax.postorder`` program once over many
+numbers packed into one int (Lamport, "Multiple byte processing with
+full-word instructions", 1975): a valuation's coordinates, scaled by
+the lcm of their denominators, or those of a pass of falsifier trials.
+Each lane is ``w + 1`` bits and holds ``v + c*h``: ``h = 2^(w-1)`` exceeds
+a static bound on every step's magnitude (the largest coordinate for a
+variable, 0 for ``0``, the children's sum for ``->`` and their max for
+``\\/`` and ``^+``), and each step's count c is static too.  So ``x -> y``
+is ``Y - X``; ``x \\/ y`` brings both sides to c = 1, where no lane
+carries into the next, and picks lanes by the guard bit ``w`` of ``(X |
+G) - Y``; a value is negative when bit ``w-1`` of its lane is clear.
 
 The falsifier and ``bridge.check_equivalence`` draw their trials from one
 seeded stream: the values ``random.Random(seed).randrange(2*bound+1) - bound``
-would give, in the order trial, sorted variable name, coordinate.  They
-are read from the generator in bulk, many 32-bit outputs per call, with
-``randrange``'s own rejection of values past the span; spans wider than
-32 bits call ``randrange`` itself.
+would give, in the order trial, sorted variable name, coordinate, read
+in bulk by ``_draws``.  Byte-wide draws fill lanes by slice assignment.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from functools import partial, reduce
+from operator import or_
+from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
-from .syntax import _VAR_NAME, Formula, Imp, Join, MetaVar, Var, Zero, fold, postorder
+from .syntax import _VAR_NAME, Formula, Imp, MetaVar, Var, Zero, memo, postorder
 
 Vector = tuple[Fraction, ...]
 
@@ -73,29 +81,13 @@ class Valuation:
                 )
 
     def vector(self, name: str) -> Vector:
-        zero = (Fraction(0),) * self.dimension
-        return self.assignment.get(name, zero)
+        return self.assignment.get(name) or (Fraction(0),) * self.dimension
 
     def scale(self, factor: Fraction) -> "Valuation":
         return Valuation(
             self.dimension,
             {name: tuple(factor * c for c in vec) for name, vec in self.assignment.items()},
         )
-
-
-_ZERO = Fraction(0)
-
-
-def _imp(left: Sequence, right: Sequence) -> list:
-    return [b - a for a, b in zip(left, right)]
-
-
-def _join(left: Sequence, right: Sequence) -> list:
-    return [a if a >= b else b for a, b in zip(left, right)]
-
-
-def _pos(inner: Sequence) -> list:
-    return [c if c >= _ZERO else _ZERO for c in inner]
 
 
 def _reject(g: Formula, rl: bool = True) -> None:
@@ -105,57 +97,95 @@ def _reject(g: Formula, rl: bool = True) -> None:
     raise TypeError(f"not {'an RL' if rl else 'a BAL'} formula: {g!r}")
 
 
-def _pointwise(f: Formula, column: Callable[[str], Sequence], zeros: Sequence, system: str) -> Sequence:
-    """Value of the RL or BAL formula f at many points, one entry per point.
-
-    ``column(name)`` gives a variable's values and ``zeros`` the value of
-    ``0``; connectives act entry by entry.
-    """
-    rl = system == "RL"
-
-    def leaf(g: Formula) -> Sequence:
-        if type(g) is Var:
-            return column(g.name)
-        if type(g) is Zero and rl:
-            return zeros
-        _reject(g, rl)
-
-    return fold(f, leaf, _imp, _join if rl else None, None if rl else _pos)
+def _layout(lanes: int, magnitude: int) -> tuple[int, int]:
+    """``(w, H)``: ``lanes`` lanes of ``w + 1`` bits, whole bytes, for values
+    at most ``magnitude`` in absolute value; H has ``h = 2^(w-1)`` in each."""
+    size = (magnitude.bit_length() + 9) // 8
+    return 8 * size - 1, int.from_bytes(b"\1".ljust(size, b"\0") * lanes, "little") << (8 * size - 2)
 
 
-def _replay(steps: Sequence[tuple], column: Callable[[str], Sequence], zeros: Sequence) -> list:
-    """Values of every step of a ``syntax.postorder`` program, entry by
-    entry as in ``_pointwise``; the root's value is the last."""
-    values: list = []
-    push = values.append
-    for op, i, j in steps:
-        if op is Imp:
-            push(_imp(values[i], values[j]))
-        elif op is Join:
-            push(_join(values[i], values[j]))
+def _fails(value: int, H: int, rl: bool = True) -> int:
+    """Bit ``w-1`` of each lane where an RL value is negative, or a BAL one nonzero."""
+    return H & ~(value if rl else value & ((H << 1) - value))
+
+
+@memo
+def compile_scalar(f: Formula, system: str) -> tuple:
+    """The sorted variable names, the factor that bounds every step by the
+    largest coordinate, and ``run(lanes, w, H, keep=())``: from each name's
+    int of lanes (absent: zero), the ``postorder`` steps' values, the root's
+    last.  A value is dropped after its last use unless its step is kept."""
+    steps = postorder(f, partial(_reject, rl=system == "RL"), system)
+    # each step's magnitude factor, how many h its lanes hold (-> only
+    # subtracts), and the step that uses its value last
+    factors, biases, last = [], [], [None] * len(steps)
+    for s, (op, i, j) in enumerate(steps):
+        if op is Var or op is Zero:
+            factors.append(1 if op is Var else 0)
+            biases.append(1 if op is Var else 0)
         else:
-            push(column(i) if op is Var else zeros)
-    return values
+            k = i if j is None else j  # x ^+ is x \/ 0, bounded like x
+            factors.append(factors[i] + factors[k] if op is Imp else max(factors[i], factors[k]))
+            biases.append(biases[k] - biases[i] if op is Imp else 1)
+            last[i] = last[k] = s
+
+    def run(lanes: Mapping[str, int], w: int, H: int, keep: Container[int] = ()) -> list:
+        G, values = H << 1, [None] * len(steps)
+        for s, (op, i, j) in enumerate(steps):
+            if op is Imp:
+                value = values[j] - values[i]
+            elif op is Var:
+                value = lanes.get(i, H)
+            elif op is Zero:
+                value = 0
+            else:  # the larger of a and b, each with one h: where the guard bit of (a | G) - b stays set, a
+                a = values[i] + (1 - biases[i]) * H
+                b = H if j is None else values[j] + (1 - biases[j]) * H
+                t = (((a | G) - b) & G) >> w
+                value = b ^ ((a ^ b) & ((t << w) - t))
+            values[s] = value
+            if op is not Var and op is not Zero:
+                for k in (i, i if j is None else j):
+                    if last[k] == s and k not in keep:
+                        values[k] = None
+        values[-1] += (1 - biases[-1]) * H
+        return values
+
+    return tuple(sorted({i for op, i, _ in steps if op is Var})), factors[-1], run
+
+
+def _exact(f: Formula, v: Valuation, system: str) -> tuple[Vector, bool]:
+    """f's value at v and whether it holds, on lanes of v times its denominators' lcm."""
+    names, factor, run = compile_scalar(f, system)
+    vectors = [v.vector(name) for name in names]
+    scale = math.lcm(*(c.denominator for vec in vectors for c in vec))
+    rows = [[c.numerator * (scale // c.denominator) for c in vec] for vec in vectors]
+    w, H = _layout(v.dimension, factor * max((abs(x) for row in rows for x in row), default=0))
+    size, h = (w + 1) // 8, 1 << (w - 1)
+    packed = (b"".join((x + h).to_bytes(size, "little") for x in row) for row in rows)
+    value = run({name: int.from_bytes(p, "little") for name, p in zip(names, packed)}, w, H)[-1]
+    coords = ((value >> k * (w + 1) & (2 << w) - 1) - h for k in range(v.dimension))
+    return tuple(Fraction(x, scale) for x in coords), not _fails(value, H, system == "RL")
 
 
 def eval_rl(f: Formula, v: Valuation) -> Vector:
     """Value of an RL formula as a vector of exact rationals."""
-    return tuple(_pointwise(f, v.vector, (_ZERO,) * v.dimension, "RL"))
+    return _exact(f, v, "RL")[0]
 
 
 def eval_bal(f: Formula, v: Valuation) -> Vector:
     """Value of a BAL formula; ``x ^+`` takes the positive part."""
-    return tuple(_pointwise(f, v.vector, (_ZERO,) * v.dimension, "BAL"))
+    return _exact(f, v, "BAL")[0]
 
 
 def holds_rl(f: Formula, v: Valuation) -> bool:
     """True iff every coordinate of the value is >= 0."""
-    return all(c >= 0 for c in eval_rl(f, v))
+    return _exact(f, v, "RL")[1]
 
 
 def holds_bal(f: Formula, v: Valuation) -> bool:
     """True iff every coordinate of the value equals 0."""
-    return all(c == 0 for c in eval_bal(f, v))
+    return _exact(f, v, "BAL")[1]
 
 
 @dataclass(frozen=True)
@@ -168,123 +198,115 @@ def evaluate(f: Formula, v: Valuation, system: str = "RL") -> EvalResult:
     """Evaluate under either reading and report value plus holds flag."""
     if system not in ("RL", "BAL"):
         raise ValueError(f"unknown system {system!r}")
-    value = tuple(_pointwise(f, v.vector, (_ZERO,) * v.dimension, system))
-    return EvalResult(value, all(c >= 0 if system == "RL" else c == 0 for c in value))
+    return EvalResult(*_exact(f, v, system))
 
 
 # ---------------------------------------------------------------------------
 # randomized falsifier
 
-#: most falsifier trials per pass; passes double from one trial up to it
-_MAX_CHUNK = 128
+#: most falsifier trials per pass; passes grow fourfold from 8 trials up to it
+_MAX_CHUNK = 512
+#: ``_TOP_BITS[k][b]`` is the top k bits of the byte b
+_TOP_BITS = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
 
 
-def compile_scalar(f: Formula) -> tuple[tuple[str, ...], Callable[[Sequence[Sequence]], Sequence]]:
-    """Evaluator of an RL formula at many scalar points at once.
-
-    Returns the sorted variable names and a function that takes one column
-    of numbers per name, all of one length (entry i of each is point i),
-    and returns the column of values.  The formula is folded once, into a
-    ``syntax.postorder`` program, which each call replays on its columns;
-    no code is generated.
-    """
-    steps = postorder(f, _reject)
-    names = tuple(sorted({i for op, i, _ in steps if op is Var}))
-
-    def fn(columns: Sequence[Sequence]) -> Sequence:
-        zeros = [0] * (len(columns[0]) if columns else 1)
-        return _replay(steps, dict(zip(names, columns)).__getitem__, zeros)[-1]
-
-    return names, fn
-
-
-def _draws(seed: int, bound: int) -> Callable[[int], list[int]]:
+def _draws(seed: int, bound: int, unsigned: bool = False) -> Callable[[int], Sequence[int]]:
     """``take(n)``: the next n values of ``rng.randrange(2*bound+1) - bound``
-    for a private ``rng = random.Random(seed)``.
+    for a private ``rng = random.Random(seed)``; if ``unsigned``, without
+    ``- bound``, and as bytes when the span fits a byte.
 
     For a span of k <= 32 bits, ``randrange`` keeps the top k bits of one
-    32-bit Mersenne Twister output when they fall below the span and
-    draws again otherwise.  ``take`` reads those outputs in bulk
-    (``getrandbits(32*m)`` holds m consecutive outputs, the first in the
-    lowest bits) and applies the same rejection, so it returns the same
-    values; what a read leaves over is kept for the next call.  Wider
-    spans call ``randrange`` itself.
+    32-bit Mersenne Twister output if they fall below the span, else
+    draws again.  ``take`` reads the outputs in bulk (``getrandbits(32*m)``
+    holds m of them, the first lowest) and rejects alike, on the top
+    bytes when k <= 8; what a read leaves over is kept for the next call.
     """
     if not isinstance(bound, int) or bound < 0:
         raise ValueError(f"bound must be an int >= 0, not {bound!r}")
-    rng = random.Random(seed)
-    span = 2 * bound + 1
+    rng, span = random.Random(seed), 2 * bound + 1
     bits = span.bit_length()
-    if bits > 32:
-        return lambda n: [rng.randrange(span) - bound for _ in range(n)]
-    shift = 32 - bits
-    limit = span << shift  # w >> shift < span  iff  w < limit
-    pending: list[int] = []
+    limit = span << (shift := max(32 - bits, 0))  # w >> shift < span iff w < limit, iff w >> 24 < limit >> 24
+    reject = bytes(range(min(limit >> 24, 256), 256))
+    pending: Sequence[int] = b"" if bits <= 8 else []
 
-    def take(n: int) -> list[int]:
+    def take(n: int) -> Sequence[int]:
         nonlocal pending
         while len(pending) < n:
-            # enough outputs, on average, for the shortfall
-            m = ((n - len(pending)) << bits) // span + 1
-            words = struct.unpack(f"<{m}I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-            pending += [(w >> shift) - bound for w in words if w < limit]
+            if bits > 32:
+                pending += [rng.randrange(span) for _ in range(n - len(pending))]
+                break
+            m = ((n - len(pending)) << bits) // span + 1  # enough outputs, on average
+            words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+            if bits <= 8:
+                pending += words[3::4].translate(_TOP_BITS[bits], reject)
+            else:
+                pending += [w >> shift for w in struct.unpack(f"<{m}I", words) if w < limit]
         taken, pending = pending[:n], pending[n:]
-        return taken
+        return taken if unsigned else [d - bound for d in taken]
 
     return take
 
 
-def _check_dimension(dimension: int) -> None:
+def _sampler(trials: int, dimension: int, seed: int, bound: int) -> Callable:
+    """Check the arguments; return ``sample(names, factor, checks)``: the lowest
+    trial, and its valuation, where an odd number of ``checks`` (``(run, rl)``)
+    fail, or None.  A pass of n trials puts coordinate k of trial t in lane k*n + t."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if not isinstance(dimension, int) or dimension < 1:
         raise ValueError(f"dimension must be an int >= 1, not {dimension!r}")
+    take = _draws(seed, bound, unsigned=True)
 
+    def sample(names: Sequence[str], factor: int, checks: Sequence[tuple]) -> Optional[tuple[int, Valuation]]:
+        width = len(names) * dimension  # values per trial
+        done, chunk = 0, 8
+        while done < trials:
+            size = min(chunk, trials - done)
+            w, H = _layout(size * dimension, factor * bound)
+            lane, block = (w + 1) // 8, size * (w + 1)
+            # entry t * width + n * dimension + k is coordinate k, in trial t, of name n
+            flat = take(size * width)
+            wide = not isinstance(flat, bytes)
+            buf, lanes, offset = bytearray(size * dimension * lane), {}, H - bound * (H >> (w - 1))
+            for n, name in enumerate(names):
+                for k in range(dimension):
+                    column = flat[n * dimension + k :: width]
+                    if wide:
+                        column = b"".join(d.to_bytes(lane, "little") for d in column)
+                    buf[k * size * lane : (k + 1) * size * lane : 1 if wide else lane] = column
+                lanes[name] = int.from_bytes(buf, "little") + offset  # d - bound + h
+            failed = 0
+            for run, rl in checks:  # fold each check's lane flags into its trials' first lanes
+                flags = _fails(run(lanes, w, H)[-1], H, rl)
+                failed ^= reduce(or_, (flags >> k * block for k in range(dimension))) & ((1 << block) - 1)
+            if failed:
+                t = ((failed & -failed).bit_length() - 1) // (w + 1)
+                row = [Fraction(d - bound) for d in flat[t * width : (t + 1) * width]]
+                vectors = (tuple(row[s : s + dimension]) for s in range(0, width, dimension))
+                return done + t, Valuation(dimension, dict(zip(names, vectors)))
+            done += size
+            chunk = min(4 * chunk, _MAX_CHUNK)
+        return None
 
-def _valuation(names: Sequence[str], row: Sequence[int], dimension: int) -> Valuation:
-    """The valuation giving the i-th name the coordinates ``row[i*dimension:(i+1)*dimension]``."""
-    vectors = [tuple(map(Fraction, row[s : s + dimension])) for s in range(0, len(row), dimension)]
-    return Valuation(dimension, dict(zip(names, vectors)))
+    return sample
 
 
 def random_falsify(
-    f: Formula,
-    trials: int,
-    dimension: int = 1,
-    seed: int = 0,
-    bound: int = 10,
+    f: Formula, trials: int, dimension: int = 1, seed: int = 0, bound: int = 10
 ) -> Optional[Valuation]:
     """Search for a valuation falsifying an RL formula.
 
     Samples integer coordinates uniformly from [-bound, bound], trial by
     trial, then by sorted variable name, then by coordinate.  The values
     are those of ``random.Random(seed).randrange(2*bound+1) - bound``,
-    read from the generator 32-bit words at a time (``randrange`` itself
-    when the span is wider than 32 bits).  Returns the valuation from the
-    lowest-index successful trial, or None.  Deterministic for a fixed seed.
+    read from the generator in bulk (module docstring).  Returns the
+    valuation from the lowest-index successful trial, or None.
+    Deterministic for a fixed seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    _check_dimension(dimension)
-    take = _draws(seed, bound)
-    names, fn = compile_scalar(f)
-    width = len(names) * dimension  # values per trial
-    starts = range(0, width, dimension)  # each name's first coordinate in a trial
-    done, chunk = 0, 1
-    while done < trials:
-        size = min(chunk, trials - done)
-        # entry t * width + s + k is coordinate k, in trial t, of the name starting at s
-        flat = take(size * width)
-        columns = [flat[s::width] for s in starts]
-        for k in range(1, dimension):
-            for column, s in zip(columns, starts):
-                column += flat[s + k :: width]
-        # entry k * size + t of a value column is coordinate k of trial t
-        values = fn(columns)
-        if min(values) < 0:
-            t = min(j % size for j, value in enumerate(values) if value < 0)
-            return _valuation(names, flat[t * width : (t + 1) * width], dimension)
-        done += size
-        chunk = min(2 * chunk, _MAX_CHUNK)
-    return None
+    sample = _sampler(trials, dimension, seed, bound)
+    names, factor, run = compile_scalar(f, "RL")
+    found = sample(names, factor, [(run, True)])
+    return None if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 import operator
 import re
 import weakref
-from functools import partial
+from functools import partial, wraps
 from typing import Callable, Optional, Union
 
 
@@ -323,30 +323,50 @@ def fold(f: Formula, leaf: Callable, imp: Callable, join: Optional[Callable], po
     return values[0]
 
 
-def postorder(f: Formula, reject: Callable[[Formula], None]) -> list[tuple]:
-    """The distinct nodes of the RL formula f as a program of steps,
-    children first and the root last.
+# (function, id(node), args) -> (value, weak reference that drops the entry)
+_MEMO: dict[tuple, tuple] = {}
 
-    A step is ``(Var, name, None)``, ``(Zero, None, None)``, or ``(Imp,
-    i, j)`` and ``(Join, i, j)`` with the indices of the left and right
-    child's steps.  ``reject(node)`` raises for any other node.  One
-    ``fold`` builds it; replaying the steps walks no tree.
+
+def memo(build: Callable) -> Callable:
+    """Decorator: ``build(f, *args)``, made once per node f and args, kept while f lives."""
+
+    @wraps(build)
+    def cached(f: Formula, *args):
+        entry = _MEMO.get(key := (build, id(f), args))
+        if entry is None:
+            entry = _MEMO[key] = (build(f, *args), _ref(f, partial(_MEMO.pop, key)))
+        return entry[0]
+
+    return cached
+
+
+def postorder(f: Formula, reject: Callable[[Formula], None], lang: str = "RL") -> tuple[tuple, ...]:
+    """The distinct nodes of the RL (or BAL) formula f as a program of
+    steps, children first and the root last.
+
+    A step is ``(Var, name, None)``, ``(Zero, None, None)``, ``(Pos, i,
+    None)``, ``(Imp, i, j)`` or ``(Join, i, j)``, with the child steps'
+    indices; one ``fold`` per node builds it.  ``reject(node)`` raises for
+    the first node, in ``fold`` order, not in the language.
     """
+    steps = _program(f)
+    rl = lang == "RL"
+    if not {op for op, _, _ in steps} <= ({Var, Zero, Imp, Join} if rl else {Var, Imp, Pos}):
+        leaves = (Var, Zero) if rl else (Var,)
+        fold(f, lambda g: type(g) in leaves or reject(g), _ignore, _ignore if rl else None, None if rl else _ignore)
+    return steps
+
+
+@memo
+def _program(f: Formula) -> tuple[tuple, ...]:
     steps: list[tuple] = []
 
-    def emit(op, i, j) -> int:
+    def emit(op, i=None, j=None) -> int:
         steps.append((op, i, j))
         return len(steps) - 1
 
-    def leaf(g: Formula) -> int:
-        if type(g) is Var:
-            return emit(Var, g.name, None)
-        if type(g) is Zero:
-            return emit(Zero, None, None)
-        reject(g)
-
-    fold(f, leaf, lambda i, j: emit(Imp, i, j), lambda i, j: emit(Join, i, j))
-    return steps
+    fold(f, lambda g: emit(type(g), getattr(g, "name", None)), *(partial(emit, op) for op in (Imp, Join, Pos)))
+    return tuple(steps)
 
 
 def _same(g: Formula) -> Formula:

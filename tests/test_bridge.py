@@ -5,6 +5,7 @@ import pytest
 from rieszlogic import bridge
 from rieszlogic.bridge import (
     RESERVED_ZERO_VAR,
+    EquivalenceReport,
     ReservedVariableError,
     RlPair,
     bal_to_rl,
@@ -81,6 +82,32 @@ def test_check_equivalence_reports_first_discrepancy(monkeypatch):
     monkeypatch.setattr(bridge, "rl_to_bal", lambda f: f)
     report = check_equivalence(parse_rl("a -> b"), trials=200, seed=4, dimension=2)
     assert report.discrepancy == (3, Valuation(2, {"a": vector(-9, -3), "b": vector(6, 7)}))
+
+
+# reports recorded from the seeded stream either side of the one-byte
+# draw path (spans 255 and 257) and on the 32-bit word path, with a wrong
+# translation, a -> f for f, that disagrees with f somewhere
+PINNED_DISCREPANCIES = [
+    ("a \\/ b -> a", 2, 127, 4, {"a": (114, -64), "b": (39, -114)}),
+    ("a \\/ b -> a", 2, 128, 1, {"a": (-1, -102), "b": (-48, -71)}),
+    ("a \\/ b -> a", 2, 2**20, 1, {"a": (-3974, -831088), "b": (-390694, -573756)}),
+    ("(a -> b) \\/ c", 3, 127, 4, {"a": (-56, -81, 107), "b": (95, 69, -28), "c": (-87, 68, 77)}),
+    ("(a -> b) \\/ c", 3, 128, 7, {"a": (-117, 55, 78), "b": (-119, 86, 59), "c": (64, -124, 103)}),
+    (
+        "(a -> b) \\/ c", 3, 2**20, 7,
+        {"a": (-952671, 451491, 647156), "b": (-972796, 708112, 487313), "c": (530014, -1010499, 850698)},
+    ),
+]
+
+
+@pytest.mark.parametrize("text, dimension, bound, trial, coords", PINNED_DISCREPANCIES)
+def test_check_equivalence_pinned_reports(monkeypatch, text, dimension, bound, trial, coords):
+    f = parse_rl(text)
+    assert check_equivalence(f, trials=200, seed=5, dimension=dimension, bound=bound).agreed
+    monkeypatch.setattr(bridge, "rl_to_bal", lambda g, translate=rl_to_bal: translate(Imp(parse_rl("a"), g)))
+    report = check_equivalence(f, trials=200, seed=5, dimension=dimension, bound=bound)
+    expected = Valuation(dimension, {name: vector(*c) for name, c in coords.items()})
+    assert report == EquivalenceReport(200, (trial, expected))
 
 
 @pytest.mark.parametrize(

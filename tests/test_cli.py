@@ -221,6 +221,15 @@ def test_check_library_names_a_malformed_file(corpus_dir, capsys, line, message)
     assert (code, out, err) == (2, "", f"error: broken.rlproof: {message}\n")
 
 
+def test_check_names_a_malformed_file_among_several(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.rlproof").write_text(corpus_text("balmp_plus"), "utf-8")
+    (tmp_path / "bad.rlproof").write_text("system: RL\nname: BAD\n1: a -> a \\/ b | zz 1\nqed: 1\n", "utf-8")
+    code, out, err = run(capsys, "check", "good.rlproof", "bad.rlproof")
+    assert (code, out) == (2, "good.rlproof: OK (3 lines)\n")
+    assert err == "error: bad.rlproof: line 3: unknown justification 'zz'\n"
+
+
 def test_check_library_name_clash_exits_2(corpus_dir, capsys):
     clash = corpus_text("balb_minus").replace("name: BALB_MINUS", "name: BALB_PLUS")
     (corpus_dir / "zz_clash.rlproof").write_text(clash, "utf-8")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from rieszlogic.bridge import bal_to_rl, rl_to_bal
 from rieszlogic.decide import linearize
 from rieszlogic.kernel import RL_AXIOMS
 from rieszlogic.semantics import (
+    EvalResult,
     Valuation,
     ValuationError,
     eval_bal,
@@ -32,7 +34,7 @@ from rieszlogic.syntax import (
     substitute,
     variables,
 )
-from util import random_rl_formula, random_valuation
+from util import random_bal_formula, random_rational_valuation, random_rl_formula, random_valuation, reference_eval
 
 # rows from the shipped term-document fixture, reused as handy vectors
 ORANGE = vector(0, 2, 1, 0, 0, 7, 0, 3)
@@ -93,6 +95,33 @@ def test_unmapped_variables_default_to_zero():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValuationError):
         Valuation(2, {"x": vector(1)})
+
+
+def test_evaluators_match_reference_on_rl_formulas():
+    # the 1,000 acceptance-3 formulas, and their BAL translations, at
+    # rational points of dimension 1 to 3 with unmapped variables
+    formulas, points = random.Random(2024), random.Random(31)
+    for k in range(1000):
+        f = random_rl_formula(formulas, max_connectives=12, max_vars=4)
+        v = random_rational_valuation(points, variables(f) | {"e"}, dimension=1 + k % 3)
+        expected = reference_eval(f, v)
+        assert eval_rl(f, v) == expected, k
+        assert evaluate(f, v) == EvalResult(expected, min(expected) >= 0)
+        assert holds_rl(f, v) == (min(expected) >= 0)
+        translated = rl_to_bal(f)
+        assert eval_bal(translated, v) == reference_eval(translated, v, "BAL"), k
+        assert holds_bal(translated, v) == holds_rl(f, v)
+
+
+def test_evaluators_match_reference_on_bal_formulas():
+    formulas, points = random.Random(77), random.Random(32)
+    for k in range(300):
+        g = random_bal_formula(formulas)
+        for v in (random_rational_valuation(points, variables(g), dimension=1 + k % 3), Valuation(1 + k % 3)):
+            expected = reference_eval(g, v, "BAL")
+            assert eval_bal(g, v) == expected, k
+            assert evaluate(g, v, "BAL") == EvalResult(expected, not any(expected))
+            assert holds_bal(g, v) == (not any(expected))
 
 
 def test_evaluate_wrapper():
@@ -159,6 +188,39 @@ def test_falsify_pinned_witnesses(text, seed, dimension, trial, coords):
     assert random_falsify(f, trials=trial, dimension=dimension, seed=seed) is None
 
 
+# witnesses either side of the one-byte draw path (spans 255 and 257)
+# and on the 32-bit word path, each past the first passes
+PINNED_WIDE_WITNESSES = [
+    ("(a -> d) \\/ a \\/ b \\/ (b -> b -> a)", 69, 1, 127, 99, {"a": (-109,), "b": (-25,), "d": (-114,)}),
+    (
+        "b \\/ b \\/ ((((0 -> d -> b -> 0 \\/ b) -> a \\/ 0) -> a) \\/ b) \\/ d", 261, 3, 127, 62,
+        {"a": (-113, 74, 40), "b": (-23, 61, -37), "d": (-70, -114, -5)},
+    ),
+    ("((0 -> b) -> c \\/ (a \\/ b) -> b -> 0 \\/ a) \\/ b", 66, 1, 128, 155, {"a": (-83,), "b": (-14,), "c": (115,)}),
+    (
+        "(0 -> b) \\/ (a \\/ (a -> d)) \\/ ((b -> a) -> (b \\/ 0 -> b) -> a -> c)", 147, 3, 128, 51,
+        {"a": (-113, -111, -9), "b": (113, -20, -4), "c": (26, 117, -59), "d": (29, -62, -90)},
+    ),
+    (
+        "(a -> d) \\/ a \\/ b \\/ (b -> b -> a)", 69, 1, 2**20, 379,
+        {"a": (-799233,), "b": (-196389,), "d": (-950648,)},
+    ),
+    (
+        "c \\/ b \\/ (b -> d \\/ (a -> b) \\/ (b -> d))", 222, 2, 2**20, 126,
+        {"a": (467608, -42282), "b": (-37679, -689340), "c": (-191397, 623076), "d": (-176015, 425753)},
+    ),
+]
+
+
+@pytest.mark.parametrize("text, seed, dimension, bound, trial, coords", PINNED_WIDE_WITNESSES)
+def test_falsify_pinned_witnesses_at_wide_bounds(text, seed, dimension, bound, trial, coords):
+    f = parse_rl(text)
+    expected = Valuation(dimension, {name: vector(*c) for name, c in coords.items()})
+    assert random_falsify(f, 1000, dimension, seed, bound) == expected
+    assert random_falsify(f, trial + 1, dimension, seed, bound) == expected
+    assert random_falsify(f, trial, dimension, seed, bound) is None
+
+
 # trial 134 lies inside the 128-trial pass, and each of its coordinates
 # comes from a different name's slice of the drawn stream
 def test_falsify_pinned_witness_dimension_2():
@@ -223,6 +285,23 @@ def test_deep_formulas_need_no_recursion():
     pair = bal_to_rl(translated)
     assert holds_rl(pair.first, v) and not holds_rl(pair.second, v)
     assert [str(t) for t in linearize(f).clauses[0]] == ["-2999a"]
+
+
+def test_falsify_deep_dag_keeps_few_values():
+    # g -> g from a \\/ b, 1,000 deep, is 0 at every level; (h -> a) -> h
+    # doubles h at every level, so its lanes are about 1,000 bits wide, and
+    # only dropping each value after its last use keeps few of them alive
+    g = h = parse_rl("a \\/ b")
+    for _ in range(1000):
+        g, h = Imp(g, g), Imp(Imp(h, Var("a")), h)
+    for f in (g, Imp(h, h)):
+        tracemalloc.start()
+        try:
+            assert random_falsify(f, 500, 3, 1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def test_falsify_deep_parsed_formula():

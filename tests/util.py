@@ -1,11 +1,12 @@
-"""Shared helpers: seeded random formulas and valuations."""
+"""Shared helpers: seeded random formulas and valuations, and a reference
+evaluator."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from rieszlogic.syntax import Formula, Imp, Join, MetaVar, Pos, Var, ZERO
+from rieszlogic.syntax import Formula, Imp, Join, MetaVar, Pos, Var, ZERO, Zero, fold
 from rieszlogic.semantics import Valuation
 
 VAR_NAMES = ("a", "b", "c", "d")
@@ -64,3 +65,40 @@ def random_valuation(rng: random.Random, names, dimension: int = 1, bound: int =
             for name in names
         },
     )
+
+
+def random_rational_valuation(rng: random.Random, names, dimension: int) -> Valuation:
+    """Mixed-denominator coordinates of either sign; about one name in six
+    is left unmapped, so it evaluates to zero."""
+    return Valuation(
+        dimension,
+        {
+            name: tuple(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 12))) for _ in range(dimension))
+            for name in sorted(names)
+            if rng.random() >= 1 / 6
+        },
+    )
+
+
+def reference_eval(f: Formula, v: Valuation, system: str = "RL") -> tuple[Fraction, ...]:
+    """Value of f at v by the evaluation clauses, one ``Fraction`` list per
+    node: an evaluator that shares nothing with ``semantics`` but ``fold``."""
+    rl = system == "RL"
+
+    def leaf(g: Formula) -> list:
+        if type(g) is Var:
+            return list(v.vector(g.name))
+        if type(g) is Zero and rl:
+            return [Fraction(0)] * v.dimension
+        raise TypeError(f"not a {system} formula: {g!r}")
+
+    def imp(x: list, y: list) -> list:
+        return [b - a for a, b in zip(x, y)]
+
+    def join(x: list, y: list) -> list:
+        return [max(a, b) for a, b in zip(x, y)]
+
+    def pos(x: list) -> list:
+        return [max(a, Fraction(0)) for a in x]
+
+    return tuple(fold(f, leaf, imp, join if rl else None, None if rl else pos))
