@@ -173,7 +173,7 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_fuzzy(args: argparse.Namespace) -> int:
     from . import fuzzy
 
-    sys.stdout.write(fuzzy.grid_csv(args.op, args.n))
+    sys.stdout.writelines(fuzzy.grid_lines(args.op, args.n))  # as the rows are made
     return EXIT_OK
 
 

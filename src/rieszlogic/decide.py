@@ -25,10 +25,10 @@ any LP, as the product of the negative joins' side counts (``2^k`` for
 a root join; one per side of a positive join; one per negative join),
 and the pivots of each LP.
 
-``linearize``, kept for its callers, rewrites a formula into an
-equivalent *meet of joins* of integer linear terms, absorption-pruned
-after every step, whose clauses ``clause_certificate`` settles with the
-same simplex.
+``linearize`` replays the same ``postorder`` program to rewrite a
+formula into an equivalent *meet of joins* of integer linear terms,
+absorption-pruned after every step, whose clauses ``clause_certificate``
+settles with the same simplex.
 
 Validity over these rational models coincides with validity over all
 abelian lattice-ordered groups; this relies on the standard algebraic
@@ -41,10 +41,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter, mul
+from operator import attrgetter, itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .syntax import Formula, Imp, Join, Pos, Var, Zero, fold, format_formula, pos_to_join, postorder
+from .syntax import Formula, Imp, Join, Pos, Var, Zero, format_formula, pos_to_join, postorder
 from .semantics import Valuation, Vector, _layout, compile_scalar
 
 DEFAULT_BUDGET = 100_000
@@ -169,13 +169,11 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     The budget is checked after each step's product is built, so it
     bounds the result, not the work of building it.
     """
-    # Tables that live for this call only, so memory does not grow across
-    # calls.  Interning makes equal terms one object, so the subset tests
-    # in _dedupe_clauses match terms by identity and call LinearTerm.__eq__
-    # only for distinct terms with equal hashes.  The cross products in
-    # _add sum the same few term pairs over and over, so sums are memoized,
-    # keyed by identity: `terms` keeps every interned term alive, so no id
-    # is reused.
+    # Per-call tables, so memory does not grow across calls.  Interning
+    # makes equal terms one object, so _dedupe_clauses's subset tests match
+    # terms by identity.  The cross products of `->` sum the same few term
+    # pairs over and over, so sums are memoized by identity: `terms` keeps
+    # every interned term alive, so no id is reused.
     terms: dict[LinearTerm, LinearTerm] = {}
     sums: dict[tuple[int, int], LinearTerm] = {}
 
@@ -183,62 +181,32 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
         return terms.setdefault(t, t)
 
     def add(t: LinearTerm, u: LinearTerm) -> LinearTerm:
-        key = (id(t), id(u))
-        s = sums.get(key)
+        s = sums.get(key := (id(t), id(u)))
         if s is None:
             s = sums[key] = intern(t.add(u))
         return s
 
-    def leaf(g: Formula) -> list[Clause]:
-        if type(g) is Var:
-            return [frozenset((intern(LinearTerm.var(g.name)),))]
-        if type(g) is Zero:
-            return [frozenset((intern(LinearTerm.zero()),))]
-        _not_rl(g)
+    def product(left: list[Clause], right: list[Clause], combine: Callable) -> list[Clause]:
+        clauses = _dedupe_clauses([combine(ci, dk) for ci in left for dk in right])
+        size = sum(map(len, clauses))
+        if size > budget:
+            raise BudgetExceededError("normal form", size, budget)
+        return clauses
 
-    clauses = fold(
-        f,
-        leaf,
-        lambda left, right: _add(_negate(left, budget, intern), right, budget, add),
-        # max of min-max forms: distribute the meet over the join
-        lambda left, right: _check([ci | dk for ci in left for dk in right], budget),
-    )
-    return MeetJoinNormalForm(tuple(clauses))
-
-
-def _check(clauses: list[Clause], budget: int) -> list[Clause]:
-    clauses = _dedupe_clauses(clauses)
-    size = sum(map(len, clauses))
-    if size > budget:
-        raise BudgetExceededError("normal form", size, budget)
-    return clauses
-
-
-def _add(
-    left: list[Clause],
-    right: list[Clause],
-    budget: int,
-    add: Callable[[LinearTerm, LinearTerm], LinearTerm],
-) -> list[Clause]:
-    out = [
-        frozenset(add(t, u) for t in ci for u in dk)
-        for ci in left
-        for dk in right
-    ]
-    return _check(out, budget)
-
-
-def _negate(
-    clauses: list[Clause], budget: int, intern: Callable[[LinearTerm], LinearTerm]
-) -> list[Clause]:
-    # -(min_i max_j t_ij) = max_i min_j (-t_ij); each negated clause is a
-    # meet of singletons, and the outer max folds in as pairwise joins,
-    # pruning with absorption at every step to keep the blow-up honest
-    out: list[Clause] = [frozenset()]
-    for clause in clauses:
-        negated = [frozenset((intern(t.neg()),)) for t in clause]
-        out = _check([ci | dk for ci in out for dk in negated], budget)
-    return out
+    values: list[list[Clause]] = []  # each postorder step's clauses
+    for op, i, j in postorder(f, _not_rl):
+        if op is Imp:
+            # -(min_i max_j t_ij) = max_i min_j (-t_ij): each negated clause is
+            # a meet of singletons, folded in as pairwise joins and pruned
+            negated: list[Clause] = [frozenset()]
+            for clause in values[i]:
+                negated = product(negated, [frozenset((intern(t.neg()),)) for t in clause], or_)
+            values.append(product(negated, values[j], lambda ci, dk: frozenset(add(t, u) for t in ci for u in dk)))
+        elif op is Join:  # max of min-max forms: distribute the meet over the join
+            values.append(product(values[i], values[j], or_))
+        else:
+            values.append([frozenset((intern(LinearTerm.var(i) if op is Var else LinearTerm.zero()),))])
+    return MeetJoinNormalForm(tuple(values[-1]))
 
 
 # ---------------------------------------------------------------------------

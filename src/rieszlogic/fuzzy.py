@@ -92,13 +92,17 @@ GRID_HEADER = "a,b,value"
 def iter_grid(op: str, resolution: int) -> Iterator[tuple[float, float, Optional[float]]]:
     """(a, b, value) over the closed unit square at the given resolution.
 
-    ``op`` is ``"tl"`` or ``"tr"``; undefined corners yield value None.
+    ``op`` is ``"tl"`` or ``"tr"``, checked with the resolution at the
+    call; undefined corners yield value None.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if op not in ("tl", "tr"):
         raise ValueError(f"unknown operation {op!r}")
-    n = resolution
+    return _grid(op, resolution)
+
+
+def _grid(op: str, n: int) -> Iterator[tuple[float, float, Optional[float]]]:
     for i in range(n + 1):
         a = i / n
         for j in range(n + 1):
@@ -115,11 +119,14 @@ def _cell(x: Optional[float]) -> str:
     return "" if x is None else format(x, ".17g")
 
 
+def grid_lines(op: str, resolution: int) -> Iterator[str]:
+    """CSV lines with their newlines, made one at a time: header ``a,b,value``,
+    17 significant digits, empty cell for the undefined corners."""
+    rows = iter_grid(op, resolution)  # raises for bad arguments before the header
+    yield GRID_HEADER + "\n"
+    yield from (f"{_cell(a)},{_cell(b)},{_cell(value)}\n" for a, b, value in rows)
+
+
 def grid_csv(op: str, resolution: int) -> str:
-    """CSV text: header ``a,b,value``, 17 significant digits, empty cell
-    for the undefined corners."""
-    rows = [GRID_HEADER]
-    rows.extend(
-        f"{_cell(a)},{_cell(b)},{_cell(value)}" for a, b, value in iter_grid(op, resolution)
-    )
-    return "\n".join(rows) + "\n"
+    """The whole CSV text of ``grid_lines``."""
+    return "".join(grid_lines(op, resolution))

@@ -66,7 +66,7 @@ class Formula:
     """Base class of all formula nodes.  Instances are immutable and
     hash-consed: equal fields give the same object."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_memo")  # _memo: see memo()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -323,19 +323,20 @@ def fold(f: Formula, leaf: Callable, imp: Callable, join: Optional[Callable], po
     return values[0]
 
 
-# (function, id(node), args) -> (value, weak reference that drops the entry)
-_MEMO: dict[tuple, tuple] = {}
-
-
 def memo(build: Callable) -> Callable:
-    """Decorator: ``build(f, *args)``, made once per node f and args, kept while f lives."""
+    """Decorator: ``build(f, *args)``, made once per node f and args and kept
+    in f's ``_memo`` dict, so it dies with f.  It must hold no node."""
 
     @wraps(build)
     def cached(f: Formula, *args):
-        entry = _MEMO.get(key := (build, id(f), args))
-        if entry is None:
-            entry = _MEMO[key] = (build(f, *args), _ref(f, partial(_MEMO.pop, key)))
-        return entry[0]
+        try:
+            return f._memo[build, args]
+        except AttributeError:
+            _set(f, "_memo", {})
+        except KeyError:
+            pass
+        value = f._memo[build, args] = build(f, *args)
+        return value
 
     return cached
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -304,6 +305,29 @@ def test_fuzzy_grid_header_and_corners(capsys):
     assert lines[1] == "0,0,0"
     assert lines[2] == "0,1,"  # undefined corner
     assert lines[4] == "1,1,1"
+
+
+def test_fuzzy_grid_bad_resolution_writes_nothing(capsys):
+    assert run(capsys, "fuzzy", "grid", "--op", "tl", "--n", "0") == (2, "", "error: resolution must be >= 1\n")
+
+
+def test_fuzzy_grid_streams_its_rows():
+    # 10^18 rows: the first ones must come out long before the last is made
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rieszlogic.cli", "fuzzy", "grid", "--op", "tl", "--n", "1000000000"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    lines = []
+    reader = threading.Thread(target=lambda: lines.extend((proc.stdout.readline(), proc.stdout.readline())))
+    try:
+        reader.start()
+        reader.join(5)
+        assert lines == ["a,b,value\n", "0,0,0\n"]
+    finally:
+        proc.kill()
+        proc.wait()
+        reader.join(5)  # the killed process closed the pipe, so readline returns
+        proc.stdout.close()
 
 
 # -- distrib -----------------------------------------------------------------------

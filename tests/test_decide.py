@@ -1,8 +1,11 @@
 import functools
+import gc
+import hashlib
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,7 +30,7 @@ from rieszlogic.decide import (
     pos_to_join,
 )
 from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
-from rieszlogic.semantics import eval_rl, holds_bal, holds_rl, random_falsify
+from rieszlogic.semantics import compile_scalar, eval_rl, holds_bal, holds_rl, random_falsify
 from rieszlogic.syntax import ZERO, Imp, Join, Var, parse_bal, parse_rl, substitute, variables
 from util import random_bal_formula, random_rl_formula, random_valuation
 
@@ -105,6 +108,102 @@ def test_linearize_returns_antichain():
         clauses = linearize(random_rl_formula(rng)).clauses
         assert len(set(clauses)) == len(clauses)
         assert not any(c < d for c in clauses for d in clauses)
+
+
+def _meet_of_joins(clauses):
+    # the normal form as text that no hash seed changes: each clause's
+    # terms sorted and joined by \/, the clauses sorted and met by /\
+    return " /\\ ".join(sorted(" \\/ ".join(sorted(map(str, c))) for c in clauses))
+
+
+#: the normal forms of the first 50 acceptance-3 formulas, recorded from
+#: an earlier, fold-based implementation: a rewrite must keep them
+PINNED_NORMAL_FORMS = (
+    '2b + c - 3d \\/ 2c - 2d /\\ 2b + c - 3d \\/ b + 2c - 3d /\\ 2b - 2d \\/ 2c - 2d /\\ 2b - 2d \\/ b + 2c - 3d /\\ b + c - 2d',
+    '-2b + c - d \\/ a - 2b + c - d /\\ -2b \\/ a - 2b /\\ -b + c - 2d \\/ a - b + c - 2d /\\ -b - c \\/ a - b - c /\\ -b - d \\/ a - b - d',
+    '-b + d \\/ 0 \\/ d /\\ -c + d \\/ b - c \\/ d',
+    '0 \\/ a \\/ b \\/ d',
+    '-a + b \\/ -a + d \\/ -b /\\ a - b \\/ b \\/ d',
+    '2a - 2d \\/ a + b - 2c - d /\\ 2a - 2d \\/ a + b - c - 2d /\\ 2a - c - d \\/ a + b - 2c - d /\\ 2a - c - d \\/ a + b - c - 2d',
+    '-a + b + d \\/ a - b \\/ b',
+    '-b + 3c',
+    '-2a + c + d \\/ -a + c \\/ -a + c + d \\/ 0 \\/ b \\/ c',
+    '2b \\/ a + b /\\ 2b \\/ a + c /\\ a + b \\/ b + c /\\ a + c \\/ b + c',
+    '0',
+    '-a + 2c - d \\/ -a + d /\\ -a + c - d \\/ -a + d',
+    '2c - d \\/ a + c - d \\/ b + c - d \\/ c - d',
+    '-a \\/ -a - c - d',
+    '-a + c \\/ -c + 2d \\/ 0 \\/ b /\\ -a + c \\/ -c + 2d \\/ 0 \\/ b - c + d /\\ -a + c \\/ 0 \\/ b - c + d \\/ d /\\ -a + c \\/ 0 \\/ b \\/ d /\\ -a + d \\/ -c + 2d \\/ 0 \\/ b /\\ -a + d \\/ -c + 2d \\/ 0 \\/ b - c + d /\\ -a + d \\/ 0 \\/ b - c + d \\/ d /\\ -a + d \\/ 0 \\/ b \\/ d',
+    '-a + d \\/ -a - c',
+    'a - c',
+    'b',
+    '0 \\/ b - 2d /\\ 0 \\/ b - c - d',
+    '0 \\/ b',
+    '-a + 2c + d \\/ -a + b + c + d /\\ -a + b /\\ -a + c - d',
+    '-2d \\/ b - 2d /\\ -a + b - c \\/ -a - b /\\ -a + b - c \\/ -a - c /\\ -b + c - 2d \\/ b - 2d /\\ -b \\/ b - c /\\ -c \\/ b - c /\\ a + b - 2d \\/ a - 2d /\\ a + b - 2d \\/ a - b + c - 2d',
+    'a \\/ b',
+    'a',
+    '-a + 2d \\/ -a + b + d /\\ d',
+    '-a + c \\/ 2a - 2c \\/ a \\/ b \\/ d /\\ -a + c \\/ 2a - c \\/ a \\/ b \\/ d',
+    '-c /\\ 0 /\\ 2a /\\ 2a - c /\\ a /\\ a - 2c /\\ a - b /\\ a - b - c /\\ a - c',
+    '-2a + 2c + d \\/ -3a + 2c + 2d /\\ -2a + 2c + d \\/ -a + 2c /\\ -2a + b + 2c /\\ -a + b + 2c - d',
+    '-c + d \\/ 0',
+    'c - d',
+    '-d \\/ 0 /\\ a \\/ a - d',
+    '0 \\/ 2a - b + c \\/ a + c',
+    '-a + b + c - d \\/ a - d /\\ -a + b - c \\/ a - c /\\ -a + b - d \\/ a - d /\\ -a + b \\/ a - c /\\ -a + c - d \\/ a - d /\\ -a \\/ a - c',
+    '-a + d \\/ b - 2c + d \\/ b - c + d',
+    'a \\/ c',
+    '-b - c /\\ -b \\/ a - 2c /\\ -b \\/ a - b - c /\\ -c \\/ a - 2c /\\ -c \\/ a - b - c',
+    'b \\/ d',
+    'a - 3b + c',
+    '-2a \\/ 0 /\\ -2b + c \\/ a - b + c /\\ -a + c \\/ -a + d \\/ a + c \\/ a + d /\\ -a - b + c \\/ a - b + c /\\ -a - b \\/ 0 /\\ -a - c \\/ 0 /\\ -a \\/ 0 /\\ -b + c \\/ -b + d \\/ a + c \\/ a + d /\\ -b + c \\/ a - b + c /\\ -b \\/ a - b + c /\\ -c + d \\/ 0 \\/ a + c \\/ a + d /\\ a + c \\/ a + d \\/ c \\/ d',
+    'b \\/ c',
+    '-d /\\ 0',
+    'a \\/ c \\/ d',
+    'c - d',
+    '-a + 3d \\/ -b + c + 3d /\\ a - b + c + d \\/ d',
+    '-a - b + c',
+    '2a + b - c \\/ 2a - c \\/ 2b - c \\/ a + 2b - c \\/ a + b - c \\/ a - c \\/ b - c',
+    '-a + b - c \\/ -a - c \\/ -a - c + d /\\ -a \\/ -a + b \\/ -a + d /\\ a + b - c - d \\/ a - c \\/ a - c - d /\\ a + b - c \\/ a - c \\/ a - c + d /\\ a \\/ a + b - d \\/ a - d /\\ a \\/ a + b \\/ a + d',
+    '-a + b - c \\/ -a + d /\\ -a + d \\/ b - 2c /\\ -a + d \\/ b - c - d',
+    'a \\/ b',
+    'a \\/ d',
+)
+
+
+def test_linearize_reproduces_pinned_normal_forms():
+    rng = random.Random(2024)
+    for pinned in PINNED_NORMAL_FORMS:
+        assert _meet_of_joins(linearize(random_rl_formula(rng, max_connectives=12, max_vars=4)).clauses) == pinned
+    # #248's form has 768 clauses and 31,752 terms, so it is pinned by digest
+    clauses = linearize(parse_rl(FORMULA_248)).clauses
+    assert (len(clauses), sum(map(len, clauses))) == (768, 31752)
+    digest = hashlib.sha256(_meet_of_joins(clauses).encode()).hexdigest()
+    assert digest == "4268965af256d749c7354e7536627547bb00b4bcdf91c5595f96ac084f9d153b"
+
+
+def test_linearize_deep_chains():
+    # ((0 -> a) -> a) -> ... 3,000 deep is 0; a 3,000-deep join of v0-v4
+    # over a \/ (a -> 0) is one clause
+    f = ZERO
+    for _ in range(3000):
+        f = Imp(f, Var("a"))
+    assert [sorted(map(str, c)) for c in linearize(f).clauses] == [["0"]]
+    g = Join(Var("a"), Imp(Var("a"), ZERO))
+    for k in range(3000):
+        g = Join(Var(f"v{k % 5}"), g)
+    assert [sorted(map(str, c)) for c in linearize(g).clauses] == [["-a", "a", "v0", "v1", "v2", "v3", "v4"]]
+
+
+def test_cached_programs_die_with_their_formula():
+    f = parse_rl("(a -> b) \\/ c -> d")
+    assert compile_scalar(f, "RL") is compile_scalar(f, "RL")
+    assert len(f._memo) == 2  # compile_scalar's value and the postorder program
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 # -- clause feasibility -----------------------------------------------------------
