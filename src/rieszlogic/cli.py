@@ -19,6 +19,7 @@ out of memory.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -292,10 +293,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
     except MemoryError:  # first, so that matching it allocates nothing
         print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:  # the reader has all it wants: end quietly, like other Unix tools
+        # stdout goes to os.devnull, so that the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except RecursionError as exc:
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return EXIT_USAGE

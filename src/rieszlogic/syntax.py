@@ -28,6 +28,9 @@ hash-consing", 2006): a constructor returns the one live node with its
 class and fields, so a formula is a DAG of shared subterms, and ``==``
 and ``hash`` are object identity.  Parsing is iterative (one operand and
 one operator stack), so neither it nor comparison has a nesting limit.
+It reads each distinct parenthesized group once: a later copy of a
+group's text is found by a string comparison and gives the same node, so
+a printed DAG costs parser steps per distinct group, not per copy.
 """
 
 from __future__ import annotations
@@ -158,12 +161,14 @@ Substitution = dict[str, Formula]
 _OPERATORS = ("->", "(+)", "\\/", "/\\", "^+", "~", "(", ")", "0")  # "(+)" before "("
 _VAR_NAME = re.compile("[a-z][A-Za-z0-9_]*")
 
-# whitespace and comments match no group; the group holds an operator, a
-# name or a single character no token starts with (a "bad" one)
+# one match per token: skip whitespace and comments, then capture an
+# operator, a name, a single character no token starts with (a "bad" one),
+# or "" at the end of the text
 _TOKEN = re.compile(
-    r"[ \t\r\n]+|#[^\n]*|(" + "|".join(map(re.escape, _OPERATORS)) + "|[A-Za-z][A-Za-z0-9_]*|.)",
+    r"(?:[ \t\r\n]+|#[^\n]*)*(" + "|".join(map(re.escape, _OPERATORS)) + r"|[A-Za-z][A-Za-z0-9_]*|.|\Z)",
     re.DOTALL,
 )
+_KEY = 64  # leading characters of a group's text that key the group memo
 
 # binary operators with their sugar expanded; joins bind tighter than ->
 _BINARY = {
@@ -185,23 +190,51 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
     Each token is checked in the state the grammar puts it in (an atom
     expected, or an operator after one), so an error names the first
     token the grammar cannot accept there.
+
+    Tokens are read one match at a time, and each closed group "( ... )"
+    is recorded as (start, end, node) under its first ``_KEY`` characters.
+    A "(" opening an atom where a recorded group's whole text repeats is
+    that group again (its closing ")" is fixed by its own text, and equal
+    text parses to the same node): its node is the atom, and reading
+    resumes after the copy, which is never tokenized.  The text past the
+    key is compared in doubling chunks, so a near miss costs about twice
+    the length that agrees, and near misses may cost ``len(text)``
+    characters in all before lookups stop, so the parse stays linear.
     """
-    tokens = list(filter(None, _TOKEN.findall(text)))
-    tokens.append("")  # end of input
     bal = lang == "bal"
     operands: list[Formula] = []
     ops: list[str] = []
-    depth = 0  # open parentheses
+    opens: list[int] = []  # offsets of the open parentheses
+    groups: dict[str, tuple[int, int, Formula]] = {}
+    budget = len(text)  # characters that failed comparisons may still cost
     want_atom = True
+    match = _TOKEN.scanner(text).match  # anchored: each match starts where the last one ended
     # a token is a name iff its first character is an ASCII letter, that is
     # iff "a" <= tok < "{" (a variable) or "A" <= tok < "[" (a metavariable)
-    for i, tok in enumerate(tokens):
+    while True:
+        m = match()
+        tok = m[1]
         if want_atom:
-            if tok == "(" or tok == "~" and not bal:
+            if tok == "(":
+                p = m.end() - 1
+                group = groups.get(text[p : p + _KEY]) if groups and budget > 0 else None
+                if group is not None:
+                    start, end, f = group
+                    k = _KEY  # the key's characters agree: compare the rest in doubling chunks
+                    while k < end - start and text.startswith(text[start + k : min(end, start + 2 * k)], p + k):
+                        k *= 2
+                    if k < end - start:  # they differ before offset 2k
+                        budget -= k
+                        group = None
+                if group is None:
+                    ops.append(tok)
+                    opens.append(p)
+                    continue
+                match = _TOKEN.scanner(text, p + end - start).match
+            elif tok == "~" and not bal:
                 ops.append(tok)
-                depth += tok == "("
                 continue
-            if "a" <= tok < "{":
+            elif "a" <= tok < "{":
                 f = Var(tok)
             elif "A" <= tok < "[" and schema:
                 f = MetaVar(tok)
@@ -216,7 +249,7 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
         elif bal and tok in _BINARY and tok != "->":
             expected = frozenset(("->", "end of input"))
             break
-        elif tok in _BINARY or tok == ")" and depth or not tok and not depth:
+        elif tok in _BINARY or tok == ")" and opens or not tok and not opens:
             while ops and ops[-1] in (_JOINS if tok in _BINARY else _BINARY):
                 right = operands.pop()
                 operands.append(_BINARY[ops.pop()](operands.pop(), right))
@@ -227,10 +260,11 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
             if not tok:
                 return operands.pop()
             ops.pop()
-            depth -= 1
+            start = opens.pop()
             f = operands.pop()
+            groups[text[start : start + _KEY]] = (start, m.end(), f)
         else:
-            expected = frozenset((")",) if depth else ("end of input",))
+            expected = frozenset((")",) if opens else ("end of input",))
             break
         # f completes an atom: apply the prefix ~ in front of it (~x == x -> 0)
         while ops and ops[-1] == "~":
@@ -238,19 +272,19 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
             f = Imp(f, ZERO)
         operands.append(f)
         want_atom = False
-    # tokens[i] failed, unless a bad character comes anywhere: the first
-    # of those wins over any grammar error.  Offsets come from matching
-    # _TOKEN again, so only a failed parse pays for them.
+    # tok failed, unless a bad character comes anywhere: the first of those
+    # wins over any grammar error, so the text is scanned again from 0
+    offset = m.start(1)
     if want_atom and "A" <= tok < "[":
         message = f"metavariable {tok!r} not allowed outside schemas"
     else:
         message = f"unexpected {repr(tok) if tok else 'end of input'}"
-    for j, tok in enumerate(tokens[:-1]):
-        if tok not in _OPERATORS and not ("a" <= tok < "{" or "A" <= tok < "["):
-            i, message, expected = j, f"unexpected character {tok!r}", frozenset(_OPERATORS + ("variable",))
+    for m in _TOKEN.finditer(text):
+        tok = m[1]
+        if tok and tok not in _OPERATORS and not ("a" <= tok < "{" or "A" <= tok < "["):
+            offset, message, expected = m.start(1), f"unexpected character {tok!r}", frozenset(_OPERATORS + ("variable",))
             break
-    offsets = [m.start() for m in _TOKEN.finditer(text) if m.lastindex] + [len(text)]
-    raise ParseError(message, offsets[i], expected)
+    raise ParseError(message, offset, expected)
 
 
 def parse_rl(text: str) -> Formula:

@@ -330,6 +330,25 @@ def test_fuzzy_grid_streams_its_rows():
         proc.stdout.close()
 
 
+@pytest.mark.parametrize("argv", [
+    ("fuzzy", "grid", "--op", "tl", "--n", "1000"),  # 10^6 rows
+    ("translate", "--to", "bal", " \\/ ".join("abcdefghijklm")),  # 122,875 characters
+])
+def test_closed_pipe_ends_quietly(argv):
+    # the reader stops after ten bytes, as `| head -c 10` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rieszlogic.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(60)) == (b"", 0)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 # -- distrib -----------------------------------------------------------------------
 
 @pytest.fixture()

@@ -1,6 +1,8 @@
 import ast
 import gc
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -481,3 +483,112 @@ def test_parse_error_offsets(parser, text, message, offset, expected):
         _PARSERS[parser](text)
     assert str(info.value).partition(" at offset ")[0] == message
     assert (info.value.offset, info.value.expected) == (offset, frozenset(expected))
+
+
+# -- repeated groups, parsed once ----------------------------------------------
+
+def _ladder(depth):
+    return parse_rl(" \\/ ".join(f"a{i}" for i in range(depth + 1)))
+
+
+def test_ladder_round_trip_reuses_repeated_groups():
+    for depth in range(2, 17):
+        bal = rl_to_bal(_ladder(depth))
+        text = format_formula(bal)
+        start = time.process_time()
+        assert parse_bal(text) is bal
+        elapsed = time.process_time() - start
+    # 1,966,195 characters; reading every copy of each group took about 1.1 s
+    assert (len(text), depth) == (1966195, 16)
+    assert elapsed < 0.25
+
+
+_NAMES = [f"variable_name_{i}" for i in range(10)]
+_LONG = " -> ".join(_NAMES)  # 188 characters in parentheses, about three key lengths
+
+
+def _long(*names):
+    f = Var(names[-1])
+    for name in reversed(names[:-1]):
+        f = Imp(Var(name), f)
+    return f
+
+
+_REPEATED = [
+    # equal groups that differ in whitespace or comments
+    (parse_rl, "(a -> b # c\n) -> (a -> b # c\n)", Imp(Imp(A, B), Imp(A, B))),
+    (parse_rl, "(a -> b) -> (a  ->\tb) -> (a -> b # c\n)", Imp(Imp(A, B), Imp(Imp(A, B), Imp(A, B)))),
+    # under ~, followed by ^+, next to (+) and /\, and inside a group
+    (parse_rl, "~(a -> b) -> ~~(a -> b)", Imp(Imp(Imp(A, B), ZERO), Imp(Imp(Imp(A, B), ZERO), ZERO))),
+    (parse_bal, "(a -> b) ^+ -> (a -> b) ^+ ^+", Imp(Pos(Imp(A, B)), Pos(Pos(Imp(A, B))))),
+    (
+        parse_rl,
+        "(a -> b) (+) (a -> b) /\\ (a -> b)",
+        Imp(Imp(Imp(A, B), ZERO), Imp(Join(Imp(Imp(A, B), ZERO), Imp(Imp(A, B), ZERO)), ZERO)),
+    ),
+    (parse_bal, "((a -> b) -> (a -> b))", Imp(Imp(A, B), Imp(A, B))),
+    # schema groups with metavariables
+    (parse_rl_schema, "(PHI -> a) -> (PHI -> a) \\/ PHI", Imp(Imp(MetaVar("PHI"), A), Join(Imp(MetaVar("PHI"), A), MetaVar("PHI")))),
+    # a group shorter than the key, its copies followed by different text
+    (parse_rl, "(a) -> (a) \\/ b -> (a)b", None),
+    (parse_rl, "(a -> b) -> (a -> b) \\/ c", Imp(Imp(A, B), Join(Imp(A, B), C))),
+    # groups longer than the key: a copy, and near misses that share the key
+    (parse_rl, f"({_LONG}) -> ({_LONG})", Imp(_long(*_NAMES), _long(*_NAMES))),
+    (parse_rl, f"(({_LONG})) -> ({_LONG}) ^+", Imp(_long(*_NAMES), Join(_long(*_NAMES), ZERO))),
+    (parse_rl, f"({_LONG}) -> ({_LONG} -> b)", Imp(_long(*_NAMES), _long(*_NAMES, "b"))),
+    (parse_rl, f"({_LONG}) -> ({_LONG[:-1]}x)", Imp(_long(*_NAMES), _long(*_NAMES[:-1], "variable_name_x"))),
+    (
+        parse_rl,
+        f"({_LONG}) -> ({_LONG.replace('_3', '_x')})",
+        Imp(_long(*_NAMES), _long(*(n.replace("_3", "_x") for n in _NAMES))),
+    ),
+]
+
+
+@pytest.mark.parametrize("parser, text, tree", _REPEATED)
+def test_repeated_groups_give_the_constructed_tree(parser, text, tree):
+    if tree is None:  # a copy followed by a token the grammar refuses there
+        with pytest.raises(ParseError) as info:
+            parser(text)
+        assert (info.value.offset, info.value.expected) == (len(text) - 1, frozenset(_END))
+    else:
+        assert parser(text) is tree
+
+
+_GROUP = "(" + format_formula(rl_to_bal(_ladder(5))) + ")"  # 950 characters, with repeats inside
+
+
+@pytest.mark.parametrize("parser", [parse_rl, parse_bal])
+@pytest.mark.parametrize("tail", [")", "$", "x y"])
+def test_error_after_a_skipped_group_is_the_same_error_shifted(parser, tail):
+    errors = []
+    for text in (f"{_GROUP} -> {tail}", f"{_GROUP} -> {_GROUP} -> {tail}"):
+        with pytest.raises(ParseError) as info:
+            parser(text)
+        errors.append((str(info.value).partition(" at offset ")[0], info.value.offset, info.value.expected))
+    once, twice = errors
+    assert twice == (once[0], once[1] + len(_GROUP) + 4, once[2])
+
+
+def test_deep_near_misses_parse_as_written():
+    # each group on the right shares its key with the recorded groups on the
+    # left but differs at its innermost variable
+    def chain(leaf):
+        f = leaf
+        for _ in range(_DEPTH):
+            f = Imp(A, f)
+        return f
+
+    left, right = ("(a -> " * _DEPTH + leaf + ")" * _DEPTH for leaf in "ab")
+    assert format_formula(parse_rl(f"{left} -> {right}")) == format_formula(Imp(chain(A), chain(B)))
+
+
+def test_deep_nesting_memo_memory_stays_small():
+    text = "(" * 20000 + "a" + ")" * 20000
+    tracemalloc.start()
+    try:
+        assert parse_rl(text) is A
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000  # storing each group's text would take 4e8 characters
