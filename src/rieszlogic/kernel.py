@@ -11,9 +11,9 @@ The checks stay literal, but formula nodes are hash-consed, so equal
 formulas are one object and a side condition is a few ``is`` tests on
 the cited nodes: ``mp`` accepts when line j's node is an ``Imp`` whose
 left is line i's node and whose right is this line's.  Each rule has one
-checker, found in a per-system table by the justification's class, so
-a line costs that lookup and the checker's tests.  Axiom and lemma
-instances replay the schema's cached program against the line
+check, a branch of ``check_proof``'s loop chosen by the justification's
+class, so an inference line costs a few ``isinstance`` and ``is`` tests.
+Axiom and lemma instances match the schema against the line
 (``syntax.match_or_conflict``).
 
 Systems:
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Optional, Union, get_args
 
 from .syntax import (
@@ -154,6 +153,9 @@ Justification = Union[Assume, Axiom, Mp, Ri, BalG, BalPi, BalMi, Lemma]
 #: a rule's keyword in proof files is its class name in lower case
 _KEYWORDS: dict[str, type] = {rule.__name__.lower(): rule for rule in get_args(Justification)}
 
+_RL_RULES = (Assume, Axiom, Mp, Ri, Lemma)
+_BAL_RULES = (Assume, Axiom, Mp, BalG, BalPi, BalMi, Lemma)
+
 
 @dataclass(frozen=True)
 class ProofLine:
@@ -227,32 +229,25 @@ class TheoremLibrary:
     Assumption-free entries are theorems; entries with assumptions are
     derived rules.  Entries can only cite previously registered names,
     so lemma references are acyclic by construction.
-
-    A library is an immutable snapshot.  Libraries made by successive
-    admissions share one append-only index, name -> (position, proof), and
-    each sees the positions below its length, so an admission costs O(1).
-    Admitting to a library that is not the newest on its index copies it.
     """
 
     def __init__(self, entries: Optional[dict[str, Proof]] = None):
-        self._index = {name: (k, proof) for k, (name, proof) in enumerate(entries.items())} if entries else {}
-        self._size = len(self._index)
+        self._entries: dict[str, Proof] = dict(entries) if entries else {}
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return name in self._entries
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._entries)
 
     def get(self, name: str) -> Optional[Proof]:
-        entry = self._index.get(name)
-        return entry[1] if entry is not None and entry[0] < self._size else None
+        return self._entries.get(name)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(islice(self._index, self._size))
+        return tuple(self._entries)
 
     def register(self, proof: Proof) -> "TheoremLibrary":
-        existing = self.get(proof.name)
+        existing = self._entries.get(proof.name)
         if existing is not None:
             if existing == proof:
                 return self
@@ -270,14 +265,9 @@ class TheoremLibrary:
         already registered.
         """
         report = check_proof(proof, self)
-        if not report.accepted or proof.name in self:
+        if not report.accepted or proof.name in self._entries:
             return report, self
-        library = TheoremLibrary()
-        newest = self._size == len(self._index)
-        library._index = self._index if newest else dict(islice(self._index.items(), self._size))
-        library._index[proof.name] = (self._size, proof)
-        library._size = self._size + 1
-        return report, library
+        return report, TheoremLibrary({**self._entries, proof.name: proof})
 
 
 def register_theorem(library: TheoremLibrary, proof: Proof) -> TheoremLibrary:
@@ -311,123 +301,17 @@ def _cite(checked: dict[int, Formula], index: int, idx: int) -> Formula:
         ) from None
 
 
-# One checker per rule: (justification, formula, line index, checked, proof,
-# library) -> None, raising _Rejected at the first failing condition.
-# ``checked`` maps the indices of accepted earlier lines to their formulas.
-
-def _assume(just: Assume, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    if not 1 <= just.index <= len(proof.assumptions):
-        raise _Rejected(f"no assumption {just.index}")
-    if formula != proof.assumptions[just.index - 1]:
-        raise _Rejected(f"formula differs from assumption {just.index}")
-
-
-def _axiom(just: Axiom, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    schema = AXIOM_TABLES[proof.system].get(just.name)
-    if schema is None:
-        raise _Rejected(f"unknown axiom {just.name!r} in {proof.system}")
-    _match(schema, formula, None, "not an instance of {}", just.name)
-
-
-def _mp(just: Mp, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    minor, major = _cite(checked, index, just.minor), _cite(checked, index, just.major)
-    if not (type(major) is Imp and major.left is minor and major.right is formula):
-        raise _Rejected(
-            f"line {just.major} is not (line {just.minor}) -> (this formula): "
-            f"expected {format_formula(Imp(minor, formula))}"
-        )
-
-
-def _ri(just: Ri, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    premise = _cite(checked, index, just.premise)
-    if not isinstance(premise, Imp):
-        raise _Rejected(f"line {just.premise} is not an implication")
-    if not (isinstance(formula, Imp) and isinstance(formula.left, Join) and isinstance(formula.right, Join)):
-        raise _Rejected("formula does not have shape a \\/ c -> b \\/ c")
-    if formula.left.right != formula.right.right:
-        raise _Rejected("join tails differ")
-    if formula.left.left != premise.left or formula.right.left != premise.right:
-        raise _Rejected(f"heads do not come from line {just.premise}")
-
-
-def _balg(just: BalG, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    left, right = _cite(checked, index, just.left), _cite(checked, index, just.right)
-    if not (type(formula) is Imp and formula.left is left and formula.right is right):
-        raise _Rejected(f"formula is not (line {just.left}) -> (line {just.right})")
-
-
-def _balpi(just: BalPi, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    premise = _cite(checked, index, just.premise)
-    if not (type(formula) is Pos and formula.inner is premise):
-        raise _Rejected(f"formula is not (line {just.premise}) ^+")
-
-
-def _balmi(just: BalMi, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    premise = _cite(checked, index, just.premise)
-    if not (isinstance(premise, Pos) and isinstance(premise.inner, Imp)):
-        raise _Rejected(f"line {just.premise} does not have shape (a -> b) ^+")
-    a, b = premise.inner.left, premise.inner.right
-    inner = formula.inner if type(formula) is Pos else None
-    if not (
-        type(inner) is Imp
-        and type(inner.left) is Pos
-        and inner.left.inner is a
-        and type(inner.right) is Pos
-        and inner.right.inner is b
-    ):
-        raise _Rejected(f"formula is not (a ^+ -> b ^+) ^+ for line {just.premise}")
-
-
-def _lemma(just: Lemma, formula: Formula, index: int, checked, proof: Proof, library) -> None:
-    entry = library.get(just.name) if library is not None else None
-    if entry is None:
-        raise _Rejected(f"unknown lemma {just.name!r}")
-    if entry.system != proof.system:
-        raise _Rejected(f"lemma {just.name!r} belongs to {entry.system}")
-    if len(just.premises) != len(entry.assumptions):
-        raise _Rejected(
-            f"lemma {just.name!r} needs {len(entry.assumptions)} premises, "
-            f"{len(just.premises)} cited"
-        )
-    subst: Substitution = {}
-    for k, (pattern, idx) in enumerate(zip(entry.assumptions, just.premises), start=1):
-        premise = _cite(checked, index, idx)
-        subst = _match(pattern, premise, subst, "premise {} does not match assumption of {!r}", k, just.name)
-    _match(entry.conclusion_formula, formula, subst, "formula does not match conclusion of {!r}", just.name)
-
-
-#: per system, the checker of each rule class it allows
-_CHECKERS: dict[str, dict[type, Callable]] = {
-    "RL": {Assume: _assume, Axiom: _axiom, Mp: _mp, Ri: _ri, Lemma: _lemma},
-    "BAL": {Assume: _assume, Axiom: _axiom, Mp: _mp, BalG: _balg, BalPi: _balpi, BalMi: _balmi, Lemma: _lemma},
-}
-
-
-def _checker(system: str, kind: type) -> Callable:
-    """The checker of a justification class that is not a key of system's
-    table: that of the first rule class it derives from, or one that rejects."""
-    checkers = _CHECKERS[system]
-    for rule in get_args(Justification):
-        if rule in checkers and issubclass(kind, rule):
-            return checkers[rule]
-    message = f"rule {kind.__name__.lower()} is not part of {system}"
-
-    def reject(*_) -> None:
-        raise _Rejected(message)
-
-    return reject
-
-
 def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> CheckReport:
     """Replay a proof script; the report carries per-line statuses.
 
-    Each line runs its rule's checker, found by the class of its
-    justification, and is accepted unless the checker raises
-    ``_Rejected``, whose message the line's status carries.
+    ``checked`` maps the indices of accepted earlier lines to their
+    formulas.  Each rule's check raises ``_Rejected`` at its first
+    failing condition, citations included; the one handler turns it
+    into the line's message.
     """
-    checkers = _CHECKERS.get(proof.system)
-    if checkers is None:
+    if proof.system not in AXIOM_TABLES:
         return CheckReport(proof.name, (LineStatus(0, False, f"unknown system {proof.system!r}"),), False)
+    allowed = _RL_RULES if proof.system == "RL" else _BAL_RULES
     statuses: list[LineStatus] = []
     checked: dict[int, Formula] = {}
     previous = 0
@@ -437,9 +321,82 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
             statuses.append(LineStatus(index, False, "line indices must be strictly increasing"))
             break
         previous = index
-        check = checkers.get(type(just)) or _checker(proof.system, type(just))
         try:
-            check(just, formula, index, checked, proof, library)
+            if not isinstance(just, allowed):
+                raise _Rejected(f"rule {type(just).__name__.lower()} is not part of {proof.system}")
+
+            if isinstance(just, Assume):
+                if not 1 <= just.index <= len(proof.assumptions):
+                    raise _Rejected(f"no assumption {just.index}")
+                if formula != proof.assumptions[just.index - 1]:
+                    raise _Rejected(f"formula differs from assumption {just.index}")
+
+            elif isinstance(just, Axiom):
+                schema = AXIOM_TABLES[proof.system].get(just.name)
+                if schema is None:
+                    raise _Rejected(f"unknown axiom {just.name!r} in {proof.system}")
+                _match(schema, formula, None, "not an instance of {}", just.name)
+
+            elif isinstance(just, Mp):
+                minor, major = _cite(checked, index, just.minor), _cite(checked, index, just.major)
+                if not (type(major) is Imp and major.left is minor and major.right is formula):
+                    raise _Rejected(
+                        f"line {just.major} is not (line {just.minor}) -> (this formula): "
+                        f"expected {format_formula(Imp(minor, formula))}"
+                    )
+
+            elif isinstance(just, Ri):
+                premise = _cite(checked, index, just.premise)
+                if not isinstance(premise, Imp):
+                    raise _Rejected(f"line {just.premise} is not an implication")
+                if not (isinstance(formula, Imp) and isinstance(formula.left, Join) and isinstance(formula.right, Join)):
+                    raise _Rejected("formula does not have shape a \\/ c -> b \\/ c")
+                if formula.left.right != formula.right.right:
+                    raise _Rejected("join tails differ")
+                if formula.left.left != premise.left or formula.right.left != premise.right:
+                    raise _Rejected(f"heads do not come from line {just.premise}")
+
+            elif isinstance(just, BalG):
+                left, right = _cite(checked, index, just.left), _cite(checked, index, just.right)
+                if not (type(formula) is Imp and formula.left is left and formula.right is right):
+                    raise _Rejected(f"formula is not (line {just.left}) -> (line {just.right})")
+
+            elif isinstance(just, BalPi):
+                premise = _cite(checked, index, just.premise)
+                if not (type(formula) is Pos and formula.inner is premise):
+                    raise _Rejected(f"formula is not (line {just.premise}) ^+")
+
+            elif isinstance(just, BalMi):
+                premise = _cite(checked, index, just.premise)
+                if not (isinstance(premise, Pos) and isinstance(premise.inner, Imp)):
+                    raise _Rejected(f"line {just.premise} does not have shape (a -> b) ^+")
+                a, b = premise.inner.left, premise.inner.right
+                inner = formula.inner if type(formula) is Pos else None
+                if not (
+                    type(inner) is Imp
+                    and type(inner.left) is Pos
+                    and inner.left.inner is a
+                    and type(inner.right) is Pos
+                    and inner.right.inner is b
+                ):
+                    raise _Rejected(f"formula is not (a ^+ -> b ^+) ^+ for line {just.premise}")
+
+            else:  # Lemma, the last rule both systems allow
+                entry = library.get(just.name) if library is not None else None
+                if entry is None:
+                    raise _Rejected(f"unknown lemma {just.name!r}")
+                if entry.system != proof.system:
+                    raise _Rejected(f"lemma {just.name!r} belongs to {entry.system}")
+                if len(just.premises) != len(entry.assumptions):
+                    raise _Rejected(
+                        f"lemma {just.name!r} needs {len(entry.assumptions)} premises, "
+                        f"{len(just.premises)} cited"
+                    )
+                subst: Substitution = {}
+                for k, (pattern, idx) in enumerate(zip(entry.assumptions, just.premises), start=1):
+                    premise = _cite(checked, index, idx)
+                    subst = _match(pattern, premise, subst, "premise {} does not match assumption of {!r}", k, just.name)
+                _match(entry.conclusion_formula, formula, subst, "formula does not match conclusion of {!r}", just.name)
         except _Rejected as exc:
             statuses.append(LineStatus(index, False, str(exc)))
         else:

@@ -482,86 +482,6 @@ def match_or_conflict(
     """The match_schema bindings, else the name of the first metavariable
     (left to right) bound inconsistently, else None for a shape mismatch.
 
-    A match is one replay of the schema's cached program (``_replay``).
-    Only when that fails does the walker (``_walk``) run, to tell a
-    conflict from a shape mismatch for the message.
-    """
-    out = _replay(schema, target, bindings)
-    return out if out is not None else _walk(schema, target, bindings)
-
-
-def _replay(schema: Formula, target: Formula, bindings: Optional[Substitution]) -> Optional[Substitution]:
-    """The match_schema bindings, or None.
-
-    The schema's program is replayed from the root down (``_top_down``):
-    each distinct schema step gets one target node, its type and variable
-    name are checked, and a step reached again (a shared subterm, or a
-    repeated metavariable) must get the same node, an ``is`` test on
-    hash-consed nodes.  The metavariables are then bound in program order,
-    which is their left-to-right order, as the walker binds them.
-    """
-    steps = _top_down(schema)
-    nodes: list = [None] * len(steps)
-    nodes[0] = target
-    metas = []
-    # every parent of a step comes before it, so the step has its node by now
-    for (op, i, j), t in zip(steps, nodes):
-        if op is Imp or op is Join:
-            if type(t) is not op:
-                return None
-            left = nodes[i]
-            if left is None:
-                nodes[i] = t.left
-            elif left is not t.left:
-                return None
-            right = nodes[j]  # read after the left child's, which may be the same step
-            if right is None:
-                nodes[j] = t.right
-            elif right is not t.right:
-                return None
-        elif op is MetaVar:
-            metas.append((i, t))
-        elif type(t) is not op:
-            return None
-        elif op is Pos:
-            inner = nodes[i]
-            if inner is None:
-                nodes[i] = t.inner
-            elif inner is not t.inner:
-                return None
-        elif op is Var:
-            if t.name != i:
-                return None
-        elif op is not Zero:  # a leaf outside the algebra: the walker compares it
-            return None
-    metas.reverse()
-    if not bindings:
-        return dict(metas)
-    out = dict(bindings)
-    for name, t in metas:
-        bound = out.get(name)
-        if bound is None:
-            out[name] = t
-        elif bound is not t:
-            return None
-    return out
-
-
-@memo
-def _top_down(f: Formula) -> tuple[tuple, ...]:
-    """f's ``postorder`` program reversed, root first, with the child
-    indices renumbered to match."""
-    steps = _program(f)
-    last = len(steps) - 1
-    return tuple(
-        (op, last - i, last - j) if op is Imp or op is Join else (op, last - i, None) if op is Pos else (op, i, j)
-        for op, i, j in reversed(steps)
-    )
-
-
-def _walk(schema: Formula, target: Formula, bindings: Optional[Substitution]) -> Union[Substitution, str, None]:
-    """match_or_conflict by a left-to-right walk of schema and target.
-
     Shape-mismatched pairs are skipped, so a conflict behind one is found.
     """
     out = dict(bindings) if bindings else {}
