@@ -12,18 +12,18 @@ first by substituting ``y := l`` or ``y := r``, and its column is free
 until then.  Joins directly under a join are flattened into one n-ary
 maximum, with one row per side if positive and one branch per side if
 negative.  Each node's system goes to ``_farkas``, an exact integer
-simplex.  An infeasible node is closed by weights that ``check_farkas``
-confirms before they are kept.  A feasible node's point is evaluated
-exactly: where f is negative, it is the countermodel; otherwise some
-free negative join's column lies above the maximum of its sides there
-(were there none, f would be at most its form, so ``<= -1``), and the
-search branches on the lowest such join.  At a countermodel, the side
-attaining each negative join's maximum gives a feasible branch, so the
-closed branches prove validity.  ``--budget`` bounds the search before
-any LP, as the product of the negative joins' side counts (``2^k`` for
-``k`` binary ones) times the rows (one for the root, or one per side of
-a root join; one per side of a positive join; one per negative join),
-and the pivots of each LP.
+simplex with a scale per row, so pivots skip untouched rows.  An
+infeasible node is closed by weights that ``check_farkas`` confirms before
+they are kept.  A feasible node's point is evaluated exactly: where f is
+negative, it is the countermodel; otherwise some free negative join's
+column lies above the maximum of its sides there (were there none, f would
+be at most its form, so ``<= -1``), and the search branches on the lowest
+such join.  At a countermodel, the side attaining each negative join's
+maximum gives a feasible branch, so the closed branches prove validity.
+``--budget`` bounds the search before any LP, as the product of the
+negative joins' side counts (``2^k`` for ``k`` binary ones) times the rows
+(one for the root, or one per side of a root join; one per side of a
+positive join; one per negative join), and the pivots of each LP.
 
 ``linearize`` replays the same ``postorder`` program to rewrite a
 formula into an equivalent *meet of joins* of integer linear terms,
@@ -217,29 +217,28 @@ def _farkas(
 ) -> tuple[Optional[list[int]], Optional[list[int]]]:
     """Solve ``A x <= b`` over the rationals, or prove it has no solution.
 
-    Runs phase I of the simplex on the Farkas side ``A^T l = 0, -b^T l =
-    1, l >= 0``, whose tableau has one row per variable plus one.  When
-    phase I reaches 0 it returns ``(weights, None)``, integers
-    proportional to such an ``l``.  Otherwise it returns ``(None, y)``,
-    the integer phase-I dual: ``y_i`` is 1 minus the reduced cost of
-    artificial ``i``, and ``x_v = y_v / y_last`` has ``A x <= b``.  The
-    tableau stays integral by fraction-free pivoting: its true entries
-    are ``table / d``, and every pivot is positive, so ``d`` is too.
-    Bland's rule keeps it from cycling; past ``budget`` pivots it raises.
+    Runs phase I of the simplex on the Farkas side ``A^T l = 0, -b^T l = 1,
+    l >= 0``, whose tableau has one row per variable plus one.  When phase
+    I reaches 0 it returns ``(weights, None)``, coprime integers
+    proportional to such an ``l``.  Otherwise it returns ``(None, y)``, the
+    phase-I dual over its gcd: ``y_last > 0``, and ``x_v = y_v / y_last``
+    has ``A x <= b``.  Each row is integral over a positive scale of its
+    own, its entry in its basic column.  A pivot rewrites only the rows
+    with an ``f != 0`` in its column, to ``row * p - f * pivot_row`` over
+    its gcd.  Bland's rule and the ratio test compare within a row, so the
+    scales do not change the pivots; past ``budget`` pivots it raises.
     """
     m, n = len(rows), len(rows[0])
-    width = m + n + 1  # weight columns, then one artificial per row
-    table = [list(col) + [0] * v + [1] + [0] * (n - v) + [0] for v, col in enumerate(zip(*rows))]
-    table.append([-b for b in rhs] + [0] * n + [1, 1])
+    # columns: one weight per row, one artificial per tableau row, the cost row's scale, b
+    table = [[*col, *[0] * v, 1, *[0] * (n - v), 0, 0] for v, col in enumerate(zip(*rows))]
+    table.append([*(-b for b in rhs), *[0] * n, 1, 0, 1])
     # phase-I reduced costs and objective: minimize the sum of the artificials
-    table.append([-sum(col) for col in zip(*table)][:m] + [0] * (n + 1) + [-1])
-    basis = list(range(m, width))
-    d, pivots = 1, 0
-    while table[-1][-1]:
-        cost = table[-1]
+    table.append(cost := [*(b - sum(row) for row, b in zip(rows, rhs)), *[0] * (n + 1), 1, -1])
+    basis, pivots = list(range(m, m + n + 1)), 0
+    while cost[-1]:
         c = next((j for j in range(m) if cost[j] < 0), None)
         if c is None:
-            return None, [d - cost[j] for j in range(m, width)]
+            return None, _primitive([cost[-2] - a for a in cost[m:-2]])
         r = -1  # the tightest row, ties to the lowest basic column
         for i in range(n + 1):
             a = table[i][c]
@@ -250,12 +249,16 @@ def _farkas(
             raise BudgetExceededError("simplex", pivots, budget)
         pivot_row, p = table[r], table[r][c]
         for i, row in enumerate(table):
-            if i != r:
-                f = row[c]
-                table[i] = [(a * p - f * b) // d for a, b in zip(row, pivot_row)]
-        d, basis[r] = p, c
-    value = {j: table[i][-1] for i, j in enumerate(basis)}
-    return [value.get(j, 0) for j in range(m)], None
+            if (f := row[c]) and i != r:
+                table[i] = _primitive([a * p - f * b for a, b in zip(row, pivot_row)])
+        basis[r], cost = c, table[-1]
+    scale = math.lcm(*(table[i][j] for i, j in enumerate(basis)))
+    value = {j: table[i][-1] * scale // table[i][j] for i, j in enumerate(basis)}
+    return _primitive([value.get(j, 0) for j in range(m)]), None
+
+
+def _primitive(v: list[int]) -> list[int]:
+    return v if (g := math.gcd(*v)) == 1 else [a // g for a in v]
 
 
 def _clause_rows(terms: Iterable[LinearTerm]) -> tuple[list[str], list[list[int]]]:
@@ -281,8 +284,7 @@ def clause_certificate(
     weights, y = _farkas(rows, [-1] * len(terms), budget)
     if y is not None:
         return None, {name: Fraction(yv, y[-1]) for name, yv in zip(names, y)}
-    g = math.gcd(*weights)
-    return {t: w // g for t, w in zip(terms, weights) if w}, None
+    return {t: w for t, w in zip(terms, weights) if w}, None
 
 
 def clause_valid(clause: Clause, budget: int = DEFAULT_BUDGET) -> Union[bool, dict[str, Fraction]]:
@@ -299,15 +301,15 @@ def check_farkas(rows: Sequence[Sequence[int]], rhs: Sequence[int], weights: Seq
     """True when ``weights`` prove that ``rows · x <= rhs`` has no
     rational solution.
 
-    No solver: one int ``>= 0`` per row, not all zero, with ``λᵀA = 0``
-    and ``λᵀb < 0``.  Summing the rows with these weights would give
-    ``0 <= λᵀb``, which no point satisfies.
+    No solver: rows of one length, ints throughout, one ``b`` and one
+    weight ``>= 0`` per row, not all zero, ``λᵀA = 0`` and ``λᵀb < 0``.
+    Summed with these weights, the rows give ``0 <= λᵀb``: no point fits.
     """
-    if len(weights) != len(rows) or not all(type(w) is int and w >= 0 for w in weights) or not any(weights):
+    if not len(weights) == len(rhs) == len(rows) or len(set(map(len, rows))) > 1 or not any(weights):
         return False
-    if any(sum(map(mul, weights, col)) for col in zip(*rows)):
+    if not all(type(a) is int for a in itertools.chain(weights, rhs, *rows)) or min(weights) < 0:
         return False
-    return sum(map(mul, weights, rhs)) < 0
+    return not any(sum(map(mul, weights, col)) for col in zip(*rows)) and sum(map(mul, weights, rhs)) < 0
 
 
 def check_certificate(clause: Clause, weights: Mapping[LinearTerm, int]) -> bool:
@@ -467,12 +469,10 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         if y is None:
             if not check_farkas(rows, rhs, weights):
                 raise SelfCheckError(f"self-check failed: weights {weights} do not refute branch {fixed}")
-            g = math.gcd(*weights)
-            closed.append(Refutation(tuple(map(tuple, rows)), tuple(rhs), tuple(w // g for w in weights)))
+            closed.append(Refutation(tuple(map(tuple, rows)), tuple(rhs), tuple(weights)))
             continue
         # homogeneous but for b, so y_v / y_last's least integer multiple is feasible
-        g = (math.gcd(*y) or 1) * (-1 if y[-1] < 0 else 1)  # all-zero y, which no solver returns: the origin
-        x = {c: yv // g for c, yv in zip(columns, y)}
+        x = dict(zip(columns, y))
         _, factor, run = compile_scalar(f, "RL")
         w, h = _layout(1, factor * max(map(abs, x.values()), default=0))  # one lane: v is held as v + h
         values = run({name: x.get(column[name], 0) + h for name in names}, w, h, {joins[c][0] for c in negative})

@@ -273,6 +273,32 @@ def test_check_certificate_rejects_bad_weights():
     assert not check_certificate(clause, {LinearTerm.of({"x": 2}): 1, minus_x: 2})
 
 
+#: the LPs that took the most pivots, 12 and 9, among those decide_valid
+#: solves on the decide-tail family (the first 300 that Random(32) draws
+#: over a-f, the ten tail formulas left out) and on the acceptance-3
+#: formulas (Random(2024)); each with its pivots, the least budget that
+#: does not raise, and its result
+LONGEST_LPS = [
+    (
+        [[0, 0, 1, -1, -1, 1, 0, 0, 0, 0], [0, 1, -1, 0, 1, 0, 0, 0, 0, 0], [0, -1, 1, 0, 1, 0, -1, 0, 0, 0],
+         [0, 0, -1, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 1, 0, 0, 0, 0, -1], [0, 0, 0, 0, -1, 0, 0, 1, -1, 0],
+         [0, -1, 1, 0, 0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0, 0, -1, 0, 0], [0, 0, 1, 0, 0, 0, 0, -1, 0, 0],
+         [0, 1, 0, 0, 0, -1, 0, 0, 0, 0], [1, 0, 0, 0, 0, -1, 0, 0, 0, 0]],
+        [-1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0],
+        12,
+        (None, [2, 2, 7, 8, 3, 2, 10, 8, 5, 10, 2]),
+    ),
+    (
+        [[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, -1, 0, 0, 1, 0], [0, 0, 0, 1, 0, 0], [0, 0, -1, 0, 0, 1],
+         [1, 0, 0, 0, 0, -1], [0, 0, 0, 1, 0, -1], [0, 1, -1, 0, 0, -1], [0, 0, 0, 0, 0, -1], [0, 0, 1, 0, -1, 0],
+         [0, 0, 0, 1, -1, 0]],
+        [-1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0],
+        9,
+        ([0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0], None),
+    ),
+]
+
+
 def test_simplex_budget_bounds_pivots():
     # x \/ -x takes two pivots
     clause = frozenset({LinearTerm.var("x"), LinearTerm.of({"x": -1})})
@@ -280,6 +306,11 @@ def test_simplex_budget_bounds_pivots():
         clause_valid(clause, budget=1)
     assert (caught.value.stage, caught.value.size, caught.value.budget) == ("simplex", 2, 1)
     assert clause_valid(clause, budget=2) is True
+    for rows, rhs, pivots, result in LONGEST_LPS:
+        with pytest.raises(BudgetExceededError) as caught:
+            decide._farkas(rows, rhs, pivots - 1)
+        assert (caught.value.stage, caught.value.size, caught.value.budget) == ("simplex", pivots, pivots - 1)
+        assert decide._farkas(rows, rhs, pivots) == result
 
 
 def test_formula_248_settles_every_clause():
@@ -356,8 +387,15 @@ def test_check_farkas_rejects_bad_weights():
     assert not check_farkas(rows, rhs, (-1, -1, -1))  # signs flipped: the sum is 0 <= 1
     assert not check_farkas(rows, rhs, (0, 0, 0))
     assert not check_farkas(rows, rhs, (1.0, 1, 1))  # not ints
+    assert not check_farkas(rows, rhs, (None, 1, 1))
     assert not check_farkas(((0,),), (0,), (1,))  # 0 <= 0 is no contradiction
     assert check_farkas(((),), (-1,), (1,))  # 0 <= -1 with no columns
+    # systems that are not well formed: x1 <= -1 dropped by a short row,
+    # a missing b, and floats whose sums cancel by rounding (x = -1 is a
+    # solution)
+    assert not check_farkas(((0, 1), (0,)), (-1, 0), (1, 0))
+    assert not check_farkas(((1,), (-1,)), (-1,), (1, 1))
+    assert not check_farkas(((1e20,), (1.0,), (-1e20,)), (-(10**20), -1, 10**20), (1, 1, 1))
 
 
 @pytest.mark.parametrize("text", ["0", "0 -> 0", "a -> a", "a \\/ (a -> 0)"])
@@ -476,6 +514,25 @@ def test_countermodel_independent_of_hash_seed():
     }
     assert len(outputs) == 1
     assert outputs.pop().startswith("[('a', (Fraction(")
+
+
+def _digest(verdicts) -> str:
+    return hashlib.sha256("".join(repr(v) + "\n" for v in verdicts).encode()).hexdigest()
+
+
+def test_verdicts_reproduce_pinned_digests():
+    # the repr of every verdict: countermodels, and the rows, rhs and
+    # weights of each closed branch in search order, alike under
+    # PYTHONHASHSEED 0 and 7.  random_rl_formula has four variable names,
+    # so the 32-connective formulas draw over a-d.
+    acceptance, tail = random.Random(2024), random.Random(32)
+    formulas = [random_rl_formula(acceptance, 12, 4) for _ in range(1000)]
+    formulas += [random_rl_formula(tail, 32, 6) for _ in range(300)]
+    assert _digest(map(decide_valid, formulas)) == "4b7f434561ce3b520a896d9fd94d78165ef6b8f6d9064a02562199ca242bbea3"
+    bal = random.Random(7)
+    verdicts = (decide_bal_valid(random_bal_formula(bal)) for _ in range(300))
+    assert _digest(verdicts) == "b6d97fa6a6c06cff2e8ad6b984e5f4e1df32325bc59d8a14730525d7759ed1e2"
+
 
 def test_decide_axiom_valid():
     assert isinstance(decide_valid(parse_rl("a -> a \\/ b")), Valid)
