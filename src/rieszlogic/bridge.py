@@ -22,10 +22,9 @@ encodes them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import Formula, Imp, Pos, Var, Zero, fold, format_formula, is_bal, pos_to_join, variables
+from .syntax import Formula, Imp, Pos, Record, Var, Zero, fold, format_formula, is_bal, pos_to_join, variables
 # holds_rl and holds_bal stay attributes here, where callers have found them
 from .semantics import Valuation, _sampler, compile_scalar, holds_bal, holds_rl
 
@@ -37,16 +36,15 @@ class ReservedVariableError(Exception):
     """The input formula uses the variable reserved for the translation."""
 
 
-@dataclass(frozen=True)
-class RlPair:
+class RlPair(Record):
     """The two RL statements equivalent to one BAL statement."""
 
-    first: Formula
-    second: Formula  # always first -> 0
+    __slots__ = ("first", "second")  # formulas; second is always first -> 0
 
-    def __post_init__(self):
-        if self.second != Imp(self.first, Zero()):
+    def __init__(self, first: Formula, second: Formula):
+        if second != Imp(first, Zero()):
             raise ValueError("second component must be first -> 0")
+        super().__init__(first, second)
 
 
 def rl_to_bal(f: Formula) -> Formula:
@@ -80,10 +78,8 @@ def bal_to_rl(f: Formula) -> RlPair:
     return RlPair(first, Imp(first, Zero()))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    trials: int
-    discrepancy: Optional[tuple[int, Valuation]]  # lowest failing trial, if any
+class EquivalenceReport(Record):
+    __slots__ = ("trials", "discrepancy")  # int; the lowest failing (trial, Valuation), if any
 
     @property
     def agreed(self) -> bool:

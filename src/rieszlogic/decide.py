@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .syntax import Formula, Imp, Join, Pos, Var, Zero, format_formula, pos_to_join, postorder
+from .syntax import Formula, Imp, Join, Pos, Record, Var, Zero, format_formula, pos_to_join, postorder
 from .semantics import Valuation, Vector, _layout, compile_scalar
 
 DEFAULT_BUDGET = 100_000
@@ -65,11 +64,10 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class LinearTerm:
+class LinearTerm(Record):
     """Homogeneous integer linear combination of variables."""
 
-    coeffs: tuple[tuple[str, int], ...]  # sorted by name, zero coefficients dropped
+    __slots__ = ("coeffs",)  # ((name, int), ...) sorted by name, zero coefficients dropped
 
     @staticmethod
     def of(mapping: Mapping[str, int]) -> "LinearTerm":
@@ -115,15 +113,14 @@ class LinearTerm:
 Clause = frozenset[LinearTerm]
 
 
-@dataclass(frozen=True)
-class MeetJoinNormalForm:
+class MeetJoinNormalForm(Record):
     """Meet of clauses; each clause is a join of linear terms.
 
     Clause order is the deterministic construction order, so reports can
     refer to the lowest-indexed failing clause.
     """
 
-    clauses: tuple[Clause, ...]
+    __slots__ = ("clauses",)  # tuple[Clause, ...]
 
     def eval(self, point: Mapping[str, Fraction]) -> Fraction:
         return min(max(t.eval(point) for t in clause) for clause in self.clauses)
@@ -328,27 +325,23 @@ def check_certificate(clause: Clause, weights: Mapping[LinearTerm, int]) -> bool
 # ---------------------------------------------------------------------------
 # verdicts
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Record):
     """Integer weights proving that ``rows · x <= rhs`` has no rational
     solution; ``check_farkas`` confirms them."""
 
-    rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-    weights: tuple[int, ...]
+    __slots__ = ("rows", "rhs", "weights")  # a tuple of int tuples; rhs and weights one int per row
 
 
-@dataclass(frozen=True)
-class Valid:
+class Valid(Record):
     """The formula is valid; ``branches`` holds one refutation per closed
     branch of the search."""
 
-    branches: tuple[Refutation, ...] = ()
+    __slots__ = ("branches",)  # tuple[Refutation, ...]
+    _defaults = ((),)
 
 
-@dataclass(frozen=True)
-class CounterExample:
-    valuation: Valuation
+class CounterExample(Record):
+    __slots__ = ("valuation",)
 
 
 Verdict = Union[Valid, CounterExample]

@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+from .syntax import Record
 
 Vector = tuple[Fraction, ...]
 
@@ -35,11 +36,8 @@ class UnknownTermError(KeyError):
         return f"unknown term {self.args[0]!r}"
 
 
-@dataclass(frozen=True)
-class TermDocumentMatrix:
-    terms: tuple[str, ...]
-    contexts: tuple[str, ...]
-    counts: tuple[Vector, ...]  # one row per term
+class TermDocumentMatrix(Record):
+    __slots__ = ("terms", "contexts", "counts")  # tuple[str, ...] twice, then one Vector per term
 
     def row(self, term: str) -> Vector:
         try:

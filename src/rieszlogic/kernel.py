@@ -14,7 +14,8 @@ left is line i's node and whose right is this line's.  Each rule has one
 check, a branch of ``check_proof``'s loop chosen by the justification's
 class, so an inference line costs a few ``isinstance`` and ``is`` tests.
 Axiom and lemma instances match the schema against the line
-(``syntax.match_or_conflict``).
+(``syntax.match_or_conflict``).  Proofs and reports are immutable
+records, and replay builds no object per accepted line (``check_proof``).
 
 Systems:
 
@@ -53,8 +54,6 @@ increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, Optional, Union, get_args
 
 from .syntax import (
@@ -62,6 +61,7 @@ from .syntax import (
     Imp,
     Join,
     Pos,
+    Record,
     Substitution,
     format_formula,
     match_or_conflict,
@@ -105,47 +105,37 @@ AXIOM_TABLES: dict[str, dict[str, Formula]] = {"RL": RL_AXIOMS, "BAL": BAL_AXIOM
 # ---------------------------------------------------------------------------
 # proofs
 
-@dataclass(frozen=True)
-class Assume:
-    index: int
+class Assume(Record):
+    __slots__ = ("index",)
 
 
-@dataclass(frozen=True)
-class Axiom:
-    name: str
+class Axiom(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Mp:
-    minor: int
-    major: int
+class Mp(Record):
+    __slots__ = ("minor", "major")
 
 
-@dataclass(frozen=True)
-class Ri:
-    premise: int
+class Ri(Record):
+    __slots__ = ("premise",)
 
 
-@dataclass(frozen=True)
-class BalG:
-    left: int
-    right: int
+class BalG(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class BalPi:
-    premise: int
+class BalPi(Record):
+    __slots__ = ("premise",)
 
 
-@dataclass(frozen=True)
-class BalMi:
-    premise: int
+class BalMi(Record):
+    __slots__ = ("premise",)
 
 
-@dataclass(frozen=True)
-class Lemma:
-    name: str
-    premises: tuple[int, ...] = ()
+class Lemma(Record):
+    __slots__ = ("name", "premises")
+    _defaults = ((),)
 
 
 Justification = Union[Assume, Axiom, Mp, Ri, BalG, BalPi, BalMi, Lemma]
@@ -157,48 +147,34 @@ _RL_RULES = (Assume, Axiom, Mp, Ri, Lemma)
 _BAL_RULES = (Assume, Axiom, Mp, BalG, BalPi, BalMi, Lemma)
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    index: int
-    formula: Formula
-    justification: Justification
+class ProofLine(Record):
+    __slots__ = ("index", "formula", "justification")  # int, Formula, Justification
 
 
-@dataclass(frozen=True)
-class Proof:
-    system: str
-    name: str
-    assumptions: tuple[Formula, ...]
-    lines: tuple[ProofLine, ...]
-    conclusion: int
+class Proof(Record):
+    # str, str, tuple[Formula, ...], tuple[ProofLine, ...], int; _by_index: see line()
+    __slots__ = ("system", "name", "assumptions", "lines", "conclusion", "_by_index")
 
     def line(self, index: int) -> ProofLine:
-        return self._by_index[index]
-
-    @cached_property
-    def _by_index(self) -> dict[int, ProofLine]:
-        by_index: dict[int, ProofLine] = {}
-        for ln in self.lines:
-            by_index.setdefault(ln.index, ln)  # the first line with an index, as a scan finds it
-        return by_index
+        try:
+            by_index = self._by_index
+        except AttributeError:
+            by_index = {ln.index: ln for ln in reversed(self.lines)}  # the first line with an index wins
+            object.__setattr__(self, "_by_index", by_index)
+        return by_index[index]
 
     @property
     def conclusion_formula(self) -> Formula:
         return self.line(self.conclusion).formula
 
 
-@dataclass(frozen=True)
-class LineStatus:
-    index: int
-    ok: bool
-    message: str = ""
+class LineStatus(Record):
+    __slots__ = ("index", "ok", "message")  # int, bool, str
+    _defaults = ("",)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    proof_name: str
-    statuses: tuple[LineStatus, ...]
-    accepted: bool
+class CheckReport(Record):
+    __slots__ = ("proof_name", "statuses", "accepted")  # str, tuple[LineStatus, ...], bool
 
     @property
     def first_error(self) -> Optional[LineStatus]:
@@ -301,13 +277,18 @@ def _cite(checked: dict[int, Formula], index: int, idx: int) -> Formula:
         ) from None
 
 
+#: the shared ``LineStatus(index, True)`` of each int index accepted so far
+_ACCEPTED: dict[int, LineStatus] = {}
+
+
 def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> CheckReport:
     """Replay a proof script; the report carries per-line statuses.
 
     ``checked`` maps the indices of accepted earlier lines to their
     formulas.  Each rule's check raises ``_Rejected`` at its first
     failing condition, citations included; the one handler turns it
-    into the line's message.
+    into the line's message.  Every line is checked on every call, but
+    accepted statuses are immutable and shared, one per index up to 4,096.
     """
     if proof.system not in AXIOM_TABLES:
         return CheckReport(proof.name, (LineStatus(0, False, f"unknown system {proof.system!r}"),), False)
@@ -400,7 +381,12 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
         except _Rejected as exc:
             statuses.append(LineStatus(index, False, str(exc)))
         else:
-            statuses.append(LineStatus(index, True))
+            status = _ACCEPTED.get(index) if type(index) is int else None  # 1.0 and True hash like 1
+            if status is None:
+                status = LineStatus(index, True, "")
+                if type(index) is int and len(_ACCEPTED) < 4096:
+                    _ACCEPTED[index] = status
+            statuses.append(status)
             checked[index] = formula
     accepted = len(checked) == len(statuses)  # one status per line, one formula per accepted line
     if accepted and proof.conclusion not in checked:
@@ -495,7 +481,7 @@ def _parse_justification(text: str, err: Callable[[str], ProofFormatError]) -> J
     # the inference rules: one line index per field
     if not all(a.isdigit() for a in args):
         raise err(f"{head} arguments must be line indices")
-    arity = len(fields(rule))
+    arity = len(rule._fields)
     if len(args) != arity:
         raise err(f"{head} needs {arity} line indices")
     return rule(*map(int, args))
@@ -505,7 +491,7 @@ def format_justification(just: Justification) -> str:
     if not isinstance(just, get_args(Justification)):
         raise TypeError(f"unknown justification {just!r}")
     words = [type(just).__name__.lower()]
-    for value in (getattr(just, f.name) for f in fields(just)):
+    for value in just._values(just):
         words += map(str, value) if isinstance(value, tuple) else [str(value)]
     return " ".join(words)
 

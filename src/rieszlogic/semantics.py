@@ -42,13 +42,12 @@ from __future__ import annotations
 import math
 import random
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from operator import or_
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
-from .syntax import _VAR_NAME, Formula, Imp, MetaVar, Var, Zero, memo, postorder
+from .syntax import _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, memo, postorder
 
 Vector = tuple[Fraction, ...]
 
@@ -62,18 +61,16 @@ def vector(*coords) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Assignment of rational n-vectors to variable names."""
 
-    dimension: int
-    assignment: Mapping[str, Vector] = field(default_factory=dict)
+    __slots__ = ("dimension", "assignment")
 
-    def __post_init__(self):
-        if self.dimension < 1:
+    def __init__(self, dimension: int, assignment: Mapping[str, Vector] = {}):  # copied, never mutated
+        if dimension < 1:
             raise ValuationError("dimension must be >= 1")
         # detach from the caller's mapping; bindings are fixed at construction
-        object.__setattr__(self, "assignment", dict(self.assignment))
+        super().__init__(dimension, dict(assignment))
         for name, vec in self.assignment.items():
             if len(vec) != self.dimension:
                 raise ValuationError(
@@ -188,10 +185,8 @@ def holds_bal(f: Formula, v: Valuation) -> bool:
     return _exact(f, v, "BAL")[1]
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    value: Vector
-    holds: bool
+class EvalResult(Record):
+    __slots__ = ("value", "holds")  # Vector, bool
 
 
 def evaluate(f: Formula, v: Valuation, system: str = "RL") -> EvalResult:

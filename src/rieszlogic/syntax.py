@@ -31,6 +31,9 @@ one operator stack), so neither it nor comparison has a nesting limit.
 It reads each distinct parenthesized group once: a later copy of a
 group's text is found by a string comparison and gives the same node, so
 a printed DAG costs parser steps per distinct group, not per copy.
+
+``Record`` is the slotted, immutable base of every other module's value
+classes (proof lines, reports, verdicts, valuations).
 """
 
 from __future__ import annotations
@@ -141,6 +144,55 @@ class MetaVar(Formula):
 
 
 ZERO = _new(Zero)
+
+
+class Record:
+    """Immutable slotted value, compared, hashed and printed as a frozen
+    dataclass: equal iff of one class with equal fields, ``hash`` of the
+    fields' tuple, repr ``Cls(field=value, ...)``; assigning or deleting a
+    field raises ``AttributeError``.  A subclass names its fields in
+    ``__slots__``, in constructor order, and the defaults of its last ones
+    in ``_defaults``; a slot named ``_...`` is a cache, not a field."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+    __setattr__, __delattr__ = Formula.__setattr__, Formula.__delattr__
+
+    def __init_subclass__(cls) -> None:
+        own = tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
+        cls._fields = cls.__match_args__ = cls._fields + own  # __match_args__: positional patterns
+        get = operator.attrgetter(*cls._fields)  # _values(record): the fields' values, in order
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call with defaults or keywords, as Python binds them."""
+        fields = cls._fields
+        values = {**dict(zip(fields[len(fields) - len(cls._defaults) :], cls._defaults)), **kwargs}
+        values.update(zip(fields, args))
+        if len(args) > len(fields) or values.keys() != set(fields) or not kwargs.keys().isdisjoint(fields[: len(args)]):
+            raise TypeError(f"{cls.__name__}() takes {fields}, the last {len(cls._defaults)} optional")
+        return tuple(map(values.get, fields))
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 def _repr_leaf(g) -> str:

@@ -481,12 +481,15 @@ def test_fresh_process_decide_help_shows_default_budget():
     assert f"default {decide.DEFAULT_BUDGET})" in " ".join(result.stdout.split())
 
 
-_MODULES_AFTER = """
+# modules no subcommand may import (dataclasses imports inspect, ast, dis and
+# tokenize), unless a bare interpreter has them already
+_SLOW_IMPORTS = ("dataclasses", "inspect")
+_MODULES_AFTER = f"""
 import contextlib, io, sys
 from rieszlogic.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("rieszlogic")))
+print(code, *sorted(m for m in sys.modules if m.startswith("rieszlogic") or m in {_SLOW_IMPORTS!r}))
 """
 
 
@@ -507,7 +510,10 @@ def test_subcommand_loads_only_its_modules(inputs, argv, loaded):
         text=True,
         timeout=60,
     )
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True, timeout=60
+    ).stdout.split()
     code, *modules = result.stdout.split()
     assert code in ("0", "1"), result.stderr
     expected = {"rieszlogic", "rieszlogic.cli", "rieszlogic.syntax", *(f"rieszlogic.{m}" for m in loaded)}
-    assert set(modules) == expected
+    assert set(modules) == expected | {m for m in _SLOW_IMPORTS if m in bare}

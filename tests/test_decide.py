@@ -523,11 +523,10 @@ def _digest(verdicts) -> str:
 def test_verdicts_reproduce_pinned_digests():
     # the repr of every verdict: countermodels, and the rows, rhs and
     # weights of each closed branch in search order, alike under
-    # PYTHONHASHSEED 0 and 7.  random_rl_formula has four variable names,
-    # so the 32-connective formulas draw over a-d.
+    # PYTHONHASHSEED 0 and 7.  The 32-connective formulas draw over a-d.
     acceptance, tail = random.Random(2024), random.Random(32)
     formulas = [random_rl_formula(acceptance, 12, 4) for _ in range(1000)]
-    formulas += [random_rl_formula(tail, 32, 6) for _ in range(300)]
+    formulas += [random_rl_formula(tail, 32, 4) for _ in range(300)]
     assert _digest(map(decide_valid, formulas)) == "4b7f434561ce3b520a896d9fd94d78165ef6b8f6d9064a02562199ca242bbea3"
     bal = random.Random(7)
     verdicts = (decide_bal_valid(random_bal_formula(bal)) for _ in range(300))

@@ -417,6 +417,12 @@ def test_parsing_returns_the_shared_node():
         assert parse_bal(format_formula(rl_to_bal(f))) is rl_to_bal(f)
 
 
+def test_random_formulas_refuse_more_variables_than_names():
+    for draw in (random_rl_formula, random_bal_formula):
+        with pytest.raises(ValueError, match="max_vars=6"):
+            draw(random.Random(0), 4, 6)
+
+
 def test_deep_formulas_compare_hash_and_match():
     def chain(leaf, depth=3000):
         f = leaf

@@ -12,8 +12,14 @@ from rieszlogic.semantics import Valuation
 VAR_NAMES = ("a", "b", "c", "d")
 
 
+def _names(max_vars: int) -> tuple[str, ...]:
+    if max_vars > len(VAR_NAMES):
+        raise ValueError(f"max_vars={max_vars}, but there are only {len(VAR_NAMES)} variable names")
+    return VAR_NAMES[:max_vars]
+
+
 def random_rl_formula(rng: random.Random, max_connectives: int = 12, max_vars: int = 4) -> Formula:
-    names = VAR_NAMES[:max_vars]
+    names = _names(max_vars)
 
     def build(budget: int) -> Formula:
         if budget <= 0:
@@ -26,7 +32,7 @@ def random_rl_formula(rng: random.Random, max_connectives: int = 12, max_vars: i
 
 
 def random_bal_formula(rng: random.Random, max_connectives: int = 12, max_vars: int = 4) -> Formula:
-    names = VAR_NAMES[:max_vars]
+    names = _names(max_vars)
 
     def build(budget: int) -> Formula:
         if budget <= 0:
