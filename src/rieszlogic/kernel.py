@@ -156,12 +156,9 @@ class Proof(Record):
     __slots__ = ("system", "name", "assumptions", "lines", "conclusion", "_by_index")
 
     def line(self, index: int) -> ProofLine:
-        try:
-            by_index = self._by_index
-        except AttributeError:
-            by_index = {ln.index: ln for ln in reversed(self.lines)}  # the first line with an index wins
-            object.__setattr__(self, "_by_index", by_index)
-        return by_index[index]
+        if not hasattr(self, "_by_index"):  # the first line with an index wins
+            object.__setattr__(self, "_by_index", {ln.index: ln for ln in reversed(self.lines)})
+        return self._by_index[index]
 
     @property
     def conclusion_formula(self) -> Formula:

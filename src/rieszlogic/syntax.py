@@ -164,13 +164,13 @@ class Record:
         cls._fields = cls.__match_args__ = cls._fields + own  # __match_args__: positional patterns
         get = operator.attrgetter(*cls._fields)  # _values(record): the fields' values, in order
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)  # the slots' own setters
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
+        if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
