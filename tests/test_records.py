@@ -76,7 +76,8 @@ REPRS = [
     "EquivalenceReport(trials=5, discrepancy=None)",
     "TermDocumentMatrix(terms=('x', 'y'), contexts=('d1', 'd2'), "
     "counts=((Fraction(1, 1), Fraction(0, 1)), (Fraction(3, 2), Fraction(2, 1))))",
-    "Valuation(dimension=2, assignment={'a': (Fraction(1, 1), Fraction(-1, 2)), 'b': (Fraction(0, 1), Fraction(3, 1))})",
+    "Valuation(dimension=2, assignment={'a': (Fraction(1, 1), Fraction(-1, 2)), "
+    "'b': (Fraction(0, 1), Fraction(3, 1))})",
     "EvalResult(value=(Fraction(-1, 1), Fraction(7, 2)), holds=False)",
 ]
 
@@ -98,7 +99,8 @@ def test_equality_depends_on_class():
 
 
 def test_a_changed_rule_is_not_a_re_registration():
-    text = "system: BAL\nname: T\nassume 1: a\nassume 2: a -> b\n1: a | assume 1\n2: a -> b | assume 2\n3: b | {}\nqed: 3\n"
+    text = "system: BAL\nname: T\nassume 1: a\nassume 2: a -> b\n1: a | assume 1\n2: a -> b | assume 2\n"
+    text += "3: b | {}\nqed: 3\n"
     library = TheoremLibrary().register(parse_proof(text.format("mp 1 2")))
     assert library.register(parse_proof(text.format("mp 1 2"))) is library
     with pytest.raises(RegistrationError, match="different content"):
