@@ -28,7 +28,10 @@ positive join; one per negative join), and the pivots of each LP.
 ``linearize`` replays the same ``postorder`` program to rewrite a
 formula into an equivalent *meet of joins* of integer linear terms,
 absorption-pruned after every step, whose clauses ``clause_certificate``
-settles with the same simplex.
+settles with the same simplex.  A term is a tuple of sorted ``(name,
+coeff)`` pairs, and a left side's terms are negated in sorted order, so
+the clauses, their order and any refusal depend on the formula alone,
+not on the hash seed.
 
 Validity over these rational models coincides with validity over all
 abelian lattice-ordered groups; this relies on the standard algebraic
@@ -40,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import attrgetter, itemgetter, mul, or_
+from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .syntax import Formula, Imp, Join, Pos, Record, Var, Zero, format_formula, pos_to_join, postorder
@@ -64,14 +67,18 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-class LinearTerm(Record):
-    """Homogeneous integer linear combination of variables."""
+class LinearTerm(tuple):
+    """Homogeneous integer linear combination of variables: its ``(name,
+    coeff)`` pairs, sorted by name, with zero coefficients dropped.  A
+    tuple, so it hashes and compares in C, sorts as its pairs do, and
+    equals a plain tuple of the same pairs."""
 
-    __slots__ = ("coeffs",)  # ((name, int), ...) sorted by name, zero coefficients dropped
+    __slots__ = ()
+    __match_args__ = ("coeffs",)
 
     @staticmethod
     def of(mapping: Mapping[str, int]) -> "LinearTerm":
-        return LinearTerm(tuple(sorted(filter(itemgetter(1), mapping.items()))))
+        return LinearTerm(sorted(filter(itemgetter(1), mapping.items())))
 
     @staticmethod
     def var(name: str) -> "LinearTerm":
@@ -79,25 +86,24 @@ class LinearTerm(Record):
 
     @staticmethod
     def zero() -> "LinearTerm":
-        return LinearTerm(())
+        return LinearTerm()
 
-    def add(self, other: "LinearTerm") -> "LinearTerm":
-        out = dict(self.coeffs)
-        for v, c in other.coeffs:
-            out[v] = out.get(v, 0) + c
-        return LinearTerm.of(out)
+    @property
+    def coeffs(self) -> tuple[tuple[str, int], ...]:
+        return tuple(self)
 
-    def neg(self) -> "LinearTerm":
-        return LinearTerm(tuple((v, -c) for v, c in self.coeffs))
+    def eval(self, point: Mapping[str, Union[int, Fraction]]) -> Union[int, Fraction]:
+        """The value at ``point``; a name it lacks counts as 0."""
+        return sum(c * point.get(v, 0) for v, c in self)
 
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        return sum((c * point.get(v, Fraction(0)) for v, c in self.coeffs), Fraction(0))
+    def __repr__(self) -> str:
+        return f"LinearTerm(coeffs={tuple(self)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self:
             return "0"
         parts = []
-        for v, c in self.coeffs:
+        for v, c in self:
             if c == 1:
                 parts.append(f"+ {v}")
             elif c == -1:
@@ -116,21 +122,23 @@ Clause = frozenset[LinearTerm]
 class MeetJoinNormalForm(Record):
     """Meet of clauses; each clause is a join of linear terms.
 
-    Clause order is the deterministic construction order, so reports can
-    refer to the lowest-indexed failing clause.
+    Clause order is the deterministic construction order, which depends
+    on the formula alone, so reports can refer to the lowest-indexed
+    failing clause.
     """
 
     __slots__ = ("clauses",)  # tuple[Clause, ...]
 
-    def eval(self, point: Mapping[str, Fraction]) -> Fraction:
-        return min(max(t.eval(point) for t in clause) for clause in self.clauses)
-
     def eval_vector(self, v: Valuation) -> Vector:
-        points = [
-            {name: vec[k] for name, vec in v.assignment.items()}
-            for k in range(v.dimension)
-        ]
-        return tuple(self.eval(p) for p in points)
+        """The value at each coordinate of ``v``, on its values times the
+        lcm of their denominators, as ``eval_rl`` computes it."""
+        value = []
+        for k in range(v.dimension):
+            point = {name: vec[k] for name, vec in v.assignment.items()}
+            scale = math.lcm(*(x.denominator for x in point.values()))
+            point = {name: x.numerator * (scale // x.denominator) for name, x in point.items()}
+            value.append(Fraction(min(max(t.eval(point) for t in clause) for clause in self.clauses), scale))
+        return tuple(value)
 
 
 def _dedupe_clauses(clauses: list[Clause]) -> list[Clause]:
@@ -166,23 +174,6 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     The budget is checked after each step's product is built, so it
     bounds the result, not the work of building it.
     """
-    # Per-call tables, so memory does not grow across calls.  Interning
-    # makes equal terms one object, so _dedupe_clauses's subset tests match
-    # terms by identity.  The cross products of `->` sum the same few term
-    # pairs over and over, so sums are memoized by identity: `terms` keeps
-    # every interned term alive, so no id is reused.
-    terms: dict[LinearTerm, LinearTerm] = {}
-    sums: dict[tuple[int, int], LinearTerm] = {}
-
-    def intern(t: LinearTerm) -> LinearTerm:
-        return terms.setdefault(t, t)
-
-    def add(t: LinearTerm, u: LinearTerm) -> LinearTerm:
-        s = sums.get(key := (id(t), id(u)))
-        if s is None:
-            s = sums[key] = intern(t.add(u))
-        return s
-
     def product(left: list[Clause], right: list[Clause], combine: Callable) -> list[Clause]:
         clauses = _dedupe_clauses([combine(ci, dk) for ci in left for dk in right])
         size = sum(map(len, clauses))
@@ -194,15 +185,19 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     for op, i, j in postorder(f, _not_rl):
         if op is Imp:
             # -(min_i max_j t_ij) = max_i min_j (-t_ij): each negated clause is
-            # a meet of singletons, folded in as pairwise joins and pruned
+            # a meet of singletons, folded in as pairwise joins and pruned, in
+            # sorted order so that the result does not depend on the hash seed.
+            # Negation is one to one, so `negated` holds each t_ij as it is,
+            # and the right side's terms u subtract it: u - t_ij.
             negated: list[Clause] = [frozenset()]
             for clause in values[i]:
-                negated = product(negated, [frozenset((intern(t.neg()),)) for t in clause], or_)
-            values.append(product(negated, values[j], lambda ci, dk: frozenset(add(t, u) for t in ci for u in dk)))
+                negated = product(negated, [frozenset((t,)) for t in sorted(clause)], or_)
+            values.append(product(negated, values[j], lambda ci, dk: frozenset(
+                LinearTerm.of(_minus(dict(u), dict(t))) for t in ci for u in dk)))
         elif op is Join:  # max of min-max forms: distribute the meet over the join
             values.append(product(values[i], values[j], or_))
         else:
-            values.append([frozenset((intern(LinearTerm.var(i) if op is Var else LinearTerm.zero()),))])
+            values.append([frozenset((LinearTerm.var(i) if op is Var else LinearTerm.zero(),))])
     return MeetJoinNormalForm(tuple(values[-1]))
 
 
@@ -261,8 +256,8 @@ def _primitive(v: list[int]) -> list[int]:
 def _clause_rows(terms: Iterable[LinearTerm]) -> tuple[list[str], list[list[int]]]:
     # the sorted variable names, and each term's coefficients on them
     terms = list(terms)
-    names = sorted({v for t in terms for v, _ in t.coeffs})
-    return names, [[coeffs.get(v, 0) for v in names] for coeffs in (dict(t.coeffs) for t in terms)]
+    names = sorted({v for t in terms for v, _ in t})
+    return names, [[coeffs.get(v, 0) for v in names] for coeffs in map(dict, terms)]
 
 
 def clause_certificate(
@@ -276,7 +271,7 @@ def clause_certificate(
     """
     if not clause:
         raise ValueError("clause must be nonempty")
-    terms = sorted(clause, key=attrgetter("coeffs"))
+    terms = sorted(clause)
     names, rows = _clause_rows(terms)
     weights, y = _farkas(rows, [-1] * len(terms), budget)
     if y is not None:
@@ -352,7 +347,7 @@ class SelfCheckError(Exception):
     a countermodel.  It means a defect in this module, never a verdict."""
 
 
-def _minus(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+def _minus(a: Mapping, b: Mapping) -> dict:
     # the linear form a - b, without zero coefficients
     out = dict(a)
     for c, k in b.items():

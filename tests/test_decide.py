@@ -350,6 +350,37 @@ def test_witness_independent_of_hash_seed():
     assert outputs.pop().startswith("[('x', Fraction(")
 
 
+def test_normal_form_independent_of_hash_seed():
+    # the clause order of the acceptance-3 formulas' normal forms, and the
+    # size at which #703's is refused: with the left side's terms negated
+    # in set order, both would change with the hash seed
+    formula_703 = "(0 \\/ (0 \\/ 0 \\/ (c \\/ a) \\/ (0 \\/ (d \\/ (c -> c)))) -> c \\/ (0 \\/ c)) -> 0"
+    script = (
+        "import hashlib, random, sys\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "from util import random_rl_formula\n"
+        "from rieszlogic.decide import BudgetExceededError, linearize\n"
+        "from rieszlogic.syntax import parse_rl\n"
+        "rng = random.Random(2024)\n"
+        "forms = [linearize(random_rl_formula(rng, 12, 4)).clauses for _ in range(1000)]\n"
+        "print(hashlib.sha256(repr([[sorted(map(str, c)) for c in f] for f in forms]).encode()).hexdigest())\n"
+        "try:\n"
+        f"    linearize(parse_rl({formula_703!r}), 20)\n"
+        "except BudgetExceededError as error:\n"
+        "    print(error.stage, error.size)\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "7")
+    }
+    assert len(outputs) == 1
+    assert outputs.pop().endswith("\nnormal form 28\n")
+
+
 # -- verdicts ---------------------------------------------------------------------
 
 def _assert_refutations(verdict):

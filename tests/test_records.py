@@ -109,6 +109,9 @@ def test_a_changed_rule_is_not_a_re_registration():
 
 def test_hash_is_the_hash_of_the_fields_tuple():
     for record in _samples():
+        if type(record) is decide.LinearTerm:  # a tuple of its pairs, not a Record
+            assert hash(record) == hash(record.coeffs) and record == record.coeffs
+            continue
         try:
             expected = hash(_fields(record))
         except TypeError:  # a Valuation holds a dict
