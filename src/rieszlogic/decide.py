@@ -11,7 +11,9 @@ the rows ``y >= l`` and ``y >= r``; a negative join is searched depth
 first by substituting ``y := l`` or ``y := r``, and its column is free
 until then.  Joins directly under a join are flattened into one n-ary
 maximum, with one row per side if positive and one branch per side if
-negative.  Each node's system goes to ``_farkas``, an exact integer
+negative.  Each step's linear form is built once for each polarity it
+occurs with, and the root node, where no join is fixed, takes the forms
+as they are.  Each node's system goes to ``_farkas``, an exact integer
 simplex with a scale per row, so pivots skip untouched rows.  An
 infeasible node is closed by weights that ``check_farkas`` confirms before
 they are kept.  A feasible node's point is evaluated exactly: where f is
@@ -43,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -147,12 +150,25 @@ def _dedupe_clauses(clauses: list[Clause]) -> list[Clause]:
     # subset of them, so the meet ignores it.  Visited shortest first, a
     # clause is minimal iff no kept clause of smaller size is a subset of
     # it; clauses of equal size are distinct, so none contains another.
+    # Kept clause k is bit k, and `holders` maps each term of a kept clause
+    # to the bits of those that hold it.  A kept clause is a subset of c
+    # iff it holds no term outside c, so c is minimal iff the holders of
+    # the kept terms it lacks cover every kept clause.
     if len(clauses) < 2:
         return clauses
     unique = list(dict.fromkeys(clauses))
+    if frozenset() in unique:  # a subset of every clause
+        return [frozenset()]
     kept: list[Clause] = []
+    holders: dict[LinearTerm, int] = {}
     for _, same_size in itertools.groupby(sorted(unique, key=len), key=len):
-        kept += [c for c in same_size if not any(map(c.issuperset, kept))]
+        every = (1 << len(kept)) - 1
+        new = [c for c in same_size if reduce(or_, map(holders.__getitem__, holders.keys() - c), 0) == every]
+        for c in new:
+            bit = 1 << len(kept)
+            kept.append(c)
+            for t in c:
+                holders[t] = holders.get(t, 0) | bit
     if len(kept) == len(unique):
         return unique
     minimal = set(kept)
@@ -217,8 +233,10 @@ def _farkas(
     has ``A x <= b``.  Each row is integral over a positive scale of its
     own, its entry in its basic column.  A pivot rewrites only the rows
     with an ``f != 0`` in its column, to ``row * p - f * pivot_row`` over
-    its gcd.  Bland's rule and the ratio test compare within a row, so the
-    scales do not change the pivots; past ``budget`` pivots it raises.
+    its gcd, taken as the row is built.  Bland's rule and the ratio test
+    compare within a row, so the scales do not change the pivots; the
+    ratio test holds the best row's rhs, entry and basic column as it
+    scans.  Past ``budget`` pivots it raises.
     """
     m, n = len(rows), len(rows[0])
     # columns: one weight per row, one artificial per tableau row, the cost row's scale, b
@@ -228,21 +246,26 @@ def _farkas(
     table.append(cost := [*(b - sum(row) for row, b in zip(rows, rhs)), *[0] * (n + 1), 1, -1])
     basis, pivots = list(range(m, m + n + 1)), 0
     while cost[-1]:
-        c = next((j for j in range(m) if cost[j] < 0), None)
-        if c is None:
+        for c in range(m):  # Bland's rule: the lowest column of negative cost
+            if cost[c] < 0:
+                break
+        else:
             return None, _primitive([cost[-2] - a for a in cost[m:-2]])
-        r = -1  # the tightest row, ties to the lowest basic column
+        # the tightest row, ties to the lowest basic column: the best row so
+        # far is held as its rhs q, its entry p in column c and its basic column
+        r = -1
         for i in range(n + 1):
-            a = table[i][c]
-            if a > 0 and (r < 0 or (table[i][-1] * table[r][c], basis[i]) < (table[r][-1] * a, basis[r])):
-                r = i
+            if (a := (row := table[i])[c]) > 0:
+                if r < 0 or (t := row[-1] * p) < (u := q * a) or t == u and basis[i] < basic:
+                    r, q, p, basic = i, row[-1], a, basis[i]
         pivots += 1
         if pivots > budget:
             raise BudgetExceededError("simplex", pivots, budget)
-        pivot_row, p = table[r], table[r][c]
+        pivot_row = table[r]
         for i, row in enumerate(table):
             if (f := row[c]) and i != r:
-                table[i] = _primitive([a * p - f * b for a, b in zip(row, pivot_row)])
+                row = [a * p - f * b for a, b in zip(row, pivot_row)]
+                table[i] = row if (g := math.gcd(*row)) == 1 else [a // g for a in row]
         basis[r], cost = c, table[-1]
     scale = math.lcm(*(table[i][j] for i, j in enumerate(basis)))
     value = {j: table[i][-1] * scale // table[i][j] for i, j in enumerate(basis)}
@@ -348,11 +371,15 @@ class SelfCheckError(Exception):
 
 
 def _minus(a: Mapping, b: Mapping) -> dict:
-    # the linear form a - b, without zero coefficients
+    # the linear form a - b, in one copy of a; b holds no zero coefficient,
+    # so a difference of 0 is at a key of a, which is dropped
     out = dict(a)
     for c, k in b.items():
-        out[c] = out.get(c, 0) - k
-    return {c: k for c, k in out.items() if k}
+        if k := out.get(c, 0) - k:
+            out[c] = k
+        else:
+            del out[c]
+    return out
 
 
 def _system(
@@ -360,37 +387,48 @@ def _system(
 ) -> tuple[list[int], list[list[int]], list[int]]:
     """The branch's system ``A x <= b`` as (columns, A, b).
 
-    A fixed negative join's column is replaced by its chosen side's form.
+    A fixed negative join's column is replaced by its chosen side's form;
+    at the root node nothing is fixed, and every form is kept as it is.
     The rows ``form <= -1`` of ``roots`` come first; then, from the root
     down, the rows ``side - y <= 0`` of each positive join that a row
     already kept mentions.  Unfixed negative joins stay free columns.
     """
-    resolved: dict[int, dict[int, int]] = {}
+    if fixed:
+        resolved: dict[int, dict[int, int]] = {}
 
-    def sub(form: dict[int, int]) -> dict[int, int]:
-        if resolved.keys().isdisjoint(form):
-            return form
-        out: dict[int, int] = {}
-        for c, k in form.items():
-            for d, m in resolved.get(c, {c: 1}).items():
-                out[d] = out.get(d, 0) + k * m
-        return {c: k for c, k in out.items() if k}
+        def sub(form: dict[int, int]) -> dict[int, int]:
+            if resolved.keys().isdisjoint(form):
+                return form
+            out: dict[int, int] = {}
+            for c, k in form.items():
+                for d, m in resolved.get(c, {c: 1}).items():
+                    out[d] = out.get(d, 0) + k * m
+            return {c: k for c, k in out.items() if k}
 
-    for c in sorted(fixed):  # a join's sides mention only lower columns
-        resolved[c] = sub(joins[c][2][fixed[c]])
-    forms = [sub(form) for form in roots]
+        for c in sorted(fixed):  # a join's sides mention only lower columns
+            resolved[c] = sub(joins[c][2][fixed[c]])
+        forms = [sub(form) for form in roots]
+    else:
+        forms = list(roots)
     rhs = [-1] * len(forms)
     live = set().union(*forms)
     for c in range(len(joins) - 1, -1, -1):
         _, positive, sides = joins[c]
         if positive and c in live:
             for side in sides:
-                form = sub(side)
-                live.update(form)
-                forms.append({**form, c: -1})
-                rhs.append(0)
+                row = (sub(side) if fixed else side).copy()
+                live.update(row)
+                row[c] = -1
+                forms.append(row)
+            rhs += [0] * len(sides)
     columns = sorted(live)
-    return columns, [[form.get(c, 0) for c in columns] for form in forms], rhs
+    index = {c: k for k, c in enumerate(columns)}
+    rows = []
+    for form in forms:
+        rows.append(row := [0] * len(index))
+        for c, k in form.items():
+            row[index[c]] = k
+    return columns, rows, rhs
 
 
 def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -402,52 +440,67 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     negative there; VALID carries one refutation per closed branch.
     """
     steps = postorder(f, _not_rl)
-    names = sorted({i for op, i, _ in steps if op is Var})
+    names, factor, run = compile_scalar(f, "RL")
     # polarity of each step: bit 1 when it occurs positively, bit 2 negatively
     polarity = [0] * len(steps)
     polarity[-1] = 1
     for s in range(len(steps) - 1, -1, -1):
         op, i, j = steps[s]
         if op is Imp:
-            polarity[i] |= (polarity[s] & 1) << 1 | polarity[s] >> 1
-            polarity[j] |= polarity[s]
+            p = polarity[s]
+            polarity[i] |= (p & 1) << 1 | p >> 1
+            polarity[j] |= p
         elif op is Join:
             polarity[i] |= polarity[s]
             polarity[j] |= polarity[s]
-    # the linear form of each (step, polarity): variable k is column ~k,
-    # join occurrence c is column c, with joins[c] = (step, positive,
-    # sides); children come first, so sides mention only lower columns
+    # each step's linear form where it occurs positively (pos) and where it
+    # occurs negatively (neg): variable k is column ~k, join occurrence c is
+    # column c, with joins[c] = (step, positive, sides); children come
+    # first, so sides mention only lower columns
     column = {name: ~k for k, name in enumerate(names)}
-    forms: dict[tuple[int, int], dict[int, int]] = {}
+    pos: list[Optional[dict[int, int]]] = [None] * len(steps)
+    neg: list[Optional[dict[int, int]]] = [None] * len(steps)
     joins: list[tuple] = []
     for s, (op, i, j) in enumerate(steps):
-        for p in (1, 2):
-            if polarity[s] & p:
-                if op is Imp:
-                    forms[s, p] = _minus(forms[j, p], forms[i, 3 - p])
-                elif op is Join:
+        if op is Imp:
+            if polarity[s] & 1:
+                pos[s] = _minus(pos[j], neg[i])
+            if polarity[s] & 2:
+                neg[s] = _minus(neg[j], pos[i])
+        elif op is Join:
+            for forms, bit in ((pos, 1), (neg, 2)):
+                if polarity[s] & bit:
                     sides = []
                     for child in (i, j):  # max(max(l, r), ...) = max(l, r, ...)
-                        flat = steps[child][0] is Join
-                        sides += joins[next(iter(forms[child, p]))][2] if flat else [forms[child, p]]
-                    forms[s, p] = {len(joins): 1}
-                    joins.append((s, p == 1, sides))
-                else:
-                    forms[s, p] = {column[i]: 1} if op is Var else {}
+                        form = forms[child]
+                        sides += joins[next(iter(form))][2] if steps[child][0] is Join else [form]
+                    forms[s] = {len(joins): 1}
+                    joins.append((s, bit == 1, sides))
+        else:
+            pos[s] = neg[s] = {column[i]: 1} if op is Var else {}
     # f <= -1, or every side of a positive join at the root <= -1
-    roots = joins[-1][2] if steps[-1][0] is Join else [forms[len(steps) - 1, 1]]
-    # the joins whose columns the system mentions: a join flattened into
-    # its parent has none unless another step shares it
+    roots = joins[-1][2] if steps[-1][0] is Join else [pos[-1]]
+    # the joins whose columns the system mentions (a join flattened into
+    # its parent has none unless another step shares it), and the rows:
+    # one per root form, per side of a positive join and per negative join
     live = set().union(*roots)
+    negative: list[int] = []
+    height = len(roots)
     for c in range(len(joins) - 1, -1, -1):
         if c in live:
-            live.update(*joins[c][2])
-    negative = [c for c in range(len(joins)) if c in live and not joins[c][1]]
-    positive_rows = sum(len(joins[c][2]) for c in live if c >= 0 and joins[c][1])
-    size = math.prod(len(joins[c][2]) for c in negative) * (len(roots) + positive_rows + len(negative))
+            _, positive, sides = joins[c]
+            live.update(*sides)
+            if positive:
+                height += len(sides)
+            else:
+                negative.append(c)
+                height += 1
+    negative.reverse()
+    size = math.prod(len(joins[c][2]) for c in negative) * height
     if size > budget:
         raise BudgetExceededError("search", size, budget)
 
+    keep = {joins[c][0] for c in negative}  # the steps whose values branching reads
     closed: list[Refutation] = []
     stack: list[dict[int, int]] = [{}]  # fixed negative joins: column -> side
     while stack:
@@ -461,11 +514,10 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
             continue
         # homogeneous but for b, so y_v / y_last's least integer multiple is feasible
         x = dict(zip(columns, y))
-        _, factor, run = compile_scalar(f, "RL")
         w, h = _layout(1, factor * max(map(abs, x.values()), default=0))  # one lane: v is held as v + h
-        values = run({name: x.get(column[name], 0) + h for name in names}, w, h, {joins[c][0] for c in negative})
+        values = run({name: x.get(~k, 0) + h for k, name in enumerate(names)}, w, h, keep)
         if values[-1] < h:
-            return CounterExample(Valuation(1, {name: (Fraction(x.get(column[name], 0)),) for name in names}))
+            return CounterExample(Valuation(1, {name: (Fraction(x.get(~k, 0)),) for k, name in enumerate(names)}))
         # f is not negative here, so a free negative join's column lies
         # above its value; branch on the lowest such column, side 0 first
         c = next((c for c in negative if c not in fixed and c in x and x[c] + h > values[joins[c][0]]), None)

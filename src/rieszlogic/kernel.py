@@ -49,7 +49,10 @@ Proof file format (one proof per file, ``#`` comments allowed)::
 Justifications: ``axiom <NAME>``, ``assume <k>``, ``mp <i> <j>``,
 ``ri <i>``, ``balg <i> <j>``, ``balpi <i>``, ``balmi <i>``,
 ``lemma <name> <i...>``.  Line indices are 1-based and strictly
-increasing.
+increasing.  A proof has one ``system:`` header, before its assumptions
+and lines, which are read in that system's grammar; a second header is
+an error.  Every index (of a line, an assumption, ``qed`` or a
+justification's argument) is written in ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -409,6 +412,8 @@ def parse_proof(text: str) -> Proof:
             return ProofFormatError(f"line {lineno}: {msg}")
 
         if stripped.startswith("system:"):
+            if system:  # the lines above were read in its grammar
+                raise err("a proof has one `system:` header")
             system = stripped.partition(":")[2].strip()
             continue
         if stripped.startswith("name:"):
@@ -419,27 +424,26 @@ def parse_proof(text: str) -> Proof:
             if not formula_text:
                 raise err("assumption needs `assume <k>: <formula>`")
             k_text = head[len("assume "):].strip()
-            if not k_text.isdigit() or int(k_text) != len(assumptions) + 1:
+            if _index(k_text) != len(assumptions) + 1:
                 raise err(f"assumption index must be {len(assumptions) + 1}")
             if not system:
                 raise err("system must be declared before assumptions")
             assumptions.append(parse_schema(formula_text.strip(), system))
             continue
         if stripped.startswith("qed:"):
-            value = stripped.partition(":")[2].strip()
-            if not value.isdigit():
+            conclusion = _index(stripped.partition(":")[2].strip())
+            if conclusion is None:
                 raise err("qed needs a line index")
-            conclusion = int(value)
             continue
         head, sep, just_text = stripped.rpartition("|")
         if not sep:
             raise err("proof line needs `<index>: <formula> | <justification>`")
         idx_text, sep2, formula_text = head.partition(":")
-        if not sep2 or not idx_text.strip().isdigit():
+        index = _index(idx_text.strip())
+        if not sep2 or index is None:
             raise err("proof line needs a numeric index before `:`")
         if not system:
             raise err("system must be declared before proof lines")
-        index = int(idx_text.strip())
         formula = parse_schema(formula_text.strip(), system)
         lines.append(ProofLine(index, formula, _parse_justification(just_text.strip(), err)))
     if not system:
@@ -451,6 +455,17 @@ def parse_proof(text: str) -> Proof:
     if conclusion is None:
         raise ProofFormatError("missing `qed:` footer")
     return Proof(system, name, tuple(assumptions), tuple(lines), conclusion)
+
+
+def _index(text: str) -> Optional[int]:
+    # a line index is ASCII decimal digits: `str.isdigit` also takes "²",
+    # and `int` refuses that, or more digits than the interpreter converts
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
 
 
 def _parse_justification(text: str, err: Callable[[str], ProofFormatError]) -> Justification:
@@ -466,22 +481,24 @@ def _parse_justification(text: str, err: Callable[[str], ProofFormatError]) -> J
             raise err("axiom needs one name")
         return Axiom(args[0])
     if rule is Assume:
-        if len(args) != 1 or not args[0].isdigit():
+        if len(args) != 1 or (k := _index(args[0])) is None:
             raise err("assume needs one index")
-        return Assume(int(args[0]))
+        return Assume(k)
     if rule is Lemma:
         if not args:
             raise err("lemma needs a name")
-        if not all(a.isdigit() for a in args[1:]):
+        premises = tuple(map(_index, args[1:]))
+        if None in premises:
             raise err("lemma premises must be line indices")
-        return Lemma(args[0], tuple(int(a) for a in args[1:]))
+        return Lemma(args[0], premises)
     # the inference rules: one line index per field
-    if not all(a.isdigit() for a in args):
+    indices = list(map(_index, args))
+    if None in indices:
         raise err(f"{head} arguments must be line indices")
     arity = len(rule._fields)
     if len(args) != arity:
         raise err(f"{head} needs {arity} line indices")
-    return rule(*map(int, args))
+    return rule(*indices)
 
 
 def format_justification(just: Justification) -> str:

@@ -213,8 +213,9 @@ def test_check_library_citation_cycle_exits_2(corpus_dir, monkeypatch, capsys):
     [
         ("1: a -> a \\/ b | zz 1", "line 3: unknown justification 'zz'"),
         ("1: a -> ) | axiom R1a", "unexpected ')' at offset 5 (expected: (, 0, metavariable, variable, ~)"),
+        ("²: a -> a \\/ b | axiom R1a", "line 3: proof line needs a numeric index before `:`"),
     ],
-    ids=["proof-format", "formula"],
+    ids=["proof-format", "formula", "superscript-index"],
 )
 def test_check_library_names_a_malformed_file(corpus_dir, capsys, line, message):
     (corpus_dir / "broken.rlproof").write_text(f"system: RL\nname: BROKEN\n{line}\nqed: 1\n", "utf-8")
@@ -229,6 +230,16 @@ def test_check_names_a_malformed_file_among_several(tmp_path, monkeypatch, capsy
     code, out, err = run(capsys, "check", "good.rlproof", "bad.rlproof")
     assert (code, out) == (2, "good.rlproof: OK (3 lines)\n")
     assert err == "error: bad.rlproof: line 3: unknown justification 'zz'\n"
+
+
+def test_check_second_system_header_exits_2(tmp_path, capsys):
+    # the line holds a join, which BAL lacks: it was read under `system: RL`
+    path = tmp_path / "two.rlproof"
+    path.write_text(
+        "system: RL\nname: X\n1: (((a \\/ b) -> c) -> c) -> (a \\/ b) | axiom BALN\nsystem: BAL\nqed: 1\n", "utf-8"
+    )
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", "error: line 4: a proof has one `system:` header\n")
 
 
 def test_check_library_name_clash_exits_2(corpus_dir, capsys):

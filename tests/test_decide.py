@@ -32,7 +32,7 @@ from rieszlogic.decide import (
 from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
 from rieszlogic.semantics import compile_scalar, eval_rl, holds_bal, holds_rl, random_falsify
 from rieszlogic.syntax import ZERO, Imp, Join, Var, parse_bal, parse_rl, substitute, variables
-from util import random_bal_formula, random_rl_formula, random_valuation
+from util import SIX_NAMES, random_bal_formula, random_rl_formula, random_valuation
 
 
 # -- normal form ----------------------------------------------------------------
@@ -562,6 +562,15 @@ def test_verdicts_reproduce_pinned_digests():
     bal = random.Random(7)
     verdicts = (decide_bal_valid(random_bal_formula(bal)) for _ in range(300))
     assert _digest(verdicts) == "b6d97fa6a6c06cff2e8ad6b984e5f4e1df32325bc59d8a14730525d7759ed1e2"
+
+
+def test_family_verdicts_reproduce_pinned_digest():
+    # the decide-tail bench family: the first 300 formulas that Random(32)
+    # draws with at most 32 connectives over a-f, the ten it leaves out
+    # included; every verdict's repr, alike under PYTHONHASHSEED 0 and 7
+    family = random.Random(32)
+    formulas = [random_rl_formula(family, 32, 6, SIX_NAMES) for _ in range(300)]
+    assert _digest(map(decide_valid, formulas)) == "55e5255e83a02b4196c28996f5bb6239046659e7da3f1d09840786885d2e8393"
 
 
 def test_decide_axiom_valid():

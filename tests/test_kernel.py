@@ -349,6 +349,37 @@ def test_unknown_justification_is_named_before_its_arguments():
         parse_proof("system: RL\nname: X\n1: a | nonsense x\nqed: 1\n")
 
 
+#: a BAL proof of an RL axiom instance: its line holds a join, which BAL
+#: lacks, and was read under the first header
+SECOND_HEADER = (
+    "system: RL\nname: X\n1: (((a \\/ b) -> c) -> c) -> (a \\/ b) | axiom BALN\nsystem: BAL\nqed: 1\n"
+)
+
+
+def test_second_system_header_is_rejected():
+    with pytest.raises(ProofFormatError, match=r"^line 4: a proof has one `system:` header$"):
+        parse_proof(SECOND_HEADER)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("system: RL\nname: X\nassume ¹: a\n1: a | assume 1\nqed: 1\n", "assumption index must be 1"),
+        ("system: RL\nname: X\n1: a -> a | axiom R1a\nqed: ¹\n", "qed needs a line index"),
+        ("system: RL\nname: X\n²: a -> a | axiom R1a\nqed: 2\n", "proof line needs a numeric index before `:`"),
+        ("system: RL\nname: X\nassume 1: a\n1: a | assume ¹\nqed: 1\n", "assume needs one index"),
+        ("system: RL\nname: X\n1: a | lemma L ¹\nqed: 1\n", "lemma premises must be line indices"),
+        ("system: RL\nname: X\n1: a | mp ¹ ²\nqed: 1\n", "mp arguments must be line indices"),
+        ("system: RL\nname: X\n1: a -> a | axiom R1a\nqed: " + "1" * 5000 + "\n", "qed needs a line index"),
+    ],
+    ids=["assumption", "qed", "line", "assume", "lemma", "rule", "qed-5000-digits"],
+)
+def test_indices_are_ascii_digits(text, message):
+    # str.isdigit takes superscripts, which int() refuses
+    with pytest.raises(ProofFormatError, match=rf"^line \d+: {message}$"):
+        parse_proof(text)
+
+
 def test_rule_keywords_are_class_names():
     rules = [Assume(1), Axiom("R2"), Mp(1, 2), Ri(1), BalG(1, 2), BalPi(1), BalMi(1), Lemma("L"), Lemma("L", (1, 2))]
     for just in rules:

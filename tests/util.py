@@ -10,16 +10,22 @@ from rieszlogic.syntax import Formula, Imp, Join, MetaVar, Pos, Var, ZERO, Zero,
 from rieszlogic.semantics import Valuation
 
 VAR_NAMES = ("a", "b", "c", "d")
+#: the names of the decide-tail bench family (bench/gen.py's VARS6)
+SIX_NAMES = VAR_NAMES + ("e", "f")
 
 
-def _names(max_vars: int) -> tuple[str, ...]:
-    if max_vars > len(VAR_NAMES):
-        raise ValueError(f"max_vars={max_vars}, but there are only {len(VAR_NAMES)} variable names")
-    return VAR_NAMES[:max_vars]
+def _names(max_vars: int, names: tuple[str, ...] = VAR_NAMES) -> tuple[str, ...]:
+    if max_vars > len(names):
+        raise ValueError(f"max_vars={max_vars}, but there are only {len(names)} variable names")
+    return names[:max_vars]
 
 
-def random_rl_formula(rng: random.Random, max_connectives: int = 12, max_vars: int = 4) -> Formula:
-    names = _names(max_vars)
+def random_rl_formula(
+    rng: random.Random, max_connectives: int = 12, max_vars: int = 4, names: tuple[str, ...] = VAR_NAMES
+) -> Formula:
+    """Draws as bench/gen.py's ``rl_formula_text`` does; pass ``SIX_NAMES``
+    and ``max_vars=6`` to draw over a-f."""
+    names = _names(max_vars, names)
 
     def build(budget: int) -> Formula:
         if budget <= 0:
