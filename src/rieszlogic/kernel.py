@@ -50,9 +50,10 @@ Justifications: ``axiom <NAME>``, ``assume <k>``, ``mp <i> <j>``,
 ``ri <i>``, ``balg <i> <j>``, ``balpi <i>``, ``balmi <i>``,
 ``lemma <name> <i...>``.  Line indices are 1-based and strictly
 increasing.  A proof has one ``system:`` header, before its assumptions
-and lines, which are read in that system's grammar; a second header is
-an error.  Every index (of a line, an assumption, ``qed`` or a
-justification's argument) is written in ASCII decimal digits.
+and lines, which are read in that system's grammar, one ``name:`` header
+and one ``qed:`` footer; a second one of any of them is an error.  Every
+index (of a line, an assumption, ``qed`` or a justification's argument)
+is written in ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -399,7 +400,7 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
 
 def parse_proof(text: str) -> Proof:
     system = ""
-    name = ""
+    name: Optional[str] = None
     assumptions: list[Formula] = []
     lines: list[ProofLine] = []
     conclusion: Optional[int] = None
@@ -417,6 +418,8 @@ def parse_proof(text: str) -> Proof:
             system = stripped.partition(":")[2].strip()
             continue
         if stripped.startswith("name:"):
+            if name is not None:  # a library registers the proof under one name
+                raise err("a proof has one `name:` header")
             name = stripped.partition(":")[2].strip()
             continue
         if stripped.startswith("assume "):
@@ -431,6 +434,8 @@ def parse_proof(text: str) -> Proof:
             assumptions.append(parse_schema(formula_text.strip(), system))
             continue
         if stripped.startswith("qed:"):
+            if conclusion is not None:
+                raise err("a proof has one `qed:` footer")
             conclusion = _index(stripped.partition(":")[2].strip())
             if conclusion is None:
                 raise err("qed needs a line index")

@@ -26,11 +26,10 @@ Grammar (ASCII only, ``#`` starts a comment):
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): a constructor returns the one live node with its
 class and fields, so a formula is a DAG of shared subterms, and ``==``
-and ``hash`` are object identity.  Parsing is iterative (one operand and
-one operator stack), so neither it nor comparison has a nesting limit.
-It reads each distinct parenthesized group once: a later copy of a
-group's text is found by a string comparison and gives the same node, so
-a printed DAG costs parser steps per distinct group, not per copy.
+and ``hash`` are object identity.  Parsing is one loop with one frame
+per open group, so neither it nor comparison has a nesting limit.  Past
+``2 * _KEY`` characters it reads each distinct parenthesized group once,
+so a printed DAG costs parser steps per distinct group, not per copy.
 
 ``Record`` is the slotted, immutable base of every other module's value
 classes (proof lines, reports, verdicts, valuations).
@@ -221,120 +220,121 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 _KEY = 64  # leading characters of a group's text that key the group memo
-
-# binary operators with their sugar expanded; joins bind tighter than ->
-_BINARY = {
-    "->": Imp,
-    "(+)": lambda x, y: Imp(Imp(x, ZERO), y),
-    "\\/": Join,
-    "/\\": lambda x, y: Imp(Join(Imp(x, ZERO), Imp(y, ZERO)), ZERO),
-}
-_JOINS = ("\\/", "/\\")
+_meet = lambda x, y: Imp(Join(Imp(x, ZERO), Imp(y, ZERO)), ZERO)  # x /\ y  ==  ~(~x \/ ~y)
 
 
 def _parse(text: str, lang: str, schema: bool) -> Formula:
-    """Operator-precedence parse of the grammar above, without recursion.
+    """Operator-precedence parse of the grammar above in one loop, without
+    recursion, with one frame per open group.
 
-    ``ops`` holds "(", prefix "~" and the binary operators still waiting
-    for their right operand.  An incoming binary operator first applies
-    the joins on top of ``ops`` (joins associate to the left); ``->`` and
-    ``(+)`` associate to the right and wait for the end of their group.
-    Each token is checked in the state the grammar puts it in (an atom
-    expected, or an operator after one), so an error names the first
-    token the grammar cannot accept there.
+    A frame holds its group's ``->`` and ``(+)`` left sides (``x (+)`` as
+    ``x -> 0``), its join chain so far with the join that continues it, and
+    the count of ``~`` in front of the group.  Joins apply as their right
+    side is read (they associate to the left), ``->`` and ``(+)`` when their
+    group ends (to the right), ``^+`` to the atom just read.  Each token is
+    checked in the state the grammar puts it in (an atom expected, or an
+    operator after one), so an error names the first token the grammar
+    cannot accept there.
 
-    Tokens are read one match at a time, and each closed group "( ... )"
-    is recorded as (start, end, node) under its first ``_KEY`` characters.
-    A "(" opening an atom where a recorded group's whole text repeats is
-    that group again (its closing ")" is fixed by its own text, and equal
-    text parses to the same node): its node is the atom, and reading
-    resumes after the copy, which is never tokenized.  The text past the
-    key is compared in doubling chunks, so a near miss costs about twice
-    the length that agrees, and near misses may cost ``len(text)``
-    characters in all before lookups stop, so the parse stays linear.
+    In a text of at most ``2 * _KEY`` characters a group's later copy is at
+    most ``_KEY`` long, so such a text is tokenized by one ``findall``.  A
+    longer one is read one match at a time, and each closed group is
+    recorded under its first ``_KEY`` characters.  A "(" opening an atom
+    where a recorded group's whole text repeats gives that group's node
+    (equal text parses to the same node), and reading resumes after the
+    copy.  The text past the key is compared in doubling chunks, and near
+    misses may cost ``len(text)`` characters in all before lookups stop, so
+    the parse stays linear.
     """
-    bal = lang == "bal"
-    operands: list[Formula] = []
-    ops: list[str] = []
-    opens: list[int] = []  # offsets of the open parentheses
-    groups: dict[str, tuple[int, int, Formula]] = {}
-    budget = len(text)  # characters that failed comparisons may still cost
-    want_atom = True
-    match = _TOKEN.scanner(text).match  # anchored: each match starts where the last one ended
+    bal, want_atom = lang == "bal", True
+    frames: list[tuple] = []  # the enclosing groups' frames, each with the offset of its "("
+    lefts, acc, join, nots, p = [], None, None, 0, 0  # the innermost frame
+    names: dict[str, Formula] = {}  # the nodes of the names read so far
+    if len(text) > 2 * _KEY:
+        groups, budget = {}, len(text)  # budget: characters that failed comparisons may still cost
+        match, m = _TOKEN.scanner(text).match, None  # anchored: each match starts where the last one ended
+        def next_token() -> str:
+            nonlocal m
+            return (m := match())[1]
+    else:  # the offset of a token that fails is found from its index, by scanning again
+        groups, tokens = None, _TOKEN.findall(text)
+        next_token = (rest := iter(tokens)).__next__
     # a token is a name iff its first character is an ASCII letter, that is
     # iff "a" <= tok < "{" (a variable) or "A" <= tok < "[" (a metavariable)
     while True:
-        m = match()
-        tok = m[1]
+        tok = next_token()
         if want_atom:
             if tok == "(":
-                p = m.end() - 1
-                group = groups.get(text[p : p + _KEY]) if groups and budget > 0 else None
-                if group is not None:
-                    start, end, f = group
+                x = None
+                if groups is not None:  # a long text: "(" may open a copy of a recorded group
+                    p = m.end() - 1
+                    start, end, x = groups.get(text[p : p + _KEY] if budget > 0 else None, (0, 0, None))
                     k = _KEY  # the key's characters agree: compare the rest in doubling chunks
                     while k < end - start and text.startswith(text[start + k : min(end, start + 2 * k)], p + k):
                         k *= 2
                     if k < end - start:  # they differ before offset 2k
-                        budget -= k
-                        group = None
-                if group is None:
-                    ops.append(tok)
-                    opens.append(p)
+                        budget, x = budget - k, None
+                if x is None:
+                    frames.append((lefts, acc, join, nots, p))
+                    lefts, join, nots = [], None, 0
                     continue
                 match = _TOKEN.scanner(text, p + end - start).match
             elif tok == "~" and not bal:
-                ops.append(tok)
+                nots += 1
                 continue
-            elif "a" <= tok < "{":
-                f = Var(tok)
-            elif "A" <= tok < "[" and schema:
-                f = MetaVar(tok)
+            elif "a" <= tok < "{" or "A" <= tok < "[" and schema:
+                x = names.get(tok) or names.setdefault(tok, (Var if tok >= "a" else MetaVar)(tok))
             elif tok == "0" and not bal:
-                f = ZERO
+                x = ZERO
             else:
                 expected = frozenset(("variable", "(") + ("metavariable",) * schema + ("0", "~") * (not bal))
                 break
         elif tok == "^+":  # x ^+  ==  x \/ 0  in RL
-            operands.append(Pos(operands.pop()) if bal else Join(operands.pop(), ZERO))
+            x = Pos(x) if bal else Join(x, ZERO)
             continue
-        elif bal and tok in _BINARY and tok != "->":
+        elif bal and tok in ("(+)", "\\/", "/\\"):
             expected = frozenset(("->", "end of input"))
             break
-        elif tok in _BINARY or tok == ")" and opens or not tok and not opens:
-            while ops and ops[-1] in (_JOINS if tok in _BINARY else _BINARY):
-                right = operands.pop()
-                operands.append(_BINARY[ops.pop()](operands.pop(), right))
-            if tok in _BINARY:
-                ops.append(tok)
-                want_atom = True
-                continue
+        elif tok == "->" or tok == "(+)":
+            if join is not None:
+                x, join = join(acc, x), None
+            lefts.append(x if tok == "->" else Imp(x, ZERO))
+            want_atom = True
+            continue
+        elif tok == "\\/" or tok == "/\\":
+            acc = x if join is None else join(acc, x)
+            join, want_atom = Join if tok == "\\/" else _meet, True
+            continue
+        elif tok == ")" and frames or not tok and not frames:
+            if join is not None:
+                x = join(acc, x)
+            while lefts:
+                x = Imp(lefts.pop(), x)
             if not tok:
-                return operands.pop()
-            ops.pop()
-            start = opens.pop()
-            f = operands.pop()
-            groups[text[start : start + _KEY]] = (start, m.end(), f)
+                return x
+            lefts, acc, join, nots, p = frames.pop()
+            if groups is not None:
+                groups[text[p : p + _KEY]] = (p, m.end(), x)
         else:
-            expected = frozenset((")",) if opens else ("end of input",))
+            expected = frozenset((")",) if frames else ("end of input",))
             break
-        # f completes an atom: apply the prefix ~ in front of it (~x == x -> 0)
-        while ops and ops[-1] == "~":
-            ops.pop()
-            f = Imp(f, ZERO)
-        operands.append(f)
+        while nots:  # x completes an atom: apply the ~ in front of it (~x == x -> 0)
+            x = Imp(x, ZERO)
+            nots -= 1
         want_atom = False
     # tok failed, unless a bad character comes anywhere: the first of those
     # wins over any grammar error, so the text is scanned again from 0
-    offset = m.start(1)
     if want_atom and "A" <= tok < "[":
         message = f"metavariable {tok!r} not allowed outside schemas"
     else:
         message = f"unexpected {repr(tok) if tok else 'end of input'}"
-    for m in _TOKEN.finditer(text):
-        tok = m[1]
+    offset, failed = (m.start(1), -1) if groups is not None else (0, len(tokens) - rest.__length_hint__() - 1)
+    for i, found in enumerate(_TOKEN.finditer(text)):
+        tok = found[1]
+        if i == failed:
+            offset = found.start(1)
         if tok and tok not in _OPERATORS and not ("a" <= tok < "{" or "A" <= tok < "["):
-            offset, message, expected = m.start(1), f"unexpected character {tok!r}", frozenset(_OPERATORS + ("variable",))
+            offset, message, expected = found.start(1), f"unexpected character {tok!r}", frozenset(_OPERATORS + ("variable",))
             break
     raise ParseError(message, offset, expected)
 

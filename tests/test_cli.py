@@ -242,6 +242,14 @@ def test_check_second_system_header_exits_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: line 4: a proof has one `system:` header\n")
 
 
+def test_check_second_name_header_exits_2(tmp_path, capsys):
+    # a library would register the proof under the second name
+    path = tmp_path / "two.rlproof"
+    path.write_text("system: RL\nname: A\n1: a -> a \\/ b | axiom R1a\nname: B\nqed: 1\n", "utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", "error: line 4: a proof has one `name:` header\n")
+
+
 def test_check_library_name_clash_exits_2(corpus_dir, capsys):
     clash = corpus_text("balb_minus").replace("name: BALB_MINUS", "name: BALB_PLUS")
     (corpus_dir / "zz_clash.rlproof").write_text(clash, "utf-8")

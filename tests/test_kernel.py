@@ -366,6 +366,22 @@ def test_second_system_header_is_rejected():
 @pytest.mark.parametrize(
     "text, message",
     [
+        # the later line replaced the earlier one: the proof registered as B
+        ("system: RL\nname: A\n1: a -> a \\/ b | axiom R1a\nname: B\nqed: 1\n", "line 4: a proof has one `name:` header"),
+        ("system: RL\nname:\nname: B\n1: a -> a \\/ b | axiom R1a\nqed: 1\n", "line 3: a proof has one `name:` header"),
+        # the conclusion became line 7
+        ("system: RL\nname: A\n1: a -> a \\/ b | axiom R1a\nqed: 1\nqed: 7\n", "line 5: a proof has one `qed:` footer"),
+    ],
+    ids=["name", "empty-name", "qed"],
+)
+def test_second_name_or_qed_is_rejected(text, message):
+    with pytest.raises(ProofFormatError, match=rf"^{message}$"):
+        parse_proof(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
         ("system: RL\nname: X\nassume ¹: a\n1: a | assume 1\nqed: 1\n", "assumption index must be 1"),
         ("system: RL\nname: X\n1: a -> a | axiom R1a\nqed: ¹\n", "qed needs a line index"),
         ("system: RL\nname: X\n²: a -> a | axiom R1a\nqed: 2\n", "proof line needs a numeric index before `:`"),

@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import random
 import time
 import tracemalloc
@@ -363,6 +364,58 @@ def test_tokenizer_tries_oplus_before_parenthesis():
     assert str(info.value).startswith("unexpected '(+)'")
 
 
+# -- every parser's outcome on a seeded corpus, pinned by digest -------------
+
+_FUZZ_TOKENS = (
+    "->", "(+)", "\\/", "/\\", "^+", "~", "(", "(", ")", ")", "0", "a", "b", "x_1", "PHI", "Q",
+    " ", " ", "\t", "\r\n", "# c\n", "# (a)",
+)  # fmt: skip
+_BAD_TOKENS = ("$", "é", "1", "\x0b", "(+", "/")
+_MUTANT_CHARS = "()->\\/^+~0abPQ #$\t\n"
+
+
+def _mutate(rng, text):
+    """text with one character deleted, replaced or inserted"""
+    i = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:i] + text[i + 1 :]
+    return text[:i] + rng.choice(_MUTANT_CHARS) + text[i + (kind == 1) :]
+
+
+def _parser_corpus():
+    rng, formulas = random.Random(1901), random.Random(2024)  # (A): the acceptance-3 formulas
+    texts = []
+    for _ in range(1500):
+        tokens = rng.choices(_FUZZ_TOKENS, k=rng.randint(0, 48))
+        if tokens and rng.random() < 0.2:
+            tokens[rng.randrange(len(tokens))] = rng.choice(_BAD_TOKENS)
+        texts.append("".join(tokens))
+    for i in range(1000):
+        f = random_rl_formula(formulas, max_connectives=12, max_vars=4)
+        text = format_formula(f)
+        texts.append(_mutate(rng, text))
+        if i < 300:  # BAL prints, and groups long enough to be recorded and repeated
+            texts.append(_mutate(rng, format_formula(rl_to_bal(f))))
+            texts.append(f"({text}) -> ({_mutate(rng, text)}) \\/ ~({text})")
+    return texts
+
+
+def _outcome(parser, text):
+    try:
+        return format_formula(parser(text))
+    except ParseError as error:
+        return (str(error).partition(" at offset ")[0], error.offset, sorted(error.expected))
+
+
+def test_parser_outcomes_pinned():
+    digest = hashlib.sha256()
+    for text in _parser_corpus():
+        for parser in (parse_rl, parse_bal, parse_rl_schema, parse_bal_schema):
+            digest.update(repr(_outcome(parser, text)).encode() + b"\n")
+    assert digest.hexdigest() == "ef2568cc3f8c7dc79101b689f769bedd377c6763bc171a6c81887f2beb1ba860"
+
+
 # -- deep nesting --------------------------------------------------------------
 
 _DEPTH = 1500
@@ -574,6 +627,31 @@ def test_error_after_a_skipped_group_is_the_same_error_shifted(parser, tail):
         errors.append((str(info.value).partition(" at offset ")[0], info.value.offset, info.value.expected))
     once, twice = errors
     assert twice == (once[0], once[1] + len(_GROUP) + 4, once[2])
+
+
+_PADS = [" " * (2 * syntax._KEY + 1), "\t\r\n" * syntax._KEY, "# " + "(a -> b) " * syntax._KEY + "\n"]
+_SHORT = [  # (parser, a text of at most 2 * _KEY characters, and the same text with an error)
+    (parse_rl, "(a -> b) -> (a -> b) \\/ ~(c /\\ 0) ^+", "(a -> b) -> (a -> b) \\/ ~(c /\\ 0) ^+ )"),
+    (parse_rl_schema, "~PHI (+) (PHI -> a)", "~PHI (+) (PHI -> $)"),
+    (parse_bal, "(x -> y) ^+ -> (x -> y) ^+", "(x -> y) ^+ -> (x \\/ y) ^+"),
+    (parse_bal_schema, "PHI -> (PHI -> x)", "PHI -> (PHI -> x"),
+]
+
+
+@pytest.mark.parametrize("pad", _PADS, ids=["spaces", "crlf-tab", "comment"])
+@pytest.mark.parametrize("parser, text, wrong", _SHORT)
+def test_padding_past_the_memo_bound_changes_nothing(pad, parser, text, wrong):
+    # the padded text is read one match at a time with the group memo, the
+    # other tokenized at once: the node, and the error up to its offset, agree
+    assert len(wrong) <= 2 * syntax._KEY < len(pad)
+    assert parser(pad + text) is parser(text)
+    errors = []
+    for padded in (wrong, pad + wrong):
+        with pytest.raises(ParseError) as info:
+            parser(padded)
+        errors.append((str(info.value).partition(" at offset ")[0], info.value.offset, info.value.expected))
+    short, long = errors
+    assert long == (short[0], short[1] + len(pad), short[2])
 
 
 def test_deep_near_misses_parse_as_written():
