@@ -399,7 +399,7 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
 # proof file format
 
 def parse_proof(text: str) -> Proof:
-    system = ""
+    system: Optional[str] = None
     name: Optional[str] = None
     assumptions: list[Formula] = []
     lines: list[ProofLine] = []
@@ -413,7 +413,7 @@ def parse_proof(text: str) -> Proof:
             return ProofFormatError(f"line {lineno}: {msg}")
 
         if stripped.startswith("system:"):
-            if system:  # the lines above were read in its grammar
+            if system is not None:  # the lines above were read in its grammar
                 raise err("a proof has one `system:` header")
             system = stripped.partition(":")[2].strip()
             continue

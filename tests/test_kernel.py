@@ -371,10 +371,11 @@ def test_second_system_header_is_rejected():
         ("system: RL\nname:\nname: B\n1: a -> a \\/ b | axiom R1a\nqed: 1\n", "line 3: a proof has one `name:` header"),
         # the conclusion became line 7
         ("system: RL\nname: A\n1: a -> a \\/ b | axiom R1a\nqed: 1\nqed: 7\n", "line 5: a proof has one `qed:` footer"),
+        ("system:\nname: A\nsystem: RL\n1: a -> a \\/ b | axiom R1a\nqed: 1\n", "line 3: a proof has one `system:` header"),
     ],
-    ids=["name", "empty-name", "qed"],
+    ids=["name", "empty-name", "qed", "empty-system"],
 )
-def test_second_name_or_qed_is_rejected(text, message):
+def test_second_header_or_footer_is_rejected(text, message):
     with pytest.raises(ProofFormatError, match=rf"^{message}$"):
         parse_proof(text)
 
