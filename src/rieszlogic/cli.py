@@ -11,9 +11,11 @@ One executable, subcommand per capability::
     rieszlogic distrib entails --matrix counts.csv orange fruit
 
 Exit codes: 0 success / valid / holds / entails; 1 semantic negative
-(countermodel found, proof rejected, entailment fails); 2 usage or I/O
-error, or a decision that failed its self-check; 3 budget exceeded or
-out of memory.  Results go to stdout, diagnostics to stderr.
+(countermodel found, proof rejected, entailment fails), returned by a
+handler, never raised; 2 usage or I/O error, or a decision that failed
+its self-check; 3 budget exceeded or out of memory, as ``_EXITS`` maps
+error classes to them.  ``_COMMANDS`` declares the subcommands.  Results
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-# the other modules are imported by the subcommands that use them, so
-# that each command loads only what it runs
+# the other modules are imported by the handlers that use them, so that
+# each subcommand loads only what it runs
 from .syntax import Formula, ParseError, format_formula, parse_bal, parse_rl
 
 if TYPE_CHECKING:
@@ -53,14 +55,8 @@ def _read_formula(args: argparse.Namespace, lang: str) -> Formula:
     return parse_rl(text) if lang == "rl" else parse_bal(text)
 
 
-def _add_formula_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("formula", nargs="?", help="inline formula text")
-    sub.add_argument("--file", help="read the formula from a file instead")
-
-
 def _cmd_parse(args: argparse.Namespace) -> int:
-    f = _read_formula(args, args.lang)
-    print(format_formula(f))
+    print(format_formula(_read_formula(args, args.lang)))
     return EXIT_OK
 
 
@@ -80,16 +76,24 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
     budget = decide.DEFAULT_BUDGET if args.budget is None else args.budget
     f = _read_formula(args, args.lang)
-    if args.lang == "rl":
-        verdict = decide.decide_valid(f, budget)
-    else:
-        verdict = decide.decide_bal_valid(f, budget)
+    solve = decide.decide_valid if args.lang == "rl" else decide.decide_bal_valid
+    verdict = solve(f, budget)
     if isinstance(verdict, decide.Valid):
         print("VALID")
         return EXIT_OK
     print("COUNTEREXAMPLE")
     print(semantics.format_valuation(verdict.valuation))
     return EXIT_NEGATIVE
+
+
+def _read_proof(path: Path, prefix: str) -> kernel.Proof:
+    """Parse a proof file; a format error is reported after ``prefix``."""
+    from . import kernel
+
+    try:
+        return kernel.parse_proof(path.read_text("utf-8"))
+    except (kernel.ProofFormatError, ParseError) as exc:
+        raise _UsageError(f"{prefix}{exc}") from None
 
 
 def _load_library_dir(path: Path) -> kernel.TheoremLibrary:
@@ -100,15 +104,8 @@ def _load_library_dir(path: Path) -> kernel.TheoremLibrary:
 
     from . import kernel
 
-    proofs = {}
-    for file in sorted(path.glob("*.rlproof")):
-        try:
-            proofs[file] = kernel.parse_proof(file.read_text("utf-8"))
-        except (kernel.ProofFormatError, ParseError) as exc:
-            raise _UsageError(f"{file.name}: {exc}") from None
-    first: dict[str, Path] = {}
-    for file, proof in proofs.items():
-        first.setdefault(proof.name, file)
+    proofs = {file: _read_proof(file, f"{file.name}: ") for file in sorted(path.glob("*.rlproof"))}
+    first = {proof.name: file for file, proof in reversed(proofs.items())}  # the first file with each name
     after: dict[Path, set[Path]] = {}
     for file, proof in proofs.items():
         names = {ln.justification.name for ln in proof.lines if isinstance(ln.justification, kernel.Lemma)}
@@ -135,11 +132,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failed = False
     for file in args.files:
         prefix = "" if len(args.files) == 1 else f"{file}: "
-        try:
-            proof = kernel.parse_proof(Path(file).read_text("utf-8"))
-        except (kernel.ProofFormatError, ParseError) as exc:
-            raise _UsageError(f"{prefix}{exc}") from None
-        report, library = library.admit(proof)
+        report, library = library.admit(_read_proof(Path(file), prefix))
         print(f"{prefix}{report.summary()}")
         if not report.accepted:
             failed = True
@@ -152,8 +145,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_translate(args: argparse.Namespace) -> int:
     from . import bridge, semantics
 
+    f = _read_formula(args, "rl" if args.to == "bal" else "bal")
     if args.to == "bal":
-        f = _read_formula(args, "rl")
         translated = bridge.rl_to_bal(f)
         # sample before printing, so that a bad --trials leaves stdout empty
         report = bridge.check_equivalence(f, trials=args.trials, seed=args.seed) if args.trials else None
@@ -164,7 +157,6 @@ def _cmd_translate(args: argparse.Namespace) -> int:
             print(semantics.format_valuation(valuation), file=sys.stderr)
             return EXIT_NEGATIVE
         return EXIT_OK
-    f = _read_formula(args, "bal")
     pair = bridge.bal_to_rl(f)
     print(format_formula(pair.first))
     print(format_formula(pair.second))
@@ -183,22 +175,15 @@ def _cmd_distrib(args: argparse.Namespace) -> int:
 
     matrix = distrib.load_matrix(Path(args.matrix).read_text("utf-8"))
     t1, t2 = args.terms
-    if args.query == "meet":
-        print(semantics.format_vector(distrib.meet(matrix, t1, t2)))
-        return EXIT_OK
-    if args.query == "join":
-        print(semantics.format_vector(distrib.join(matrix, t1, t2)))
-        return EXIT_OK
+    if args.query == "entails":
+        witness = distrib.entails_witness(matrix, t1, t2)
+        print("true" if witness is None else "false (context {}: {} > {})".format(*witness))
+        return EXIT_OK if witness is None else EXIT_NEGATIVE
     if args.query == "cosine":
         print(format(distrib.cosine(matrix, t1, t2), ".17g"))
-        return EXIT_OK
-    witness = distrib.entails_witness(matrix, t1, t2)
-    if witness is None:
-        print("true")
-        return EXIT_OK
-    context, a, b = witness
-    print(f"false (context {context}: {a} > {b})")
-    return EXIT_NEGATIVE
+    else:  # meet or join, each a function of distrib
+        print(semantics.format_vector(getattr(distrib, args.query)(matrix, t1, t2)))
+    return EXIT_OK
 
 
 class _BudgetHelpFormatter(argparse.HelpFormatter):
@@ -206,90 +191,80 @@ class _BudgetHelpFormatter(argparse.HelpFormatter):
     importing ``decide`` only when the help is printed."""
 
     def _get_help_string(self, action: argparse.Action) -> Optional[str]:
-        text = super()._get_help_string(action)
-        if action.dest == "budget":
-            from . import decide
+        if action.dest != "budget":
+            return action.help
+        from . import decide
 
-            text = text.replace("%(default)s", str(decide.DEFAULT_BUDGET))
-        return text
+        return action.help.replace("%(default)s", str(decide.DEFAULT_BUDGET))
+
+
+_FORMULA = (
+    ("formula", dict(nargs="?", help="inline formula text")),
+    ("--file", dict(help="read the formula from a file instead")),
+)
+_LANG = ("--lang", dict(choices=("rl", "bal"), default="rl"))
+
+# name -> (handler, help, *arguments); a two-word name is a subcommand of
+# the entry named by its first word, whose handler is None
+_COMMANDS = {
+    "parse": (_cmd_parse, "echo the canonical form", *_FORMULA, _LANG),
+    "eval": (_cmd_eval, "evaluate under a valuation file", *_FORMULA, _LANG,
+             ("--valuation", dict(required=True, help="file with `var = (r1, ..., rn)` lines"))),
+    "decide": (_cmd_decide, "decide validity, print VALID or COUNTEREXAMPLE", *_FORMULA, _LANG,
+               ("--budget", dict(type=int, help="bound on the search, 2^k x rows for k binary negative joins, and"
+                                 " on the simplex pivots per LP (exit 3 past it; default %(default)s)"))),
+    "check": (_cmd_check, "replay proof script files",
+              ("files", dict(nargs="+", metavar="FILE")),
+              ("--library", dict(help="directory of proofs to preload in dependency order"))),
+    "translate": (_cmd_translate, "translate between RL and BAL", *_FORMULA,
+                  ("--to", dict(choices=("bal", "rl"), required=True)),
+                  ("--trials", dict(type=int, default=0, help="also sample-check equivalence")),
+                  ("--seed", dict(type=int, default=0))),
+    "fuzzy": (None, "unit-interval operations"),
+    "fuzzy grid": (_cmd_fuzzy, "emit a CSV surface grid",
+                   ("--op", dict(choices=("tl", "tr"), required=True)),
+                   ("--n", dict(type=int, required=True, help="grid resolution"))),
+    "distrib": (_cmd_distrib, "term-document lattice queries",
+                ("query", dict(choices=("meet", "join", "entails", "cosine"))),
+                ("--matrix", dict(required=True, help="CSV count matrix")),
+                ("terms", dict(nargs=2, metavar="TERM"))),
+}
+
+# "module.Class" -> exit code, naming a class without importing its module;
+# an error takes the code of the nearest class in its MRO that is listed
+_EXITS = {
+    f"{__name__}._UsageError": EXIT_USAGE,  # __name__ is __main__ under `python -m`
+    "builtins.OSError": EXIT_USAGE,
+    "builtins.ValueError": EXIT_USAGE,
+    "rieszlogic.syntax.ParseError": EXIT_USAGE,
+    "rieszlogic.semantics.ValuationError": EXIT_USAGE,
+    "rieszlogic.decide.SelfCheckError": EXIT_USAGE,
+    "rieszlogic.decide.BudgetExceededError": EXIT_BUDGET,
+    "rieszlogic.kernel.ProofFormatError": EXIT_USAGE,
+    "rieszlogic.bridge.ReservedVariableError": EXIT_USAGE,
+    "rieszlogic.distrib.MatrixFormatError": EXIT_USAGE,
+    "rieszlogic.distrib.UnknownTermError": EXIT_USAGE,  # a KeyError, which is not listed
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rieszlogic",
-        description="parse, evaluate, decide, check and translate formulas",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="echo the canonical form")
-    _add_formula_args(p)
-    p.add_argument("--lang", choices=("rl", "bal"), default="rl")
-    p.set_defaults(run=_cmd_parse)
-
-    p = sub.add_parser("eval", help="evaluate under a valuation file")
-    _add_formula_args(p)
-    p.add_argument("--lang", choices=("rl", "bal"), default="rl")
-    p.add_argument("--valuation", required=True, help="file with `var = (r1, ..., rn)` lines")
-    p.set_defaults(run=_cmd_eval)
-
-    p = sub.add_parser(
-        "decide", help="decide validity, print VALID or COUNTEREXAMPLE", formatter_class=_BudgetHelpFormatter
-    )
-    _add_formula_args(p)
-    p.add_argument("--lang", choices=("rl", "bal"), default="rl")
-    p.add_argument(
-        "--budget",
-        type=int,
-        help="bound on the search, 2^k x rows for k binary negative joins, and on the simplex pivots per LP"
-        " (exit 3 past it; default %(default)s)",
-    )
-    p.set_defaults(run=_cmd_decide)
-
-    p = sub.add_parser("check", help="replay proof script files")
-    p.add_argument("files", nargs="+", metavar="FILE")
-    p.add_argument("--library", help="directory of proofs to preload in dependency order")
-    p.set_defaults(run=_cmd_check)
-
-    p = sub.add_parser("translate", help="translate between RL and BAL")
-    _add_formula_args(p)
-    p.add_argument("--to", choices=("bal", "rl"), required=True)
-    p.add_argument("--trials", type=int, default=0, help="also sample-check equivalence")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_cmd_translate)
-
-    p = sub.add_parser("fuzzy", help="unit-interval operations")
-    fuzzy_sub = p.add_subparsers(dest="fuzzy_command", required=True)
-    g = fuzzy_sub.add_parser("grid", help="emit a CSV surface grid")
-    g.add_argument("--op", choices=("tl", "tr"), required=True)
-    g.add_argument("--n", type=int, required=True, help="grid resolution")
-    g.set_defaults(run=_cmd_fuzzy)
-
-    p = sub.add_parser("distrib", help="term-document lattice queries")
-    p.add_argument("query", choices=("meet", "join", "entails", "cosine"))
-    p.add_argument("--matrix", required=True, help="CSV count matrix")
-    p.add_argument("terms", nargs=2, metavar="TERM")
-    p.set_defaults(run=_cmd_distrib)
-
+    description = "parse, evaluate, decide, check and translate formulas"
+    parser = argparse.ArgumentParser(prog="rieszlogic", description=description)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (run, text, *arguments) in _COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        p = groups[group].add_parser(word, help=text, formatter_class=_BudgetHelpFormatter)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)  # a group's None is replaced by its subcommand's handler
+        if run is None:
+            groups[name] = p.add_subparsers(dest=f"{name}_command", required=True)
     return parser
 
 
-def _loaded(*names: str) -> tuple[type[Exception], ...]:
-    """The named ``module.Class`` exceptions of the submodules loaded so
-    far.  A submodule that is not loaded cannot have raised, and an
-    ``except`` clause evaluates this only when an exception reaches it."""
-    found = []
-    for name in names:
-        module, _, cls = name.partition(".")
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            found.append(getattr(loaded, cls))
-    return tuple(found)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -306,25 +281,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RecursionError as exc:
         print(f"error: input nested too deeply ({exc})", file=sys.stderr)
         return EXIT_USAGE
-    except _loaded("decide.BudgetExceededError") as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (
-        _UsageError,
-        ParseError,
-        OSError,
-        ValueError,
-        *_loaded(
-            "decide.SelfCheckError",
-            "semantics.ValuationError",
-            "kernel.ProofFormatError",
-            "distrib.MatrixFormatError",
-            "distrib.UnknownTermError",
-            "bridge.ReservedVariableError",
-        ),
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        for cls in type(exc).__mro__:
+            code = _EXITS.get(f"{cls.__module__}.{cls.__qualname__}")
+            if code is not None:
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def console_main() -> None:

@@ -129,13 +129,13 @@ def entails_witness(m: TermDocumentMatrix, t1: str, t2: str) -> Optional[tuple[s
 
 
 def cosine(m: TermDocumentMatrix, t1: str, t2: str) -> float:
-    """Cosine of the angle between two nonzero term vectors."""
+    """Cosine of the angle between two nonzero term vectors, in [0, 1]
+    as counts are nonnegative.  Its square is computed exactly, so counts
+    past the float range neither overflow nor round a norm to zero."""
     u, v = m.row(t1), m.row(t2)
     if not any(u):
         raise ValueError(f"term {t1!r} has the zero vector")
     if not any(v):
         raise ValueError(f"term {t2!r} has the zero vector")
     dot = sum(a * b for a, b in zip(u, v))
-    norm_u = math.sqrt(sum(a * a for a in u))
-    norm_v = math.sqrt(sum(b * b for b in v))
-    return float(dot) / (norm_u * norm_v)
+    return math.sqrt(dot * dot / (sum(a * a for a in u) * sum(b * b for b in v)))

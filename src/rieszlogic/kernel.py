@@ -53,7 +53,8 @@ increasing.  A proof has one ``system:`` header, before its assumptions
 and lines, which are read in that system's grammar, one ``name:`` header
 and one ``qed:`` footer; a second one of any of them is an error.  Every
 index (of a line, an assumption, ``qed`` or a justification's argument)
-is written in ASCII decimal digits.
+is written in ASCII decimal digits.  A formula's ``ParseError`` names its
+line; its offset is counted within the formula.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .syntax import (
     Formula,
     Imp,
     Join,
+    ParseError,
     Pos,
     Record,
     Substitution,
@@ -404,53 +406,57 @@ def parse_proof(text: str) -> Proof:
     assumptions: list[Formula] = []
     lines: list[ProofLine] = []
     conclusion: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.split("#", 1)[0].strip()
+            if not stripped:
+                continue
 
-        def err(msg: str) -> ProofFormatError:
-            return ProofFormatError(f"line {lineno}: {msg}")
+            def err(msg: str) -> ProofFormatError:
+                return ProofFormatError(f"line {lineno}: {msg}")
 
-        if stripped.startswith("system:"):
-            if system is not None:  # the lines above were read in its grammar
-                raise err("a proof has one `system:` header")
-            system = stripped.partition(":")[2].strip()
-            continue
-        if stripped.startswith("name:"):
-            if name is not None:  # a library registers the proof under one name
-                raise err("a proof has one `name:` header")
-            name = stripped.partition(":")[2].strip()
-            continue
-        if stripped.startswith("assume "):
-            head, _, formula_text = stripped.partition(":")
-            if not formula_text:
-                raise err("assumption needs `assume <k>: <formula>`")
-            k_text = head[len("assume "):].strip()
-            if _index(k_text) != len(assumptions) + 1:
-                raise err(f"assumption index must be {len(assumptions) + 1}")
+            if stripped.startswith("system:"):
+                if system is not None:  # the lines above were read in its grammar
+                    raise err("a proof has one `system:` header")
+                system = stripped.partition(":")[2].strip()
+                continue
+            if stripped.startswith("name:"):
+                if name is not None:  # a library registers the proof under one name
+                    raise err("a proof has one `name:` header")
+                name = stripped.partition(":")[2].strip()
+                continue
+            if stripped.startswith("assume "):
+                head, _, formula_text = stripped.partition(":")
+                if not formula_text:
+                    raise err("assumption needs `assume <k>: <formula>`")
+                k_text = head[len("assume "):].strip()
+                if _index(k_text) != len(assumptions) + 1:
+                    raise err(f"assumption index must be {len(assumptions) + 1}")
+                if not system:
+                    raise err("system must be declared before assumptions")
+                assumptions.append(parse_schema(formula_text.strip(), system))
+                continue
+            if stripped.startswith("qed:"):
+                if conclusion is not None:
+                    raise err("a proof has one `qed:` footer")
+                conclusion = _index(stripped.partition(":")[2].strip())
+                if conclusion is None:
+                    raise err("qed needs a line index")
+                continue
+            head, sep, just_text = stripped.rpartition("|")
+            if not sep:
+                raise err("proof line needs `<index>: <formula> | <justification>`")
+            idx_text, sep2, formula_text = head.partition(":")
+            index = _index(idx_text.strip())
+            if not sep2 or index is None:
+                raise err("proof line needs a numeric index before `:`")
             if not system:
-                raise err("system must be declared before assumptions")
-            assumptions.append(parse_schema(formula_text.strip(), system))
-            continue
-        if stripped.startswith("qed:"):
-            if conclusion is not None:
-                raise err("a proof has one `qed:` footer")
-            conclusion = _index(stripped.partition(":")[2].strip())
-            if conclusion is None:
-                raise err("qed needs a line index")
-            continue
-        head, sep, just_text = stripped.rpartition("|")
-        if not sep:
-            raise err("proof line needs `<index>: <formula> | <justification>`")
-        idx_text, sep2, formula_text = head.partition(":")
-        index = _index(idx_text.strip())
-        if not sep2 or index is None:
-            raise err("proof line needs a numeric index before `:`")
-        if not system:
-            raise err("system must be declared before proof lines")
-        formula = parse_schema(formula_text.strip(), system)
-        lines.append(ProofLine(index, formula, _parse_justification(just_text.strip(), err)))
+                raise err("system must be declared before proof lines")
+            formula = parse_schema(formula_text.strip(), system)
+            lines.append(ProofLine(index, formula, _parse_justification(just_text.strip(), err)))
+    except ParseError as exc:  # from a formula, whose offset does not locate it in the text
+        exc.args = (f"line {lineno}: {exc}",)
+        raise
     if not system:
         raise ProofFormatError("missing `system:` header")
     if not name:

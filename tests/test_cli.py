@@ -212,7 +212,7 @@ def test_check_library_citation_cycle_exits_2(corpus_dir, monkeypatch, capsys):
     "line, message",
     [
         ("1: a -> a \\/ b | zz 1", "line 3: unknown justification 'zz'"),
-        ("1: a -> ) | axiom R1a", "unexpected ')' at offset 5 (expected: (, 0, metavariable, variable, ~)"),
+        ("1: a -> ) | axiom R1a", "line 3: unexpected ')' at offset 5 (expected: (, 0, metavariable, variable, ~)"),
         ("²: a -> a \\/ b | axiom R1a", "line 3: proof line needs a numeric index before `:`"),
     ],
     ids=["proof-format", "formula", "superscript-index"],
@@ -402,6 +402,14 @@ def test_distrib_cosine(matrix_file, capsys):
     assert abs(float(out) - 0.5308517143921717) <= 1e-12
 
 
+def test_distrib_cosine_of_counts_past_float_range(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("term,d1,d2\norange,1e400,1\nfruit,1e400,2\n", "utf-8")
+    code, out, err = run(capsys, "distrib", "cosine", "--matrix", str(path), "orange", "fruit")
+    assert (code, err) == (0, "")
+    assert 0 <= float(out) <= 1
+
+
 def test_distrib_unknown_term(matrix_file, capsys):
     code, _, err = run(capsys, "distrib", "meet", "--matrix", str(matrix_file), "orange", "grape")
     assert code == 2
@@ -410,6 +418,20 @@ def test_distrib_unknown_term(matrix_file, capsys):
 def test_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "eval", "a", "--valuation", "/nonexistent/v.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize("error, code", [(KeyError("x"), None), (UnicodeError("x"), 2)])
+def test_exit_code_of_nearest_listed_base(monkeypatch, capsys, error, code):
+    # KeyError is a base of a listed class, not a subclass: it propagates
+    def fail(f, budget):
+        raise error
+
+    monkeypatch.setattr(decide, "decide_valid", fail)
+    if code is None:
+        with pytest.raises(type(error)):
+            main(["decide", "a"])
+    else:
+        assert run(capsys, "decide", "a") == (code, "", "error: x\n")
 
 
 def test_usage_error_exit_2(capsys):
@@ -447,6 +469,7 @@ def fresh(*argv):
 def inputs(tmp_path, corpus_dir):
     (tmp_path / "v.txt").write_text("p = (1, 0)\nq = (2, 3)\n", "utf-8")
     (tmp_path / "bad_v.txt").write_text("p = 1\n", "utf-8")
+    (tmp_path / "bad_m.csv").write_text("term,d1\nx,x\n", "utf-8")
     (tmp_path / "m.csv").write_text("term,d1,d2,d3\norange,2,0,1\nfruit,3,1,1\n", "utf-8")
     (tmp_path / "bad.rlproof").write_text("system: RL\nname: BAD\n1: a -> a \\/ b | zz 1\nqed: 1\n", "utf-8")
     return {"dir": tmp_path, "corpus": corpus_dir}
@@ -484,6 +507,12 @@ FRESH_ERRORS = {
     "ProofFormatError": (("check", "{dir}/bad.rlproof"), 2, "line 3: unknown justification 'zz'"),
     "UnknownTermError": (("distrib", "meet", "--matrix", "{dir}/m.csv", "kiwi", "fruit"), 2, "unknown term 'kiwi'"),
     "ReservedVariableError": (("translate", "--to", "bal", "z"), 2, "formula uses the reserved variable 'z'"),
+    "_UsageError": (("parse",), 2, "no formula given (inline or --file)"),
+    "OSError": (
+        ("eval", "a", "--valuation", "{dir}/missing.txt"), 2, "[Errno 2] No such file or directory: '{dir}/missing.txt'"
+    ),
+    "ValueError": (("fuzzy", "grid", "--op", "tl", "--n", "0"), 2, "resolution must be >= 1"),
+    "MatrixFormatError": (("distrib", "meet", "--matrix", "{dir}/bad_m.csv", "x", "x"), 2, "row 2: bad count 'x'"),
 }
 
 
@@ -491,7 +520,7 @@ FRESH_ERRORS = {
 def test_fresh_process_error_exit_code(inputs, error):
     argv, code, message = FRESH_ERRORS[error]
     result = fresh(*(arg.format(**inputs) for arg in argv))
-    assert (result.returncode, result.stdout, result.stderr) == (code, "", f"error: {message}\n")
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", f"error: {message.format(**inputs)}\n")
 
 
 def test_fresh_process_decide_help_shows_default_budget():

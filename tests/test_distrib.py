@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,19 @@ def test_cosine_disjoint_supports(counts):
 def test_cosine_orange_fruit_regression(counts):
     # frozen from an exact high-precision computation of 35/sqrt(63*69)
     assert abs(cosine(counts, "orange", "fruit") - 0.5308517143921717) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["orange,1e400,1\nfruit,1e400,2\n", "orange,1e-400,1e-400\nfruit,1e-400,2e-400\n"],
+    ids=["overflow", "underflow"],
+)
+def test_cosine_of_counts_outside_float_range(rows):
+    # as floats, the norms overflow, or both underflow to 0.0
+    m = load_matrix("term,d1,d2\n" + rows)
+    value = cosine(m, "orange", "fruit")
+    assert math.isfinite(value) and 0 <= value <= 1
+    assert cosine(m, "orange", "orange") == 1.0
 
 
 def test_unknown_term(counts):

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -24,7 +25,7 @@ from rieszlogic.kernel import (
     parse_proof,
     register_theorem,
 )
-from rieszlogic.syntax import Var, parse_bal, parse_rl, parse_schema, substitute
+from rieszlogic.syntax import ParseError, Var, parse_bal, parse_rl, parse_schema, substitute
 
 
 def rl_proof(name, lines, assumptions=(), conclusion=None):
@@ -401,6 +402,22 @@ def test_indices_are_ascii_digits(text, message):
     # more digits than the interpreter converts (4,300 by default)
     with pytest.raises(ProofFormatError, match=rf"^line \d+: {message}$"):
         parse_proof(text)
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("system: RL\nname: X\nassume 1: a -> )\n1: a | assume 1\nqed: 1\n", "line 3: unexpected ')'", 5),
+        ("system: RL\nname: X\nassume 1: a\n1: a -> | assume 1\nqed: 1\n", "line 4: unexpected end of input", 4),
+    ],
+    ids=["assumption", "line"],
+)
+def test_formula_syntax_error_names_its_line(text, message, offset):
+    # the offset stays relative to the formula text, so the line is named
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)} at offset {offset} \(expected: ") as caught:
+        parse_proof(text)
+    assert caught.value.offset == offset
+    assert caught.value.expected == frozenset({"(", "0", "metavariable", "variable", "~"})
 
 
 def test_rule_keywords_are_class_names():
