@@ -132,7 +132,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failed = False
     for file in args.files:
         prefix = "" if len(args.files) == 1 else f"{file}: "
-        report, library = library.admit(_read_proof(Path(file), prefix))
+        try:  # a name the library holds with other content, refused as --library does
+            report, library = library.admit(_read_proof(Path(file), prefix))
+        except kernel.RegistrationError as exc:
+            raise _UsageError(f"{prefix}{exc}") from None
         print(f"{prefix}{report.summary()}")
         if not report.accepted:
             failed = True

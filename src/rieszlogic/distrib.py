@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .syntax import Record
+from .syntax import Record, _fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -81,7 +81,9 @@ def load_matrix(text: str) -> TermDocumentMatrix:
                 vec.append(Fraction(0))
                 continue
             try:
-                value = Fraction(cell)
+                value = _fraction(cell)
+            except OverflowError as exc:  # past the digit bound
+                raise MatrixFormatError(f"row {lineno}: {exc}") from None
             except (ValueError, ZeroDivisionError):
                 raise MatrixFormatError(f"row {lineno}: bad count {cell!r}") from None
             if value < 0:

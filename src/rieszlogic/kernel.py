@@ -17,7 +17,12 @@ Axiom and lemma instances match the schema against the line
 (``syntax.match_or_conflict``).  Proofs and reports are immutable
 records, and replay builds no object per accepted line (``check_proof``).
 
-Systems:
+A ``TheoremLibrary`` admits a proof by one rule, ``admit``: a name it holds
+with other content is refused (``RegistrationError``) before anything is
+checked; otherwise the proof is checked and, if accepted and new, added.
+``register`` is ``admit`` that also refuses a rejected proof.
+
+Systems (``_SYSTEMS`` gives each its axioms and allowed rules):
 
 * RL has axioms R1a R1b R2 R3 R4 R5a R5b R6a R6b and rules
 
@@ -49,12 +54,13 @@ Proof file format (one proof per file, ``#`` comments allowed)::
 Justifications: ``axiom <NAME>``, ``assume <k>``, ``mp <i> <j>``,
 ``ri <i>``, ``balg <i> <j>``, ``balpi <i>``, ``balmi <i>``,
 ``lemma <name> <i...>``.  Line indices are 1-based and strictly
-increasing.  A proof has one ``system:`` header, before its assumptions
-and lines, which are read in that system's grammar, one ``name:`` header
-and one ``qed:`` footer; a second one of any of them is an error.  Every
-index (of a line, an assumption, ``qed`` or a justification's argument)
-is written in ASCII decimal digits.  A formula's ``ParseError`` names its
-line; its offset is counted within the formula.
+increasing.  A proof has one ``system:`` header, ``RL`` or ``BAL``, before
+its assumptions and lines, which are read in that system's grammar, one
+``name:`` header and one ``qed:`` footer; a second one of any of them, or
+an unknown system, is an error at its line.  Every index (of a line, an
+assumption, ``qed`` or a justification's argument) is written in ASCII
+decimal digits.  A formula's ``ParseError`` names its line; its offset is
+counted within the formula.
 """
 
 from __future__ import annotations
@@ -105,8 +111,6 @@ BAL_AXIOMS: dict[str, Formula] = _schemas(
     },
 )
 
-AXIOM_TABLES: dict[str, dict[str, Formula]] = {"RL": RL_AXIOMS, "BAL": BAL_AXIOMS}
-
 
 # ---------------------------------------------------------------------------
 # proofs
@@ -149,8 +153,11 @@ Justification = Union[Assume, Axiom, Mp, Ri, BalG, BalPi, BalMi, Lemma]
 #: a rule's keyword in proof files is its class name in lower case
 _KEYWORDS: dict[str, type] = {rule.__name__.lower(): rule for rule in get_args(Justification)}
 
-_RL_RULES = (Assume, Axiom, Mp, Ri, Lemma)
-_BAL_RULES = (Assume, Axiom, Mp, BalG, BalPi, BalMi, Lemma)
+#: each system's axiom schemas and the justifications it allows
+_SYSTEMS: dict[str, tuple[dict[str, Formula], tuple[type, ...]]] = {
+    "RL": (RL_AXIOMS, (Assume, Axiom, Mp, Ri, Lemma)),
+    "BAL": (BAL_AXIOMS, (Assume, Axiom, Mp, BalG, BalPi, BalMi, Lemma)),
+}
 
 
 class ProofLine(Record):
@@ -226,25 +233,19 @@ class TheoremLibrary:
         return tuple(self._entries)
 
     def register(self, proof: Proof) -> "TheoremLibrary":
-        existing = self._entries.get(proof.name)
-        if existing is not None:
-            if existing == proof:
-                return self
-            raise RegistrationError(f"name {proof.name!r} already registered with different content")
         report, library = self.admit(proof)
         if not report.accepted:
             raise RegistrationError(f"proof {proof.name!r} rejected: {report.summary()}")
         return library
 
     def admit(self, proof: Proof) -> tuple[CheckReport, "TheoremLibrary"]:
-        """Check the proof once against this library.
-
-        Returns the report and the library with the proof added; the
-        library is unchanged when the proof is rejected or its name is
-        already registered.
-        """
+        """The proof's report against this library, and the library after
+        the admission rule (module docstring)."""
+        existing = self._entries.get(proof.name)
+        if existing is not None and existing != proof:
+            raise RegistrationError(f"name {proof.name!r} already registered with different content")
         report = check_proof(proof, self)
-        if not report.accepted or proof.name in self._entries:
+        if not report.accepted or existing is not None:
             return report, self
         return report, TheoremLibrary({**self._entries, proof.name: proof})
 
@@ -293,9 +294,9 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
     into the line's message.  Every line is checked on every call, but
     accepted statuses are immutable and shared, one per index up to 4,096.
     """
-    if proof.system not in AXIOM_TABLES:
+    if proof.system not in _SYSTEMS:
         return CheckReport(proof.name, (LineStatus(0, False, f"unknown system {proof.system!r}"),), False)
-    allowed = _RL_RULES if proof.system == "RL" else _BAL_RULES
+    axioms, allowed = _SYSTEMS[proof.system]
     statuses: list[LineStatus] = []
     checked: dict[int, Formula] = {}
     previous = 0
@@ -316,7 +317,7 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
                     raise _Rejected(f"formula differs from assumption {just.index}")
 
             elif isinstance(just, Axiom):
-                schema = AXIOM_TABLES[proof.system].get(just.name)
+                schema = axioms.get(just.name)
                 if schema is None:
                     raise _Rejected(f"unknown axiom {just.name!r} in {proof.system}")
                 _match(schema, formula, None, "not an instance of {}", just.name)
@@ -400,12 +401,14 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
 # ---------------------------------------------------------------------------
 # proof file format
 
+#: the keyword of each line that a proof has once, and what the line is called
+_HEADERS = {"system": "header", "name": "header", "qed": "footer"}
+
+
 def parse_proof(text: str) -> Proof:
-    system: Optional[str] = None
-    name: Optional[str] = None
+    headers: dict[str, Union[str, int]] = {}  # keyword -> its value, or the conclusion's index
     assumptions: list[Formula] = []
     lines: list[ProofLine] = []
-    conclusion: Optional[int] = None
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.split("#", 1)[0].strip()
@@ -415,16 +418,18 @@ def parse_proof(text: str) -> Proof:
             def err(msg: str) -> ProofFormatError:
                 return ProofFormatError(f"line {lineno}: {msg}")
 
-            if stripped.startswith("system:"):
-                if system is not None:  # the lines above were read in its grammar
-                    raise err("a proof has one `system:` header")
-                system = stripped.partition(":")[2].strip()
+            key, _, value = stripped.partition(":")
+            if key in _HEADERS:
+                if key in headers:
+                    raise err(f"a proof has one `{key}:` {_HEADERS[key]}")
+                value = value.strip()
+                if key == "system" and value and value not in _SYSTEMS:
+                    raise err(f"unknown system {value!r}")
+                if key == "qed" and (value := _index(value)) is None:
+                    raise err("qed needs a line index")
+                headers[key] = value
                 continue
-            if stripped.startswith("name:"):
-                if name is not None:  # a library registers the proof under one name
-                    raise err("a proof has one `name:` header")
-                name = stripped.partition(":")[2].strip()
-                continue
+            system = headers.get("system")
             if stripped.startswith("assume "):
                 head, _, formula_text = stripped.partition(":")
                 if not formula_text:
@@ -435,13 +440,6 @@ def parse_proof(text: str) -> Proof:
                 if not system:
                     raise err("system must be declared before assumptions")
                 assumptions.append(parse_schema(formula_text.strip(), system))
-                continue
-            if stripped.startswith("qed:"):
-                if conclusion is not None:
-                    raise err("a proof has one `qed:` footer")
-                conclusion = _index(stripped.partition(":")[2].strip())
-                if conclusion is None:
-                    raise err("qed needs a line index")
                 continue
             head, sep, just_text = stripped.rpartition("|")
             if not sep:
@@ -457,6 +455,7 @@ def parse_proof(text: str) -> Proof:
     except ParseError as exc:  # from a formula, whose offset does not locate it in the text
         exc.args = (f"line {lineno}: {exc}",)
         raise
+    system, name, conclusion = map(headers.get, _HEADERS)
     if not system:
         raise ProofFormatError("missing `system:` header")
     if not name:
@@ -521,12 +520,8 @@ def format_justification(just: Justification) -> str:
     return " ".join(words)
 
 
-def format_proof(proof: Proof, header: str = "") -> str:
-    out: list[str] = []
-    if header:
-        out.extend(f"# {line}".rstrip() for line in header.splitlines())
-    out.append(f"system: {proof.system}")
-    out.append(f"name: {proof.name}")
+def format_proof(proof: Proof) -> str:
+    out = [f"system: {proof.system}", f"name: {proof.name}"]
     for k, assumption in enumerate(proof.assumptions, start=1):
         out.append(f"assume {k}: {format_formula(assumption)}")
     width = len(str(proof.lines[-1].index))

@@ -47,7 +47,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
-from .syntax import _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, memo, postorder
+from .syntax import _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, _fraction, memo, postorder
 
 Vector = tuple[Fraction, ...]
 
@@ -326,8 +326,8 @@ def parse_valuation(text: str) -> Valuation:
         if not body:
             raise ValuationError(f"line {lineno}: empty vector")
         try:
-            vec = tuple(Fraction(part.strip()) for part in body.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
+            vec = tuple(_fraction(part.strip()) for part in body.split(","))
+        except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, or OverflowError past the digit bound
             raise ValuationError(f"line {lineno}: {exc}") from None
         if name in assignment:
             raise ValuationError(f"line {lineno}: duplicate binding for {name!r}")

@@ -32,7 +32,8 @@ per open group, so neither it nor comparison has a nesting limit.  Past
 so a printed DAG costs parser steps per distinct group, not per copy.
 
 ``Record`` is the slotted, immutable base of every other module's value
-classes (proof lines, reports, verdicts, valuations).
+classes (proof lines, reports, verdicts, valuations), and ``_fraction``
+reads the numbers of valuation and count-matrix files.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ import operator
 import re
 import weakref
 from functools import partial, wraps
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FormulaError(Exception):
@@ -591,3 +595,37 @@ def is_bal(f: Formula) -> bool:
 def pos_to_join(f: Formula) -> Formula:
     """Structurally replace every ``x ^+`` by ``x \\/ 0``."""
     return fold(f, _same, Imp, Join, lambda inner: Join(inner, ZERO))
+
+
+# ---------------------------------------------------------------------------
+# number literals
+
+#: the most digits a number's numerator or denominator may have: the
+#: interpreter's default bound on int/str conversion, so every number read prints
+_MAX_DIGITS = 4300
+
+# a number as ``Fraction`` reads it, more loosely: integer digits, fraction
+# digits, then an exponent or a denominator (compiled on first use, so that
+# a subcommand reading no numbers does not pay for it)
+_NUMBER = r"\s*[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?)(\d*)|\s*/\s*(\d*))?\s*"
+
+
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refused with ``OverflowError`` before any
+    conversion if the numerator or the denominator that ``Fraction`` builds
+    would have more than ``_MAX_DIGITS`` digits, leading zeros included.
+    ``Fraction`` expands a decimal exponent exactly, a power that the
+    interpreter's own digit limit does not bound."""
+    from fractions import Fraction
+
+    match = re.fullmatch(_NUMBER, text.replace("_", ""))  # Fraction allows "_" between digits
+    if match is not None:
+        whole, fraction, sign, exponent, denominator = match.groups("")
+        power = int(exponent or "0") if len(exponent) <= _MAX_DIGITS else 10**_MAX_DIGITS  # past every bound
+        shift = (-power if sign == "-" else power) - len(fraction)  # the value is int(whole + fraction) * 10**shift
+        numerator = len(whole + fraction) + max(shift, 0)
+        for part, size in (("numerator", numerator), ("denominator", len(denominator) or 1 - min(shift, 0))):
+            if size > _MAX_DIGITS:
+                shown = text if len(text) <= 24 else f"{text[:20]}..."
+                raise OverflowError(f"number {shown!r} has a {part} of more than {_MAX_DIGITS} digits")
+    return Fraction(text)

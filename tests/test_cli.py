@@ -7,6 +7,7 @@ import pytest
 from rieszlogic import decide, kernel
 from rieszlogic.cli import main
 from rieszlogic.kernel import CORPUS_NAMES, corpus_text
+from util import limited
 
 
 @pytest.fixture()
@@ -459,9 +460,9 @@ def test_determinism_same_inputs_same_output(capsys):
 # imported; these run the CLI as a user does, so a subcommand that forgets
 # to import a module it uses fails here.
 
-def fresh(*argv):
+def fresh(*argv, **options):
     return subprocess.run(
-        [sys.executable, "-m", "rieszlogic.cli", *argv], capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "rieszlogic.cli", *argv], capture_output=True, text=True, timeout=60, **options
     )
 
 
@@ -521,6 +522,78 @@ def test_fresh_process_error_exit_code(inputs, error):
     argv, code, message = FRESH_ERRORS[error]
     result = fresh(*(arg.format(**inputs) for arg in argv))
     assert (result.returncode, result.stdout, result.stderr) == (code, "", f"error: {message.format(**inputs)}\n")
+
+
+# (argv, exit code, stdout, stderr), run in a directory holding clash.rlproof
+# (BALB_MINUS's proof under the name BALB_PLUS), balb_plus.rlproof and
+# xyz.rlproof (an unknown system), and lib/, whose one file is xyz.rlproof
+FRESH_CHECKS = {
+    "taken-name": (
+        ("check", "--library", "{corpus}", "clash.rlproof"),
+        2, "", "error: name 'BALB_PLUS' already registered with different content\n",
+    ),
+    "good-then-taken-name": (
+        ("check", "--library", "{corpus}", "balb_plus.rlproof", "clash.rlproof"),
+        2, "balb_plus.rlproof: OK (16 lines)\n",
+        "error: clash.rlproof: name 'BALB_PLUS' already registered with different content\n",
+    ),
+    "unknown-system": (("check", "xyz.rlproof"), 2, "", "error: line 1: unknown system 'XYZ'\n"),
+    "unknown-system-in-library": (
+        ("check", "balb_plus.rlproof", "--library", "lib"), 2, "", "error: xyz.rlproof: line 1: unknown system 'XYZ'\n"
+    ),
+    "same-name-same-content": (("check", "balb_plus.rlproof", "--library", "{corpus}"), 0, "OK (16 lines)\n", ""),
+}
+
+
+@pytest.mark.parametrize("case", FRESH_CHECKS, ids=list(FRESH_CHECKS))
+def test_fresh_process_check_refuses_taken_names_and_unknown_systems(tmp_path, corpus_dir, case):
+    xyz = "system: XYZ\nname: X\n1: a | axiom R1a\nqed: 1\n"
+    (tmp_path / "clash.rlproof").write_text(corpus_text("balb_minus").replace("BALB_MINUS", "BALB_PLUS"), "utf-8")
+    (tmp_path / "balb_plus.rlproof").write_text(corpus_text("balb_plus"), "utf-8")
+    (tmp_path / "xyz.rlproof").write_text(xyz, "utf-8")
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "lib" / "xyz.rlproof").write_text(xyz, "utf-8")
+    argv, code, out, err = FRESH_CHECKS[case]
+    result = fresh(*(arg.format(corpus=corpus_dir) for arg in argv), cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+#: literals past the 4,300-digit bound, each with the part of it that is too long
+_DIGITS_5000 = "1234567890" * 500
+BIG_NUMBERS = {
+    "1e9999": ("1e9999", "numerator"),
+    "1e9999999": ("1e9999999", "numerator"),
+    "1e-9999999": ("1e-9999999", "denominator"),
+    "5000-digits": (_DIGITS_5000, "numerator"),
+}
+
+
+@pytest.mark.parametrize("number", BIG_NUMBERS, ids=list(BIG_NUMBERS))
+@pytest.mark.parametrize("command", ["eval", "distrib"])
+def test_fresh_process_refuses_numbers_past_the_digit_bound(tmp_path, command, number):
+    # Fraction alone expands 10**9999999 in full (7.5 s in eval, over 30 s in
+    # distrib), so the child runs under a CPU cap
+    literal, part = BIG_NUMBERS[number]
+    shown = literal if len(literal) <= 24 else f"{literal[:20]}..."
+    (tmp_path / "v.txt").write_text(f"a = ({literal})\n", "utf-8")
+    (tmp_path / "m.csv").write_text(f"term,d1\norange,{literal}\n", "utf-8")
+    if command == "eval":
+        argv, where = ("eval", "a", "--valuation", "v.txt"), "line 1"
+    else:
+        argv, where = ("distrib", "cosine", "--matrix", "m.csv", "orange", "orange"), "row 2"
+    result = fresh(*argv, cwd=tmp_path, preexec_fn=limited(10))
+    message = f"error: {where}: number {shown!r} has a {part} of more than 4300 digits\n"
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+
+
+def test_fresh_process_accepts_a_4300_digit_number(tmp_path):
+    number = "9" * 4300
+    (tmp_path / "v.txt").write_text(f"a = ({number})\n", "utf-8")
+    (tmp_path / "m.csv").write_text(f"term,d1\norange,{number}\n", "utf-8")
+    result = fresh("eval", "a", "--valuation", "v.txt", cwd=tmp_path, preexec_fn=limited(10))
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"value: ({number})\nholds: true\n", "")
+    result = fresh("distrib", "cosine", "--matrix", "m.csv", "orange", "orange", cwd=tmp_path, preexec_fn=limited(10))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
 
 
 def test_fresh_process_decide_help_shows_default_budget():

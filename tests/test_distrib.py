@@ -141,6 +141,12 @@ def test_load_fractional_counts():
     assert m.row("x") == (Fraction(3, 2),)
 
 
+def test_load_bounds_the_digits_of_a_count():
+    assert load_matrix("term,d1\nx,1e4299\n").row("x") == (Fraction(10) ** 4299,)
+    with pytest.raises(MatrixFormatError, match=r"^row 3: number '1e4300' has a numerator of more than 4300 digits$"):
+        load_matrix("term,d1\nx,1\ny,1e4300\n")
+
+
 def test_load_rejects_bad_input():
     bad = [
         "",                           # empty file

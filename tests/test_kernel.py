@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from rieszlogic import kernel
 from rieszlogic.kernel import (
     Assume,
     Axiom,
@@ -303,6 +304,19 @@ def test_register_idempotent_and_conflicting():
         register_theorem(library, different)
 
 
+def test_admit_refuses_a_taken_name_before_checking(monkeypatch):
+    chain = _chain_rule()
+    library = TheoremLibrary().register(chain)
+    report, again = library.admit(chain)  # an identical proof is checked and changes nothing
+    assert report.accepted and again is library
+    checked = []
+    monkeypatch.setattr(kernel, "check_proof", lambda *args: checked.append(args))
+    rejected = rl_proof("CHAIN", [("a", Axiom("R2"))])  # whose report would be a rejection
+    with pytest.raises(RegistrationError, match=r"^name 'CHAIN' already registered with different content$"):
+        library.admit(rejected)
+    assert checked == []
+
+
 # -- text format ------------------------------------------------------------------
 
 PROOF_TEXT = """\
@@ -377,6 +391,20 @@ def test_second_system_header_is_rejected():
     ids=["name", "empty-name", "qed", "empty-system"],
 )
 def test_second_header_or_footer_is_rejected(text, message):
+    with pytest.raises(ProofFormatError, match=rf"^{message}$"):
+        parse_proof(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("system: XYZ\nname: X\n1: a | axiom R1a\nqed: 1\n", "line 1: unknown system 'XYZ'"),
+        ("name: X\n\nsystem: rl\n1: a | axiom R1a\nqed: 1\n", "line 3: unknown system 'rl'"),
+        ("system: RL\nname: X\nqed: 1\nsystem: XYZ\n", "line 4: a proof has one `system:` header"),
+    ],
+    ids=["first-line", "lower-case", "second"],
+)
+def test_unknown_system_is_rejected_at_its_line(text, message):
     with pytest.raises(ProofFormatError, match=rf"^{message}$"):
         parse_proof(text)
 

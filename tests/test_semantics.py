@@ -423,6 +423,31 @@ def test_parse_valuation_rejects_bad_lines():
             parse_valuation(text)
 
 
+#: numbers at the 4,300-digit bound of a numerator or denominator, and past
+#: it, each with the part that is too long
+BOUNDED_NUMBERS = {
+    "1e4299": ("1e4299", None),
+    "1e4300": ("1e4300", "numerator"),
+    "1e-4299": ("1e-4299", None),
+    "1e-4300": ("1e-4300", "denominator"),
+    "0.0...1": ("0." + "0" * 4298 + "1", None),
+    "1000e4296": ("1000e4296", None),
+    "1_000e4297": ("1_000e4297", "numerator"),
+    "-1/7...7": ("-1/" + "7" * 4300, None),
+    "1/7...77": ("1/" + "7" * 4301, "denominator"),
+    "1e9...9": ("1e" + "9" * 5000, "numerator"),
+}
+
+
+@pytest.mark.parametrize("literal, part", BOUNDED_NUMBERS.values(), ids=list(BOUNDED_NUMBERS))
+def test_parse_valuation_bounds_the_digits_of_a_number(literal, part):
+    if part is None:
+        assert parse_valuation(f"a = ({literal})").vector("a") == (Fraction(literal),)
+    else:
+        with pytest.raises(ValuationError, match=rf"^line 2: number '.*' has a {part} of more than 4300 digits$"):
+            parse_valuation(f"# first\na = ({literal})")
+
+
 def test_parse_valuation_takes_only_grammar_variable_names():
     # the names the formula grammar can write: ASCII [a-z][A-Za-z0-9_]*
     assert parse_valuation("a_1Z = (1)\n").vector("a_1Z") == (Fraction(1),)

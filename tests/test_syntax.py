@@ -1,7 +1,10 @@
 import ast
 import gc
 import hashlib
+import json
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -34,7 +37,7 @@ from rieszlogic.syntax import (
     substitute,
     variables,
 )
-from util import random_bal_formula, random_rl_formula, random_schema
+from util import limited, random_bal_formula, random_rl_formula, random_schema
 
 A, B, C = Var("a"), Var("b"), Var("c")
 
@@ -451,6 +454,53 @@ def test_parse_deep_nesting(case):
     parser, text, tree = _DEEP[case]
     # deep trees are compared through the iterative printer: == recurses
     assert format_formula(parser(text)) == format_formula(tree)
+
+
+# -- DAG inputs: depth-40 doublings, 41 nodes that unfold to 2^40 ------------
+
+# run in one child process: each call prints its CPU seconds, and a walk of
+# the unfolded tree would run into the child's CPU and memory caps
+_DOUBLINGS = r"""
+import json, time
+from rieszlogic.bridge import bal_to_rl, rl_to_bal
+from rieszlogic.semantics import Valuation, eval_bal, eval_rl, vector
+from rieszlogic.syntax import Imp, Join, MetaVar, Pos, Var, pos_to_join, substitute, variables
+
+STEPS = {"->": lambda f: Imp(f, f), "\\/": lambda f: Join(f, f), "^+": lambda f: Pos(Imp(f, f))}
+RL, BAL, ALL = ("->", "\\/"), ("->", "^+"), tuple(STEPS)
+v = Valuation(1, {"a": vector(3)})
+CALLS = {
+    "variables": (variables, ALL),
+    "substitute": (lambda f: substitute(f, {"P": Var("a")}), ALL),
+    "eval_rl": (lambda f: eval_rl(f, v), RL),
+    "eval_bal": (lambda f: eval_bal(f, v), BAL),
+    "rl_to_bal": (rl_to_bal, RL),
+    "bal_to_rl": (bal_to_rl, BAL),
+    "pos_to_join": (pos_to_join, BAL),
+}
+seconds = {}
+for name, (call, ops) in CALLS.items():
+    for op in ops:
+        f = MetaVar("P") if name == "substitute" else Var("a")
+        for _ in range(40):
+            f = STEPS[op](f)
+        start = time.process_time()
+        call(f)
+        seconds[f"{name} {op}"] = time.process_time() - start
+print(json.dumps(seconds))
+"""
+
+
+def test_dag_walkers_take_time_linear_in_the_dag():
+    # left out, being still exponential: match_schema, format_formula and
+    # decide_valid on joins
+    result = subprocess.run(
+        [sys.executable, "-c", _DOUBLINGS], capture_output=True, text=True, timeout=120, preexec_fn=limited(30)
+    )
+    assert result.returncode == 0, result.stderr
+    seconds = json.loads(result.stdout)
+    assert len(seconds) == 16  # every call in each language it accepts
+    assert {call: t for call, t in seconds.items() if t > 0.5} == {}
 
 
 # -- hash-consing --------------------------------------------------------------

@@ -9,6 +9,19 @@ from fractions import Fraction
 from rieszlogic.syntax import Formula, Imp, Join, MetaVar, Pos, Var, ZERO, Zero, fold
 from rieszlogic.semantics import Valuation
 
+
+def limited(cpu_seconds: int):
+    """A ``preexec_fn`` that caps the child's CPU time and its address space
+    at 1 GiB, so a regression fails its test instead of exhausting the runner."""
+    import resource
+
+    def apply() -> None:
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return apply
+
+
 VAR_NAMES = ("a", "b", "c", "d")
 #: the names of the decide-tail bench family (bench/gen.py's VARS6)
 SIX_NAMES = VAR_NAMES + ("e", "f")
