@@ -11,8 +11,8 @@ The checks stay literal, but formula nodes are hash-consed, so equal
 formulas are one object and a side condition is a few ``is`` tests on
 the cited nodes: ``mp`` accepts when line j's node is an ``Imp`` whose
 left is line i's node and whose right is this line's.  Each rule has one
-check, a branch of ``check_proof``'s loop chosen by the justification's
-class, so an inference line costs a few ``isinstance`` and ``is`` tests.
+branch in ``check_proof``, chosen by ``is`` on the rule that one set lookup
+finds from the justification's class, so a line costs a few ``is`` tests.
 Axiom and lemma instances match the schema against the line
 (``syntax.match_or_conflict``).  Proofs and reports are immutable
 records, and replay builds no object per accepted line (``check_proof``).
@@ -154,9 +154,9 @@ Justification = Union[Assume, Axiom, Mp, Ri, BalG, BalPi, BalMi, Lemma]
 _KEYWORDS: dict[str, type] = {rule.__name__.lower(): rule for rule in get_args(Justification)}
 
 #: each system's axiom schemas and the justifications it allows
-_SYSTEMS: dict[str, tuple[dict[str, Formula], tuple[type, ...]]] = {
-    "RL": (RL_AXIOMS, (Assume, Axiom, Mp, Ri, Lemma)),
-    "BAL": (BAL_AXIOMS, (Assume, Axiom, Mp, BalG, BalPi, BalMi, Lemma)),
+_SYSTEMS: dict[str, tuple[dict[str, Formula], frozenset[type]]] = {
+    "RL": (RL_AXIOMS, frozenset((Assume, Axiom, Mp, Ri, Lemma))),
+    "BAL": (BAL_AXIOMS, frozenset((Assume, Axiom, Mp, BalG, BalPi, BalMi, Lemma))),
 }
 
 
@@ -307,22 +307,19 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
             break
         previous = index
         try:
-            if not isinstance(just, allowed):
-                raise _Rejected(f"rule {type(just).__name__.lower()} is not part of {proof.system}")
+            rule = type(just)
+            if rule not in allowed:  # a subclass is checked as the first rule it derives from
+                rule = next((r for r in _KEYWORDS.values() if isinstance(just, r)), None)
+                if rule not in allowed:
+                    raise _Rejected(f"rule {type(just).__name__.lower()} is not part of {proof.system}")
 
-            if isinstance(just, Assume):
-                if not 1 <= just.index <= len(proof.assumptions):
-                    raise _Rejected(f"no assumption {just.index}")
-                if formula != proof.assumptions[just.index - 1]:
-                    raise _Rejected(f"formula differs from assumption {just.index}")
-
-            elif isinstance(just, Axiom):
+            if rule is Axiom:
                 schema = axioms.get(just.name)
                 if schema is None:
                     raise _Rejected(f"unknown axiom {just.name!r} in {proof.system}")
                 _match(schema, formula, None, "not an instance of {}", just.name)
 
-            elif isinstance(just, Mp):
+            elif rule is Mp:
                 minor, major = _cite(checked, index, just.minor), _cite(checked, index, just.major)
                 if not (type(major) is Imp and major.left is minor and major.right is formula):
                     raise _Rejected(
@@ -330,7 +327,7 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
                         f"expected {format_formula(Imp(minor, formula))}"
                     )
 
-            elif isinstance(just, Ri):
+            elif rule is Ri:
                 premise = _cite(checked, index, just.premise)
                 if not isinstance(premise, Imp):
                     raise _Rejected(f"line {just.premise} is not an implication")
@@ -341,17 +338,23 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
                 if formula.left.left != premise.left or formula.right.left != premise.right:
                     raise _Rejected(f"heads do not come from line {just.premise}")
 
-            elif isinstance(just, BalG):
+            elif rule is Assume:
+                if not 1 <= just.index <= len(proof.assumptions):
+                    raise _Rejected(f"no assumption {just.index}")
+                if formula != proof.assumptions[just.index - 1]:
+                    raise _Rejected(f"formula differs from assumption {just.index}")
+
+            elif rule is BalG:
                 left, right = _cite(checked, index, just.left), _cite(checked, index, just.right)
                 if not (type(formula) is Imp and formula.left is left and formula.right is right):
                     raise _Rejected(f"formula is not (line {just.left}) -> (line {just.right})")
 
-            elif isinstance(just, BalPi):
+            elif rule is BalPi:
                 premise = _cite(checked, index, just.premise)
                 if not (type(formula) is Pos and formula.inner is premise):
                     raise _Rejected(f"formula is not (line {just.premise}) ^+")
 
-            elif isinstance(just, BalMi):
+            elif rule is BalMi:
                 premise = _cite(checked, index, just.premise)
                 if not (isinstance(premise, Pos) and isinstance(premise.inner, Imp)):
                     raise _Rejected(f"line {just.premise} does not have shape (a -> b) ^+")

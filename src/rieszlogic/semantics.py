@@ -47,7 +47,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
-from .syntax import _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, _fraction, memo, postorder
+from .syntax import _MAX_DIGITS, _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, _fraction, memo, postorder
 
 Vector = tuple[Fraction, ...]
 
@@ -344,6 +344,13 @@ def parse_valuation(text: str) -> Valuation:
 
 
 def format_vector(vec: Iterable[Fraction]) -> str:
+    """``(c1, ..., cn)``; a numerator or denominator past ``_MAX_DIGITS``
+    digits is refused with ``ValueError`` before any is converted."""
+    vec = tuple(vec)
+    for c in vec:
+        for part, n in (("numerator", abs(c.numerator)), ("denominator", c.denominator)):
+            if n.bit_length() > 3 * _MAX_DIGITS and n >= 10**_MAX_DIGITS:  # 2**(3d) < 10**d
+                raise ValueError(f"a coordinate has a {part} of more than {_MAX_DIGITS} digits")
     return "(" + ", ".join(str(c) for c in vec) + ")"
 
 

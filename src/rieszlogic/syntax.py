@@ -539,12 +539,13 @@ def match_or_conflict(
     (left to right) bound inconsistently, else None for a shape mismatch.
 
     Shape-mismatched pairs are skipped, so a conflict behind one is found.
+    The walk goes down each left spine in place and stacks the right pairs;
+    it walks a tree, so a shared subterm is visited once per occurrence.
     """
     out = dict(bindings) if bindings else {}
     mismatch = False
-    stack = [(schema, target)]
-    while stack:
-        s, t = stack.pop()
+    s, t, stack = schema, target, []
+    while True:
         kind = type(s)
         if kind is MetaVar:
             bound = out.get(s.name)
@@ -555,12 +556,17 @@ def match_or_conflict(
         elif kind is not type(t):
             mismatch = True
         elif kind is Imp or kind is Join:
-            stack += ((s.right, t.right), (s.left, t.left))
+            stack.append((s.right, t.right))
+            s, t = s.left, t.left
+            continue
         elif kind is Pos:
-            stack.append((s.inner, t.inner))
+            s, t = s.inner, t.inner
+            continue
         elif s != t:
             mismatch = True
-    return None if mismatch else out
+        if not stack:
+            return None if mismatch else out
+        s, t = stack.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -586,6 +586,23 @@ def test_fresh_process_refuses_numbers_past_the_digit_bound(tmp_path, command, n
     assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
 
 
+#: formulas whose value, from numbers within the bound, has a part past it
+BIG_VALUES = {
+    "numerator": "(a -> 0) -> a",  # 2a, with a 4,300 nines: 4,301 digits
+    "denominator": "b -> a",  # 1/(10**4300 - 1) - 1/10**4299: a denominator of about 8,600 digits
+}
+
+
+@pytest.mark.parametrize("part", BIG_VALUES)
+def test_fresh_process_refuses_values_past_the_digit_bound(tmp_path, part):
+    nines = "9" * 4300
+    valuation = f"a = ({nines})\n" if part == "numerator" else f"a = (1/{nines})\nb = (1/1{'0' * 4299})\n"
+    (tmp_path / "v.txt").write_text(valuation, "utf-8")
+    result = fresh("eval", BIG_VALUES[part], "--valuation", "v.txt", cwd=tmp_path, preexec_fn=limited(10))
+    message = f"error: a coordinate has a {part} of more than 4300 digits\n"
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+
+
 def test_fresh_process_accepts_a_4300_digit_number(tmp_path):
     number = "9" * 4300
     (tmp_path / "v.txt").write_text(f"a = ({number})\n", "utf-8")

@@ -19,6 +19,7 @@ from rieszlogic.kernel import (
     RL_AXIOMS,
     Axiom,
     BalG,
+    BalPi,
     Lemma,
     Mp,
     Proof,
@@ -29,7 +30,7 @@ from rieszlogic.kernel import (
     corpus_text,
     parse_proof,
 )
-from rieszlogic.syntax import ZERO, Imp, Pos
+from rieszlogic.syntax import ZERO, Imp, Pos, parse_schema
 
 AXIOM_NAMES = sorted(RL_AXIOMS) + sorted(BAL_AXIOMS)
 
@@ -149,18 +150,31 @@ def test_rule_subclasses_are_checked_as_their_rule():
     class Extension(BalG):
         pass
 
+    class Instance(Axiom):
+        pass
+
+    class Positive(BalPi):
+        pass
+
     proof = parse_proof(
         "system: RL\nname: MP_SUB\nassume 1: a\nassume 2: a -> b\n"
         "1: a | assume 1\n2: a -> b | assume 2\n3: b | mp 1 2\nqed: 3\n"
     )
-    for rule, ok, message in (
+    # a row may name its system and line 3's formula; lines 1 and 2 are RL and BAL alike
+    for rule, ok, message, *where in (
         (Modus(1, 2), True, ""),
         (Modus(2, 1), False, "line 1 is not (line 2) -> (this formula): expected (a -> b) -> b"),
         (Extension(1, 2), False, "rule extension is not part of RL"),
         ("mp 1 2", False, "rule str is not part of RL"),
+        (Instance("R2"), True, "", "RL", "a -> a \\/ b"),
+        (Instance("R3"), False, "not an instance of R3: metavariable PSI is bound inconsistently",
+         "RL", "a \\/ b -> a \\/ a"),
+        (Positive(1), True, "", "BAL", "a ^+"),
+        (Positive(2), False, "formula is not (line 2) ^+", "BAL", "a ^+"),
     ):
-        lines = proof.lines[:2] + (ProofLine(3, proof.lines[2].formula, rule),)
-        status = check_proof(Proof("RL", "MP_SUB", proof.assumptions, lines, 3)).statuses[2]
+        system, formula = (where[0], parse_schema(where[1], where[0])) if where else ("RL", proof.lines[2].formula)
+        lines = proof.lines[:2] + (ProofLine(3, formula, rule),)
+        status = check_proof(Proof(system, "MP_SUB", proof.assumptions, lines, 3)).statuses[2]
         assert (status.ok, status.message) == (ok, message)
 
 

@@ -417,6 +417,14 @@ def test_valuation_round_trip():
     assert parse_valuation(format_valuation(v)) == v
 
 
+def test_format_valuation_refuses_parts_past_the_digit_bound():
+    top = 10**4300 - 1  # the largest number of 4,300 digits
+    assert format_valuation(Valuation(1, {"x": (Fraction(-top, top - 2),)})) == f"x = (-{top}/{top - 2})"
+    for value, part in ((Fraction(-(top + 1)), "numerator"), (Fraction(1, top + 1), "denominator")):
+        with pytest.raises(ValueError, match=f"^a coordinate has a {part} of more than 4300 digits$"):
+            format_valuation(Valuation(2, {"x": (Fraction(0), value)}))
+
+
 def test_parse_valuation_rejects_bad_lines():
     for text in ("x = 1, 2", "x (1)", "x = ()", "X = (1)", "x = (1)\nx = (2)", "x = (1)\ny = (1, 2)", ""):
         with pytest.raises(ValuationError):

@@ -744,6 +744,27 @@ def _sound_match(schema, target, bindings=None):
     return out
 
 
+def _reference_match(schema, target, bindings=None):
+    """match_or_conflict by its definition: a recursive left-to-right preorder
+    walk that binds each metavariable at its first occurrence, returns the
+    first one bound two ways, and skips the subtree of a shape mismatch."""
+    out, mismatch = dict(bindings or {}), False
+
+    def conflict(s, t):
+        nonlocal mismatch
+        if type(s) is MetaVar:
+            bound = out.setdefault(s.name, t)
+            return None if bound is t else s.name
+        if type(s) is not type(t) or type(s) not in (Imp, Join, Pos):
+            mismatch = mismatch or s is not t
+            return None
+        if type(s) is Pos:
+            return conflict(s.inner, t.inner)
+        return conflict(s.left, t.left) or conflict(s.right, t.right)
+
+    return conflict(schema, target) or (None if mismatch else out)
+
+
 def _random_term(rng, budget, leaves):
     """A formula over Imp, Join and Pos whose subterms are often shared."""
     made = []
@@ -792,6 +813,10 @@ def test_match_on_random_pairs():
         bindings = rng.choice((None, {}, dict(list(subst.items())[:1]), {"P": rng.choice(target_leaves)},
                                {"Z": A}))
         out = _sound_match(schema, target, bindings)
+        expected = _reference_match(schema, target, bindings)
+        assert out == expected
+        if isinstance(out, dict):
+            assert list(out) == list(expected)  # bound in the same order
         if target is instance and not bindings:
             assert out == subst
         outcomes["match" if isinstance(out, dict) else "conflict" if out else "mismatch"] += 1
