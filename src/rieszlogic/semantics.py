@@ -23,25 +23,26 @@ replays the formula's ``syntax.postorder`` program once over many
 numbers packed into one int (Lamport, "Multiple byte processing with
 full-word instructions", 1975): a valuation's coordinates, scaled by
 the lcm of their denominators, or those of a pass of falsifier trials.
-Each lane is ``w + 1`` bits and holds ``v + c*h``: ``h = 2^(w-1)`` exceeds
-a static bound on every step's magnitude (the largest coordinate for a
-variable, 0 for ``0``, the children's sum for ``->`` and their max for
-``\\/`` and ``^+``), and each step's count c is static too.  So ``x -> y``
-is ``Y - X``; ``x \\/ y`` brings both sides to c = 1, where no lane
-carries into the next, and picks lanes by the guard bit ``w`` of ``(X |
-G) - Y``; a value is negative when bit ``w-1`` of its lane is clear.
+Each lane is ``w + 1`` bits and holds ``v + h``, one offset for every
+step: ``h = 2^(w-1)`` exceeds a static bound on every step's magnitude
+(the largest coordinate for a variable, 0 for ``0``, the children's sum
+for ``->`` and their max for ``\\/`` and ``^+``), so no lane carries into
+the next.  With ``H`` holding h in every lane, ``0`` is ``H``, ``x -> y``
+is ``Y - X + H``, and ``x \\/ y`` picks lanes by the guard bit ``w`` of
+``(X | G) - Y``, ``G = 2H``; a value is negative when bit ``w-1`` of its
+lane is clear.
 
 The falsifier and ``bridge.check_equivalence`` draw their trials from one
 seeded stream: the values ``random.Random(seed).randrange(2*bound+1) - bound``
-would give, in the order trial, sorted variable name, coordinate, read
-in bulk by ``_draws``.  Byte-wide draws fill lanes by slice assignment.
+would give, in the order trial, sorted variable name, coordinate.
+``_draws`` reads them in bulk when the span fits a byte, and such draws
+fill lanes by slice assignment.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import struct
 from fractions import Fraction
 from functools import partial, reduce
 from operator import or_
@@ -53,7 +54,7 @@ Vector = tuple[Fraction, ...]
 
 
 class ValuationError(Exception):
-    """Malformed valuation (bad dimension or unparsable text)."""
+    """Malformed valuation (bad dimension or coordinate, or unparsable text)."""
 
 
 def vector(*coords) -> Vector:
@@ -67,15 +68,16 @@ class Valuation(Record):
     __slots__ = ("dimension", "assignment")
 
     def __init__(self, dimension: int, assignment: Mapping[str, Vector] = {}):  # copied, never mutated
-        if dimension < 1:
-            raise ValuationError("dimension must be >= 1")
+        if not isinstance(dimension, int) or dimension < 1:
+            raise ValuationError(f"dimension must be an int >= 1, not {dimension!r}")
         # detach from the caller's mapping; bindings are fixed at construction
         super().__init__(dimension, dict(assignment))
         for name, vec in self.assignment.items():
-            if len(vec) != self.dimension:
-                raise ValuationError(
-                    f"vector for {name!r} has length {len(vec)}, expected {self.dimension}"
-                )
+            if len(vec) != dimension:
+                raise ValuationError(f"vector for {name!r} has length {len(vec)}, expected {dimension}")
+            for c in vec:
+                if not isinstance(c, (int, Fraction)):
+                    raise ValuationError(f"vector for {name!r} has coordinate {c!r}, not an int or a Fraction")
 
     def vector(self, name: str) -> Vector:
         return self.assignment.get(name) or (Fraction(0),) * self.dimension
@@ -110,34 +112,31 @@ def _fails(value: int, H: int, rl: bool = True) -> int:
 def compile_scalar(f: Formula, system: str) -> tuple:
     """The sorted variable names, the factor that bounds every step by the
     largest coordinate, and ``run(lanes, w, H, keep=())``: from each name's
-    int of lanes (absent: zero), the ``postorder`` steps' values, the root's
-    last.  A value is dropped after its last use unless its step is kept."""
+    int of lanes (absent: zero), the ``postorder`` steps' values, each lane
+    holding ``v + h``, the root's last.  A value is dropped after its last
+    use unless its step is kept."""
     steps = postorder(f, partial(_reject, rl=system == "RL"), system)
-    # each step's magnitude factor, how many h its lanes hold (-> only
-    # subtracts), and the step that uses its value last
-    factors, biases, last = [], [], [None] * len(steps)
+    # each step's magnitude factor, and the step that uses its value last
+    factors, last = [], [None] * len(steps)
     for s, (op, i, j) in enumerate(steps):
         if op is Var or op is Zero:
             factors.append(1 if op is Var else 0)
-            biases.append(1 if op is Var else 0)
         else:
             k = i if j is None else j  # x ^+ is x \/ 0, bounded like x
             factors.append(factors[i] + factors[k] if op is Imp else max(factors[i], factors[k]))
-            biases.append(biases[k] - biases[i] if op is Imp else 1)
             last[i] = last[k] = s
 
     def run(lanes: Mapping[str, int], w: int, H: int, keep: Container[int] = ()) -> list:
         G, values = H << 1, [None] * len(steps)
         for s, (op, i, j) in enumerate(steps):
             if op is Imp:
-                value = values[j] - values[i]
+                value = values[j] - values[i] + H
             elif op is Var:
                 value = lanes.get(i, H)
             elif op is Zero:
-                value = 0
-            else:  # the larger of a and b, each with one h: where the guard bit of (a | G) - b stays set, a
-                a = values[i] + (1 - biases[i]) * H
-                b = H if j is None else values[j] + (1 - biases[j]) * H
+                value = H
+            else:  # the larger of a and b: where the guard bit of (a | G) - b stays set, a
+                a, b = values[i], H if j is None else values[j]
                 t = (((a | G) - b) & G) >> w
                 value = b ^ ((a ^ b) & ((t << w) - t))
             values[s] = value
@@ -145,7 +144,6 @@ def compile_scalar(f: Formula, system: str) -> tuple:
                 for k in (i, i if j is None else j):
                     if last[k] == s and k not in keep:
                         values[k] = None
-        values[-1] += (1 - biases[-1]) * H
         return values
 
     return tuple(sorted({i for op, i, _ in steps if op is Var})), factors[-1], run
@@ -205,39 +203,33 @@ _MAX_CHUNK = 512
 _TOP_BITS = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
 
 
-def _draws(seed: int, bound: int, unsigned: bool = False) -> Callable[[int], Sequence[int]]:
-    """``take(n)``: the next n values of ``rng.randrange(2*bound+1) - bound``
-    for a private ``rng = random.Random(seed)``; if ``unsigned``, without
-    ``- bound``, and as bytes when the span fits a byte.
+def _draws(seed: int, bound: int) -> Callable[[int], Sequence[int]]:
+    """``take(n)``: the next n values of ``rng.randrange(2*bound+1)`` for a
+    private ``rng = random.Random(seed)``, as bytes when the span fits a byte.
 
-    For a span of k <= 32 bits, ``randrange`` keeps the top k bits of one
+    For a span of k <= 8 bits, ``randrange`` keeps the top k bits of one
     32-bit Mersenne Twister output if they fall below the span, else
     draws again.  ``take`` reads the outputs in bulk (``getrandbits(32*m)``
-    holds m of them, the first lowest) and rejects alike, on the top
-    bytes when k <= 8; what a read leaves over is kept for the next call.
+    holds m of them, the first lowest) and rejects alike on their top
+    bytes; what a read leaves over is kept for the next call.  A wider
+    span calls ``randrange`` itself.
     """
     if not isinstance(bound, int) or bound < 0:
         raise ValueError(f"bound must be an int >= 0, not {bound!r}")
     rng, span = random.Random(seed), 2 * bound + 1
     bits = span.bit_length()
-    limit = span << (shift := max(32 - bits, 0))  # w >> shift < span iff w < limit, iff w >> 24 < limit >> 24
-    reject = bytes(range(min(limit >> 24, 256), 256))
-    pending: Sequence[int] = b"" if bits <= 8 else []
+    if bits > 8:
+        return lambda n: [rng.randrange(span) for _ in range(n)]
+    reject = bytes(range(span << (8 - bits), 256))  # top bytes whose top bits reach the span
+    pending = b""
 
-    def take(n: int) -> Sequence[int]:
+    def take(n: int) -> bytes:
         nonlocal pending
         while len(pending) < n:
-            if bits > 32:
-                pending += [rng.randrange(span) for _ in range(n - len(pending))]
-                break
             m = ((n - len(pending)) << bits) // span + 1  # enough outputs, on average
-            words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-            if bits <= 8:
-                pending += words[3::4].translate(_TOP_BITS[bits], reject)
-            else:
-                pending += [w >> shift for w in struct.unpack(f"<{m}I", words) if w < limit]
+            pending += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(_TOP_BITS[bits], reject)
         taken, pending = pending[:n], pending[n:]
-        return taken if unsigned else [d - bound for d in taken]
+        return taken
 
     return take
 
@@ -246,11 +238,11 @@ def _sampler(trials: int, dimension: int, seed: int, bound: int) -> Callable:
     """Check the arguments; return ``sample(names, factor, checks)``: the lowest
     trial, and its valuation, where an odd number of ``checks`` (``(run, rl)``)
     fail, or None.  A pass of n trials puts coordinate k of trial t in lane k*n + t."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not isinstance(trials, int) or trials < 1:
+        raise ValueError("trials must be >= 1" + ("" if isinstance(trials, int) else f" and an int, not {trials!r}"))
     if not isinstance(dimension, int) or dimension < 1:
         raise ValueError(f"dimension must be an int >= 1, not {dimension!r}")
-    take = _draws(seed, bound, unsigned=True)
+    take = _draws(seed, bound)
 
     def sample(names: Sequence[str], factor: int, checks: Sequence[tuple]) -> Optional[tuple[int, Valuation]]:
         width = len(names) * dimension  # values per trial

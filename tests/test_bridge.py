@@ -115,6 +115,8 @@ def test_check_equivalence_pinned_reports(monkeypatch, text, dimension, bound, t
     [
         ({"trials": -3}, "trials must be >= 1"),
         ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": 2.5}, "trials must be >= 1"),
+        ({"trials": "3"}, "trials must be >= 1"),
         ({"dimension": 0}, "dimension must be an int >= 1"),
         ({"bound": -1}, "bound must be an int >= 0"),
         ({"bound": 1.5}, "bound must be an int >= 0"),

@@ -1,4 +1,6 @@
+import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +14,8 @@ from rieszlogic.semantics import (
     EvalResult,
     Valuation,
     ValuationError,
+    _layout,
+    compile_scalar,
     eval_bal,
     eval_rl,
     evaluate,
@@ -28,9 +32,11 @@ from rieszlogic.syntax import (
     MetaVar,
     Pos,
     Var,
+    Zero,
     format_formula,
     parse_bal,
     parse_rl,
+    postorder,
     substitute,
     variables,
 )
@@ -97,6 +103,29 @@ def test_dimension_mismatch_rejected():
         Valuation(2, {"x": vector(1)})
 
 
+@pytest.mark.parametrize(
+    "dimension, assignment, message",
+    [
+        (0, {}, "dimension must be an int >= 1, not 0"),
+        (1.5, {}, "dimension must be an int >= 1, not 1.5"),
+        (2.0, {"a": (1, 2)}, "dimension must be an int >= 1, not 2.0"),
+        ("2", {}, "dimension must be an int >= 1, not '2'"),
+        (1, {"a": (0.5,)}, "vector for 'a' has coordinate 0.5, not an int or a Fraction"),
+        (2, {"a": vector(1, 2), "b": (Fraction(1), "2")}, "vector for 'b' has coordinate '2', not an int or a Fraction"),
+    ],
+)
+def test_valuation_rejects_bad_dimension_or_coordinate(dimension, assignment, message):
+    with pytest.raises(ValuationError, match=f"^{re.escape(message)}$"):
+        Valuation(dimension, assignment)
+
+
+def test_valuation_takes_int_and_fraction_coordinates():
+    v = Valuation(2, {"a": (1, Fraction(1, 2))})
+    assert eval_rl(parse_rl("a -> 0"), v) == vector(-1, "-1/2")
+    assert pickle.loads(pickle.dumps(v)) == v
+    assert v.scale(Fraction(2)) == Valuation(2, {"a": vector(2, 1)})
+
+
 def test_evaluators_match_reference_on_rl_formulas():
     # the 1,000 acceptance-3 formulas, and their BAL translations, at
     # rational points of dimension 1 to 3 with unmapped variables
@@ -122,6 +151,48 @@ def test_evaluators_match_reference_on_bal_formulas():
             assert eval_bal(g, v) == expected, k
             assert evaluate(g, v, "BAL") == EvalResult(expected, not any(expected))
             assert holds_bal(g, v) == (not any(expected))
+
+
+def _step_nodes(steps: tuple) -> list:
+    """Each ``postorder`` step's node, rebuilt from the program."""
+    nodes: list = []
+    for op, i, j in steps:
+        if op is Var:
+            nodes.append(Var(i))
+        elif op is Zero:
+            nodes.append(Zero())
+        else:
+            nodes.append(Pos(nodes[i]) if op is Pos else op(nodes[i], nodes[j]))
+    return nodes
+
+
+def test_every_step_holds_its_value_plus_h():
+    # random RL and BAL formulas at integer points of dimension 1 to 3, some
+    # names unmapped, and a deep DAG whose (h -> a) -> h doubles at every level
+    rng = random.Random(23)
+    cases = [(random_rl_formula(rng), "RL") for _ in range(150)] + [(random_bal_formula(rng), "BAL") for _ in range(150)]
+    g = h = parse_rl("a \\/ b")
+    for _ in range(40):
+        g, h = Imp(g, g), Imp(Imp(h, Var("a")), h)
+    cases.append((Imp(Join(g, parse_rl("0")), h), "RL"))
+    for k, (f, system) in enumerate(cases):
+        steps = postorder(f, None, system)
+        nodes = _step_nodes(steps)
+        assert nodes[-1] is f  # hash-consing rebuilds the same node
+        dimension = 1 + k % 3
+        v = random_valuation(rng, sorted(variables(f))[1:] + ["e"], dimension)
+        names, factor, run = compile_scalar(f, system)
+        w, H = _layout(dimension, factor * 10)
+        h = 1 << (w - 1)
+        lanes = {
+            name: sum(int(x + h) << q * (w + 1) for q, x in enumerate(v.vector(name)))
+            for name in names
+            if name in v.assignment
+        }
+        values = run(lanes, w, H, keep=range(len(steps)))
+        for s, node in enumerate(nodes):
+            coords = tuple((values[s] >> q * (w + 1) & (2 << w) - 1) - h for q in range(dimension))
+            assert coords == reference_eval(node, v, system), (k, s, steps[s][0].__name__)
 
 
 def test_evaluate_wrapper():
@@ -188,8 +259,8 @@ def test_falsify_pinned_witnesses(text, seed, dimension, trial, coords):
     assert random_falsify(f, trials=trial, dimension=dimension, seed=seed) is None
 
 
-# witnesses either side of the one-byte draw path (spans 255 and 257)
-# and on the 32-bit word path, each past the first passes
+# witnesses either side of the one-byte draw path (spans 255 and 257;
+# from 257 on, randrange itself), each past the first passes
 PINNED_WIDE_WITNESSES = [
     ("(a -> d) \\/ a \\/ b \\/ (b -> b -> a)", 69, 1, 127, 99, {"a": (-109,), "b": (-25,), "d": (-114,)}),
     (
@@ -246,6 +317,8 @@ def test_falsify_bound_0_finds_no_witness():
         ({"bound": -1}, "bound must be an int >= 0"),
         ({"bound": 1.5}, "bound must be an int >= 0"),
         ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": 2.5}, "trials must be >= 1"),
+        ({"trials": "3"}, "trials must be >= 1"),
     ],
 )
 def test_falsify_rejects_bad_arguments(kwargs, message):
