@@ -12,20 +12,24 @@ first by substituting ``y := l`` or ``y := r``, and its column is free
 until then.  Joins directly under a join are flattened into one n-ary
 maximum, with one row per side if positive and one branch per side if
 negative.  Each step's linear form is built once for each polarity it
-occurs with, and the root node, where no join is fixed, takes the forms
-as they are.  Each node's system goes to ``_farkas``, an exact integer
-simplex with a scale per row, so pivots skip untouched rows.  An
-infeasible node is closed by weights that ``check_farkas`` confirms before
-they are kept.  A feasible node's point is evaluated exactly: where f is
+occurs with.  The walk that bounds the search also collects the root
+node's rows, where no join is fixed; ``_system`` builds the others.  A
+node's rows go to ``_farkas`` as the sparse forms ``{column: coeff}``
+they are built as, and that exact integer simplex writes them into its
+tableau, with a scale per row, so pivots skip untouched rows.  An
+infeasible node is closed by weights that ``check_farkas`` confirms
+before they are kept; its dense rows are built for that refutation
+alone.  A feasible node's point is evaluated exactly: where f is
 negative, it is the countermodel; otherwise some free negative join's
 column lies above the maximum of its sides there (were there none, f would
 be at most its form, so ``<= -1``), and the search branches on the lowest
 such join.  At a countermodel, the side attaining each negative join's
 maximum gives a feasible branch, so the closed branches prove validity.
-``--budget`` bounds the search before any LP, as the product of the
-negative joins' side counts (``2^k`` for ``k`` binary ones) times the rows
-(one for the root, or one per side of a root join; one per side of a
-positive join; one per negative join), and the pivots of each LP.
+``--budget``, an int ``>= 0``, bounds the search before any LP, as the
+product of the negative joins' side counts (``2^k`` for ``k`` binary
+ones) times the rows (one for the root, or one per side of a root join;
+one per side of a positive join; one per negative join), and the pivots
+of each LP.
 
 ``linearize`` replays the same ``postorder`` program to rewrite a
 formula into an equivalent *meet of joins* of integer linear terms,
@@ -50,7 +54,7 @@ from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .syntax import Formula, Imp, Join, Pos, Record, Var, Zero, format_formula, pos_to_join, postorder
-from .semantics import Valuation, Vector, _layout, compile_scalar
+from .semantics import Valuation, Vector, _is_int, _layout, compile_scalar
 
 DEFAULT_BUDGET = 100_000
 
@@ -68,6 +72,11 @@ class BudgetExceededError(Exception):
         self.stage = stage
         self.size = size
         self.budget = budget
+
+
+def _check_budget(budget: int) -> None:
+    if not _is_int(budget) or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, not {budget!r}")
 
 
 class LinearTerm(tuple):
@@ -190,6 +199,8 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     The budget is checked after each step's product is built, so it
     bounds the result, not the work of building it.
     """
+    _check_budget(budget)
+
     def product(left: list[Clause], right: list[Clause], combine: Callable) -> list[Clause]:
         clauses = _dedupe_clauses([combine(ci, dk) for ci in left for dk in right])
         size = sum(map(len, clauses))
@@ -221,13 +232,17 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
 # clause feasibility by an exact simplex on the Farkas side
 
 def _farkas(
-    rows: list[list[int]], rhs: list[int], budget: int
+    columns: Sequence, forms: Sequence[Mapping], rhs: Sequence[int], budget: int
 ) -> tuple[Optional[list[int]], Optional[list[int]]]:
     """Solve ``A x <= b`` over the rationals, or prove it has no solution.
 
+    Row ``i`` of ``A`` is the sparse form ``forms[i]``, which maps some of
+    the sorted ``columns`` to their coefficients; a column it lacks has 0.
     Runs phase I of the simplex on the Farkas side ``A^T l = 0, -b^T l = 1,
-    l >= 0``, whose tableau has one row per variable plus one.  When phase
-    I reaches 0 it returns ``(weights, None)``, coprime integers
+    l >= 0``, whose tableau has one row per column plus one.  Each such
+    row starts as its artificial's identity row, and each form writes its
+    entries into the rows of the columns it mentions.  When phase I
+    reaches 0 it returns ``(weights, None)``, coprime integers
     proportional to such an ``l``.  Otherwise it returns ``(None, y)``, the
     phase-I dual over its gcd: ``y_last > 0``, and ``x_v = y_v / y_last``
     has ``A x <= b``.  Each row is integral over a positive scale of its
@@ -238,12 +253,19 @@ def _farkas(
     ratio test holds the best row's rhs, entry and basic column as it
     scans.  Past ``budget`` pivots it raises.
     """
-    m, n = len(rows), len(rows[0])
+    m, n = len(forms), len(columns)
     # columns: one weight per row, one artificial per tableau row, the cost row's scale, b
-    table = [[*col, *[0] * v, 1, *[0] * (n - v), 0, 0] for v, col in enumerate(zip(*rows))]
-    table.append([*(-b for b in rhs), *[0] * n, 1, 0, 1])
+    table = []
+    for v in range(n):
+        table.append(row := [0] * (m + n + 3))
+        row[m + v] = 1
+    row_of = dict(zip(columns, table))
+    for k, form in enumerate(forms):
+        for c, a in form.items():
+            row_of[c][k] = a
+    table.append([-b for b in rhs] + [0] * n + [1, 0, 1])
     # phase-I reduced costs and objective: minimize the sum of the artificials
-    table.append(cost := [*(b - sum(row) for row, b in zip(rows, rhs)), *[0] * (n + 1), 1, -1])
+    table.append(cost := [b - sum(form.values()) for form, b in zip(forms, rhs)] + [0] * (n + 1) + [1, -1])
     basis, pivots = list(range(m, m + n + 1)), 0
     while cost[-1]:
         for c in range(m):  # Bland's rule: the lowest column of negative cost
@@ -276,11 +298,21 @@ def _primitive(v: list[int]) -> list[int]:
     return v if (g := math.gcd(*v)) == 1 else [a // g for a in v]
 
 
-def _clause_rows(terms: Iterable[LinearTerm]) -> tuple[list[str], list[list[int]]]:
-    # the sorted variable names, and each term's coefficients on them
-    terms = list(terms)
-    names = sorted({v for t in terms for v, _ in t})
-    return names, [[coeffs.get(v, 0) for v in names] for coeffs in map(dict, terms)]
+def _dense(columns: Sequence, forms: Iterable[Mapping]) -> list[list[int]]:
+    # each form's coefficients on the sorted columns, 0 where it has none
+    index = {c: k for k, c in enumerate(columns)}
+    rows = []
+    for form in forms:
+        rows.append(row := [0] * len(index))
+        for c, k in form.items():
+            row[index[c]] = k
+    return rows
+
+
+def _clause_forms(terms: Iterable[LinearTerm]) -> tuple[list[str], list[dict[str, int]]]:
+    # the sorted variable names, and each term as a form over them
+    forms = list(map(dict, terms))
+    return sorted(set().union(*forms)), forms
 
 
 def clause_certificate(
@@ -289,14 +321,16 @@ def clause_certificate(
     """``(weights, None)`` that pass ``check_certificate`` when the clause
     is valid, else ``(None, point)`` with every term ``<= -1`` there.
 
-    Terms are ordered by their coefficients and variables by name, so
-    neither result depends on set iteration order.
+    Each term goes to ``_farkas`` as a sparse row ``t <= -1``.  Terms are
+    ordered by their coefficients and variables by name, so neither
+    result depends on set iteration order.
     """
+    _check_budget(budget)
     if not clause:
         raise ValueError("clause must be nonempty")
     terms = sorted(clause)
-    names, rows = _clause_rows(terms)
-    weights, y = _farkas(rows, [-1] * len(terms), budget)
+    names, forms = _clause_forms(terms)
+    weights, y = _farkas(names, forms, [-1] * len(terms), budget)
     if y is not None:
         return None, {name: Fraction(yv, y[-1]) for name, yv in zip(names, y)}
     return {t: w for t, w in zip(terms, weights) if w}, None
@@ -336,8 +370,8 @@ def check_certificate(clause: Clause, weights: Mapping[LinearTerm, int]) -> bool
     """
     if not all(t in clause for t in weights):
         return False
-    _, rows = _clause_rows(weights)
-    return check_farkas(rows, [-1] * len(rows), list(weights.values()))
+    names, forms = _clause_forms(weights)
+    return check_farkas(_dense(names, forms), [-1] * len(forms), list(weights.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -384,51 +418,41 @@ def _minus(a: Mapping, b: Mapping) -> dict:
 
 def _system(
     roots: list[dict[int, int]], joins: list[tuple], fixed: dict[int, int]
-) -> tuple[list[int], list[list[int]], list[int]]:
-    """The branch's system ``A x <= b`` as (columns, A, b).
+) -> tuple[list[int], list[dict[int, int]], list[int]]:
+    """The branch's system ``A x <= b`` as (columns, rows, b), each row a
+    sparse form ``{column: coeff}`` over the sorted columns.
 
-    A fixed negative join's column is replaced by its chosen side's form;
-    at the root node nothing is fixed, and every form is kept as it is.
-    The rows ``form <= -1`` of ``roots`` come first; then, from the root
-    down, the rows ``side - y <= 0`` of each positive join that a row
-    already kept mentions.  Unfixed negative joins stay free columns.
+    Each fixed negative join's column is replaced by its chosen side's
+    form.  The rows ``form <= -1`` of ``roots`` come first; then, from the
+    root down, the rows ``side - y <= 0`` of each positive join that a row
+    already kept mentions.  Unfixed negative joins stay free columns.  The
+    root node, where nothing is fixed, takes its rows from
+    ``decide_valid``'s bounding walk instead.
     """
-    if fixed:
-        resolved: dict[int, dict[int, int]] = {}
+    resolved: dict[int, dict[int, int]] = {}
 
-        def sub(form: dict[int, int]) -> dict[int, int]:
-            if resolved.keys().isdisjoint(form):
-                return form
-            out: dict[int, int] = {}
-            for c, k in form.items():
-                for d, m in resolved.get(c, {c: 1}).items():
-                    out[d] = out.get(d, 0) + k * m
-            return {c: k for c, k in out.items() if k}
+    def sub(form: dict[int, int]) -> dict[int, int]:
+        if resolved.keys().isdisjoint(form):
+            return form
+        out: dict[int, int] = {}
+        for c, k in form.items():
+            for d, m in resolved.get(c, {c: 1}).items():
+                out[d] = out.get(d, 0) + k * m
+        return {c: k for c, k in out.items() if k}
 
-        for c in sorted(fixed):  # a join's sides mention only lower columns
-            resolved[c] = sub(joins[c][2][fixed[c]])
-        forms = [sub(form) for form in roots]
-    else:
-        forms = list(roots)
+    for c in sorted(fixed):  # a join's sides mention only lower columns
+        resolved[c] = sub(joins[c][2][fixed[c]])
+    forms = [sub(form) for form in roots]
     rhs = [-1] * len(forms)
     live = set().union(*forms)
     for c in range(len(joins) - 1, -1, -1):
         _, positive, sides = joins[c]
         if positive and c in live:
             for side in sides:
-                row = (sub(side) if fixed else side).copy()
+                forms.append(row := {**sub(side), c: -1})
                 live.update(row)
-                row[c] = -1
-                forms.append(row)
             rhs += [0] * len(sides)
-    columns = sorted(live)
-    index = {c: k for k, c in enumerate(columns)}
-    rows = []
-    for form in forms:
-        rows.append(row := [0] * len(index))
-        for c, k in form.items():
-            row[index[c]] = k
-    return columns, rows, rhs
+    return sorted(live), forms, rhs
 
 
 def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -439,6 +463,7 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     A countermodel is returned only once exact evaluation finds ``f``
     negative there; VALID carries one refutation per closed branch.
     """
+    _check_budget(budget)
     steps = postorder(f, _not_rl)
     names, factor, run = compile_scalar(f, "RL")
     # polarity of each step: bit 1 when it occurs positively, bit 2 negatively
@@ -482,8 +507,12 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     roots = joins[-1][2] if steps[-1][0] is Join else [pos[-1]]
     # the joins whose columns the system mentions (a join flattened into
     # its parent has none unless another step shares it), and the rows:
-    # one per root form, per side of a positive join and per negative join
+    # one per root form, per side of a positive join and per negative join.
+    # The root node's rows are the root forms, then those of each positive
+    # join that its rows mention, as _system builds them with nothing fixed
     live = set().union(*roots)
+    mentioned = live.copy()
+    forms, rhs = list(roots), [-1] * len(roots)
     negative: list[int] = []
     height = len(roots)
     for c in range(len(joins) - 1, -1, -1):
@@ -492,6 +521,11 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
             live.update(*sides)
             if positive:
                 height += len(sides)
+                if c in mentioned:
+                    for side in sides:
+                        forms.append(row := {**side, c: -1})
+                        mentioned.update(row)
+                    rhs += [0] * len(sides)
             else:
                 negative.append(c)
                 height += 1
@@ -501,13 +535,15 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         raise BudgetExceededError("search", size, budget)
 
     keep = {joins[c][0] for c in negative}  # the steps whose values branching reads
+    root = sorted(mentioned), forms, rhs
     closed: list[Refutation] = []
     stack: list[dict[int, int]] = [{}]  # fixed negative joins: column -> side
     while stack:
         fixed = stack.pop()
-        columns, rows, rhs = _system(roots, joins, fixed)
-        weights, y = _farkas(rows, rhs, budget)
-        if y is None:
+        columns, forms, rhs = _system(roots, joins, fixed) if fixed else root
+        weights, y = _farkas(columns, forms, rhs, budget)
+        if y is None:  # dense rows only for the refutation
+            rows = _dense(columns, forms)
             if not check_farkas(rows, rhs, weights):
                 raise SelfCheckError(f"self-check failed: weights {weights} do not refute branch {fixed}")
             closed.append(Refutation(tuple(map(tuple, rows)), tuple(rhs), tuple(weights)))

@@ -62,13 +62,18 @@ def vector(*coords) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
+def _is_int(x: object) -> bool:
+    # bool is an int subclass, but True is no number here
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Valuation(Record):
     """Assignment of rational n-vectors to variable names."""
 
     __slots__ = ("dimension", "assignment")
 
     def __init__(self, dimension: int, assignment: Mapping[str, Vector] = {}):  # copied, never mutated
-        if not isinstance(dimension, int) or dimension < 1:
+        if not _is_int(dimension) or dimension < 1:
             raise ValuationError(f"dimension must be an int >= 1, not {dimension!r}")
         # detach from the caller's mapping; bindings are fixed at construction
         super().__init__(dimension, dict(assignment))
@@ -76,7 +81,7 @@ class Valuation(Record):
             if len(vec) != dimension:
                 raise ValuationError(f"vector for {name!r} has length {len(vec)}, expected {dimension}")
             for c in vec:
-                if not isinstance(c, (int, Fraction)):
+                if not (isinstance(c, Fraction) or _is_int(c)):
                     raise ValuationError(f"vector for {name!r} has coordinate {c!r}, not an int or a Fraction")
 
     def vector(self, name: str) -> Vector:
@@ -238,9 +243,9 @@ def _sampler(trials: int, dimension: int, seed: int, bound: int) -> Callable:
     """Check the arguments; return ``sample(names, factor, checks)``: the lowest
     trial, and its valuation, where an odd number of ``checks`` (``(run, rl)``)
     fail, or None.  A pass of n trials puts coordinate k of trial t in lane k*n + t."""
-    if not isinstance(trials, int) or trials < 1:
-        raise ValueError("trials must be >= 1" + ("" if isinstance(trials, int) else f" and an int, not {trials!r}"))
-    if not isinstance(dimension, int) or dimension < 1:
+    if not _is_int(trials) or trials < 1:
+        raise ValueError("trials must be >= 1" + ("" if _is_int(trials) else f" and an int, not {trials!r}"))
+    if not _is_int(dimension) or dimension < 1:
         raise ValueError(f"dimension must be an int >= 1, not {dimension!r}")
     take = _draws(seed, bound)
 

@@ -110,7 +110,7 @@ def test_decide_budget_exit_3(capsys):
 def test_failed_self_check_exits_2(monkeypatch, capsys):
     # a solver that calls every system feasible at the origin, where
     # a -> 0 is not negative: decide must not print a verdict
-    monkeypatch.setattr(decide, "_farkas", lambda rows, rhs, budget: (None, [0] * len(rows[0])))
+    monkeypatch.setattr(decide, "_farkas", lambda columns, forms, rhs, budget: (None, [0] * len(columns) + [1]))
     code, out, err = run(capsys, "decide", "a -> 0")
     assert (code, out) == (2, "")
     assert err.startswith("error: self-check failed") and err.count("\n") == 1
@@ -611,6 +611,16 @@ def test_fresh_process_accepts_a_4300_digit_number(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (0, f"value: ({number})\nholds: true\n", "")
     result = fresh("distrib", "cosine", "--matrix", "m.csv", "orange", "orange", cwd=tmp_path, preexec_fn=limited(10))
     assert (result.returncode, result.stdout, result.stderr) == (0, "1\n", "")
+
+
+def test_fresh_process_decide_refuses_a_negative_budget():
+    # one error line and exit 2; a budget of 0 is a budget, and 0 -> 0 needs no column
+    result = fresh("decide", "--budget", "-1", "a")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: budget must be an int >= 0, not -1\n")
+    result = fresh("decide", "--budget", "0", "a")
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: search size 1 exceeds budget 0\n")
+    result = fresh("decide", "0 -> 0")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "VALID\n", "")
 
 
 def test_fresh_process_decide_help_shows_default_budget():

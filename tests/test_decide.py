@@ -1,8 +1,10 @@
 import functools
 import gc
 import hashlib
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -16,6 +18,7 @@ from rieszlogic.decide import (
     BudgetExceededError,
     CounterExample,
     LinearTerm,
+    Refutation,
     SelfCheckError,
     Valid,
     _dedupe_clauses,
@@ -299,6 +302,11 @@ LONGEST_LPS = [
 ]
 
 
+def _sparse(rows):
+    # dense rows as _farkas takes them: the columns, and each row's nonzero entries
+    return range(len(rows[0])), [{k: a for k, a in enumerate(row) if a} for row in rows]
+
+
 def test_simplex_budget_bounds_pivots():
     # x \/ -x takes two pivots
     clause = frozenset({LinearTerm.var("x"), LinearTerm.of({"x": -1})})
@@ -308,9 +316,65 @@ def test_simplex_budget_bounds_pivots():
     assert clause_valid(clause, budget=2) is True
     for rows, rhs, pivots, result in LONGEST_LPS:
         with pytest.raises(BudgetExceededError) as caught:
-            decide._farkas(rows, rhs, pivots - 1)
+            decide._farkas(*_sparse(rows), rhs, pivots - 1)
         assert (caught.value.stage, caught.value.size, caught.value.budget) == ("simplex", pivots, pivots - 1)
-        assert decide._farkas(rows, rhs, pivots) == result
+        assert decide._farkas(*_sparse(rows), rhs, pivots) == result
+
+
+def _dense_farkas(rows, rhs, budget):
+    # the simplex as it took dense rows, transposed into its tableau: the
+    # reference that the sparse rows must reproduce pivot for pivot
+    m, n = len(rows), len(rows[0])
+    table = [[*col, *[0] * v, 1, *[0] * (n - v), 0, 0] for v, col in enumerate(zip(*rows))]
+    table.append([*(-b for b in rhs), *[0] * n, 1, 0, 1])
+    table.append(cost := [*(b - sum(row) for row, b in zip(rows, rhs)), *[0] * (n + 1), 1, -1])
+    basis, pivots = list(range(m, m + n + 1)), 0
+    while cost[-1]:
+        for c in range(m):
+            if cost[c] < 0:
+                break
+        else:
+            return None, decide._primitive([cost[-2] - a for a in cost[m:-2]])
+        r = -1
+        for i in range(n + 1):
+            if (a := (row := table[i])[c]) > 0:
+                if r < 0 or (t := row[-1] * p) < (u := q * a) or t == u and basis[i] < basic:
+                    r, q, p, basic = i, row[-1], a, basis[i]
+        pivots += 1
+        if pivots > budget:
+            raise BudgetExceededError("simplex", pivots, budget)
+        pivot_row = table[r]
+        for i, row in enumerate(table):
+            if (f := row[c]) and i != r:
+                row = [a * p - f * b for a, b in zip(row, pivot_row)]
+                table[i] = row if (g := math.gcd(*row)) == 1 else [a // g for a in row]
+        basis[r], cost = c, table[-1]
+    scale = math.lcm(*(table[i][j] for i, j in enumerate(basis)))
+    value = {j: table[i][-1] * scale // table[i][j] for i, j in enumerate(basis)}
+    return decide._primitive([value.get(j, 0) for j in range(m)]), None
+
+
+def test_sparse_rows_solve_as_the_dense_simplex(monkeypatch):
+    # every LP that decide_valid solves on the acceptance-3 formulas, and
+    # the longest LPs: the same (weights, y) as the dense reference
+    for rows, rhs, pivots, result in LONGEST_LPS:
+        assert _dense_farkas(rows, rhs, pivots) == result == decide._farkas(*_sparse(rows), rhs, pivots)
+    solved = []
+    farkas = decide._farkas
+
+    def recording(columns, forms, rhs, budget):
+        solved.append((list(columns), forms, rhs, result := farkas(columns, forms, rhs, budget)))
+        return result
+
+    monkeypatch.setattr(decide, "_farkas", recording)
+    rng = random.Random(2024)
+    for _ in range(1000):
+        decide_valid(random_rl_formula(rng, 12, 4))
+    assert len(solved) > 1000
+    assert any(not columns for columns, *_ in solved)  # zero-column systems among them
+    for columns, forms, rhs, result in solved:
+        assert all(set(form) <= set(columns) for form in forms)
+        assert _dense_farkas(decide._dense(columns, forms), rhs, decide.DEFAULT_BUDGET) == result
 
 
 def test_formula_248_settles_every_clause():
@@ -436,6 +500,12 @@ def test_systems_with_at_most_one_column(text):
     assert all(len(row) <= 1 for branch in verdict.branches for row in branch.rows)
 
 
+@pytest.mark.parametrize("text", ["0", "0 -> 0", "a -> a"])
+def test_zero_column_systems_are_refuted_by_one_weight(text):
+    # 0 <= -1, with no column: one row, one weight
+    assert decide_valid(parse_rl(text)) == Valid((Refutation(rows=((),), rhs=(-1,), weights=(1,)),))
+
+
 def test_nested_positive_joins_are_one_maximum():
     # columns a and b only: neither join gets a column of its own
     verdict = decide_valid(parse_rl("(c -> c) \\/ b \\/ (a \\/ (b \\/ (a -> 0)))"))
@@ -478,7 +548,9 @@ def test_deep_api_chains_decide():
 
 
 def test_failed_self_check_raises(monkeypatch):
-    monkeypatch.setattr(decide, "_farkas", lambda rows, rhs, budget: (None, [0] * len(rows[0])))
+    # a solver that calls every system feasible at the origin, where
+    # a -> 0 is not negative
+    monkeypatch.setattr(decide, "_farkas", lambda columns, forms, rhs, budget: (None, [0] * len(columns) + [1]))
     with pytest.raises(SelfCheckError, match="^self-check failed"):
         decide_valid(parse_rl("a -> 0"))
 
@@ -486,7 +558,7 @@ def test_failed_self_check_raises(monkeypatch):
 def test_unchecked_weights_raise(monkeypatch):
     # a solver that calls every system infeasible with zero weights: the
     # branch must not close
-    monkeypatch.setattr(decide, "_farkas", lambda rows, rhs, budget: ([0] * len(rows), None))
+    monkeypatch.setattr(decide, "_farkas", lambda columns, forms, rhs, budget: ([0] * len(forms), None))
     with pytest.raises(SelfCheckError, match="^self-check failed"):
         decide_valid(parse_rl("a -> a"))
 
@@ -679,6 +751,24 @@ def test_search_budget_is_checked_before_any_lp(monkeypatch, depth, budget, size
     with pytest.raises(BudgetExceededError) as caught:
         decide_valid(_blowup_formula(depth), budget=budget)
     assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", size, budget)
+
+
+@pytest.mark.parametrize("budget", [-1, True, False, 2.5, "3", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda budget: decide_valid(parse_rl("a"), budget),
+        lambda budget: linearize(parse_rl("a \\/ b"), budget),
+        lambda budget: clause_certificate(frozenset({LinearTerm.var("x")}), budget),
+        lambda budget: decide_bal_valid(parse_bal("x"), budget),
+        lambda budget: decide_equal(parse_rl("a"), parse_rl("a"), budget),
+        lambda budget: clause_valid(frozenset({LinearTerm.var("x")}), budget),
+    ],
+    ids=["decide_valid", "linearize", "clause_certificate", "decide_bal_valid", "decide_equal", "clause_valid"],
+)
+def test_budget_must_be_a_nonnegative_int(call, budget):
+    with pytest.raises(ValueError, match=f"^budget must be an int >= 0, not {re.escape(repr(budget))}$"):
+        call(budget)
 
 
 def test_budget_generous_enough_for_small_formulas():

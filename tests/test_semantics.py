@@ -112,6 +112,10 @@ def test_dimension_mismatch_rejected():
         ("2", {}, "dimension must be an int >= 1, not '2'"),
         (1, {"a": (0.5,)}, "vector for 'a' has coordinate 0.5, not an int or a Fraction"),
         (2, {"a": vector(1, 2), "b": (Fraction(1), "2")}, "vector for 'b' has coordinate '2', not an int or a Fraction"),
+        (True, {}, "dimension must be an int >= 1, not True"),
+        (True, {"a": (1,)}, "dimension must be an int >= 1, not True"),
+        (1, {"a": (True,)}, "vector for 'a' has coordinate True, not an int or a Fraction"),
+        (2, {"a": (1, False)}, "vector for 'a' has coordinate False, not an int or a Fraction"),
     ],
 )
 def test_valuation_rejects_bad_dimension_or_coordinate(dimension, assignment, message):
@@ -319,6 +323,9 @@ def test_falsify_bound_0_finds_no_witness():
         ({"trials": 0}, "trials must be >= 1"),
         ({"trials": 2.5}, "trials must be >= 1"),
         ({"trials": "3"}, "trials must be >= 1"),
+        ({"trials": True}, "trials must be >= 1 and an int, not True"),
+        ({"trials": False}, "trials must be >= 1 and an int, not False"),
+        ({"dimension": True}, "dimension must be an int >= 1, not True"),
     ],
 )
 def test_falsify_rejects_bad_arguments(kwargs, message):
