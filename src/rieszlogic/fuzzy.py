@@ -95,8 +95,9 @@ def iter_grid(op: str, resolution: int) -> Iterator[tuple[float, float, Optional
     ``op`` is ``"tl"`` or ``"tr"``, checked with the resolution at the
     call; undefined corners yield value None.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    is_int = isinstance(resolution, int) and not isinstance(resolution, bool)  # True is no resolution
+    if not is_int or resolution < 1:
+        raise ValueError("resolution must be >= 1" + ("" if is_int else f" and an int, not {resolution!r}"))
     if op not in ("tl", "tr"):
         raise ValueError(f"unknown operation {op!r}")
     return _grid(op, resolution)

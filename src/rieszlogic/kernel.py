@@ -10,9 +10,11 @@ unification search in the trusted core.
 The checks stay literal, but formula nodes are hash-consed, so equal
 formulas are one object and a side condition is a few ``is`` tests on
 the cited nodes: ``mp`` accepts when line j's node is an ``Imp`` whose
-left is line i's node and whose right is this line's.  Each rule has one
-branch in ``check_proof``, chosen by ``is`` on the rule that one set lookup
-finds from the justification's class, so a line costs a few ``is`` tests.
+left is line i's node and whose right is this line's; a BAL rule builds
+the node its line must be, as ``balg`` checks ``formula is Imp(left,
+right)``.  Each rule has one branch in ``check_proof``, chosen by ``is``
+on the rule that one set lookup finds from the justification's class,
+so a line costs a few ``is`` tests.
 Axiom and lemma instances match the schema against the line
 (``syntax.match_or_conflict``).  Proofs and reports are immutable
 records, and replay builds no object per accepted line (``check_proof``).
@@ -59,13 +61,14 @@ its assumptions and lines, which are read in that system's grammar, one
 ``name:`` header and one ``qed:`` footer; a second one of any of them, or
 an unknown system, is an error at its line.  Every index (of a line, an
 assumption, ``qed`` or a justification's argument) is written in ASCII
-decimal digits.  A formula's ``ParseError`` names its line; its offset is
-counted within the formula.
+decimal digits.  One handler names the line of every error found while
+a line is read; a formula's ``ParseError`` keeps its offset within the
+formula.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union, get_args
+from typing import Optional, Union, get_args
 
 from .syntax import (
     Formula,
@@ -165,13 +168,15 @@ class ProofLine(Record):
 
 
 class Proof(Record):
-    # str, str, tuple[Formula, ...], tuple[ProofLine, ...], int; _by_index: see line()
-    __slots__ = ("system", "name", "assumptions", "lines", "conclusion", "_by_index")
+    # str, str, tuple[Formula, ...], tuple[ProofLine, ...], int
+    __slots__ = ("system", "name", "assumptions", "lines", "conclusion")
 
     def line(self, index: int) -> ProofLine:
-        if not hasattr(self, "_by_index"):  # the first line with an index wins
-            object.__setattr__(self, "_by_index", {ln.index: ln for ln in reversed(self.lines)})
-        return self._by_index[index]
+        """The first line with the index; ``KeyError`` if there is none."""
+        for ln in self.lines:
+            if ln.index == index:
+                return ln
+        raise KeyError(index)
 
     @property
     def conclusion_formula(self) -> Formula:
@@ -345,28 +350,18 @@ def check_proof(proof: Proof, library: Optional[TheoremLibrary] = None) -> Check
                     raise _Rejected(f"formula differs from assumption {just.index}")
 
             elif rule is BalG:
-                left, right = _cite(checked, index, just.left), _cite(checked, index, just.right)
-                if not (type(formula) is Imp and formula.left is left and formula.right is right):
+                if formula is not Imp(_cite(checked, index, just.left), _cite(checked, index, just.right)):
                     raise _Rejected(f"formula is not (line {just.left}) -> (line {just.right})")
 
             elif rule is BalPi:
-                premise = _cite(checked, index, just.premise)
-                if not (type(formula) is Pos and formula.inner is premise):
+                if formula is not Pos(_cite(checked, index, just.premise)):
                     raise _Rejected(f"formula is not (line {just.premise}) ^+")
 
             elif rule is BalMi:
                 premise = _cite(checked, index, just.premise)
                 if not (isinstance(premise, Pos) and isinstance(premise.inner, Imp)):
                     raise _Rejected(f"line {just.premise} does not have shape (a -> b) ^+")
-                a, b = premise.inner.left, premise.inner.right
-                inner = formula.inner if type(formula) is Pos else None
-                if not (
-                    type(inner) is Imp
-                    and type(inner.left) is Pos
-                    and inner.left.inner is a
-                    and type(inner.right) is Pos
-                    and inner.right.inner is b
-                ):
+                if formula is not Pos(Imp(Pos(premise.inner.left), Pos(premise.inner.right))):
                     raise _Rejected(f"formula is not (a ^+ -> b ^+) ^+ for line {just.premise}")
 
             else:  # Lemma, the last rule both systems allow
@@ -417,45 +412,41 @@ def parse_proof(text: str) -> Proof:
             stripped = raw.split("#", 1)[0].strip()
             if not stripped:
                 continue
-
-            def err(msg: str) -> ProofFormatError:
-                return ProofFormatError(f"line {lineno}: {msg}")
-
             key, _, value = stripped.partition(":")
             if key in _HEADERS:
                 if key in headers:
-                    raise err(f"a proof has one `{key}:` {_HEADERS[key]}")
+                    raise ProofFormatError(f"a proof has one `{key}:` {_HEADERS[key]}")
                 value = value.strip()
                 if key == "system" and value and value not in _SYSTEMS:
-                    raise err(f"unknown system {value!r}")
+                    raise ProofFormatError(f"unknown system {value!r}")
                 if key == "qed" and (value := _index(value)) is None:
-                    raise err("qed needs a line index")
+                    raise ProofFormatError("qed needs a line index")
                 headers[key] = value
                 continue
             system = headers.get("system")
             if stripped.startswith("assume "):
                 head, _, formula_text = stripped.partition(":")
                 if not formula_text:
-                    raise err("assumption needs `assume <k>: <formula>`")
+                    raise ProofFormatError("assumption needs `assume <k>: <formula>`")
                 k_text = head[len("assume "):].strip()
                 if _index(k_text) != len(assumptions) + 1:
-                    raise err(f"assumption index must be {len(assumptions) + 1}")
+                    raise ProofFormatError(f"assumption index must be {len(assumptions) + 1}")
                 if not system:
-                    raise err("system must be declared before assumptions")
+                    raise ProofFormatError("system must be declared before assumptions")
                 assumptions.append(parse_schema(formula_text.strip(), system))
                 continue
             head, sep, just_text = stripped.rpartition("|")
             if not sep:
-                raise err("proof line needs `<index>: <formula> | <justification>`")
+                raise ProofFormatError("proof line needs `<index>: <formula> | <justification>`")
             idx_text, sep2, formula_text = head.partition(":")
             index = _index(idx_text.strip())
             if not sep2 or index is None:
-                raise err("proof line needs a numeric index before `:`")
+                raise ProofFormatError("proof line needs a numeric index before `:`")
             if not system:
-                raise err("system must be declared before proof lines")
+                raise ProofFormatError("system must be declared before proof lines")
             formula = parse_schema(formula_text.strip(), system)
-            lines.append(ProofLine(index, formula, _parse_justification(just_text.strip(), err)))
-    except ParseError as exc:  # from a formula, whose offset does not locate it in the text
+            lines.append(ProofLine(index, formula, _parse_justification(just_text.strip())))
+    except (ParseError, ProofFormatError) as exc:  # name the line: a formula's offset is within the formula
         exc.args = (f"line {lineno}: {exc}",)
         raise
     system, name, conclusion = map(headers.get, _HEADERS)
@@ -481,36 +472,36 @@ def _index(text: str) -> Optional[int]:
     return None
 
 
-def _parse_justification(text: str, err: Callable[[str], ProofFormatError]) -> Justification:
+def _parse_justification(text: str) -> Justification:
     parts = text.split()
     if not parts:
-        raise err("empty justification")
+        raise ProofFormatError("empty justification")
     head, args = parts[0], parts[1:]
     rule = _KEYWORDS.get(head)
     if rule is None:
-        raise err(f"unknown justification {head!r}")
+        raise ProofFormatError(f"unknown justification {head!r}")
     if rule is Axiom:
         if len(args) != 1:
-            raise err("axiom needs one name")
+            raise ProofFormatError("axiom needs one name")
         return Axiom(args[0])
     if rule is Assume:
         if len(args) != 1 or (k := _index(args[0])) is None:
-            raise err("assume needs one index")
+            raise ProofFormatError("assume needs one index")
         return Assume(k)
     if rule is Lemma:
         if not args:
-            raise err("lemma needs a name")
+            raise ProofFormatError("lemma needs a name")
         premises = tuple(map(_index, args[1:]))
         if None in premises:
-            raise err("lemma premises must be line indices")
+            raise ProofFormatError("lemma premises must be line indices")
         return Lemma(args[0], premises)
     # the inference rules: one line index per field
     indices = list(map(_index, args))
     if None in indices:
-        raise err(f"{head} arguments must be line indices")
+        raise ProofFormatError(f"{head} arguments must be line indices")
     arity = len(rule._fields)
     if len(args) != arity:
-        raise err(f"{head} needs {arity} line indices")
+        raise ProofFormatError(f"{head} needs {arity} line indices")
     return rule(*indices)
 
 

@@ -48,7 +48,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
-from .syntax import _MAX_DIGITS, _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, _fraction, memo, postorder
+from .syntax import _LANGUAGES, _MAX_DIGITS, _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, _fraction, memo, postorder
 
 Vector = tuple[Fraction, ...]
 
@@ -194,7 +194,7 @@ class EvalResult(Record):
 
 def evaluate(f: Formula, v: Valuation, system: str = "RL") -> EvalResult:
     """Evaluate under either reading and report value plus holds flag."""
-    if system not in ("RL", "BAL"):
+    if system not in _LANGUAGES:
         raise ValueError(f"unknown system {system!r}")
     return EvalResult(*_exact(f, v, system))
 

@@ -31,9 +31,14 @@ per open group, so neither it nor comparison has a nesting limit.  Past
 ``2 * _KEY`` characters it reads each distinct parenthesized group once,
 so a printed DAG costs parser steps per distinct group, not per copy.
 
+A node's ``postorder`` program is built once and kept on the node
+(``memo``), and the structure queries read node kinds and names from it;
+``_LANGUAGES`` names each language's node classes.
+
 ``Record`` is the slotted, immutable base of every other module's value
-classes (proof lines, reports, verdicts, valuations), and ``_fraction``
-reads the numbers of valuation and count-matrix files.
+classes (proof lines, reports, verdicts, valuations), whose fields are
+exactly its slots; ``_fraction`` reads the numbers of valuation and
+count-matrix files.
 """
 
 from __future__ import annotations
@@ -148,6 +153,9 @@ class MetaVar(Formula):
 
 ZERO = _new(Zero)
 
+#: each object language's node classes
+_LANGUAGES = {"RL": {Var, Zero, Imp, Join}, "BAL": {Var, Imp, Pos}}
+
 
 class Record:
     """Immutable slotted value, compared, hashed and printed as a frozen
@@ -155,7 +163,7 @@ class Record:
     fields' tuple, repr ``Cls(field=value, ...)``; assigning or deleting a
     field raises ``AttributeError``.  A subclass names its fields in
     ``__slots__``, in constructor order, and the defaults of its last ones
-    in ``_defaults``; a slot named ``_...`` is a cache, not a field."""
+    in ``_defaults``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -163,7 +171,7 @@ class Record:
     __setattr__, __delattr__ = Formula.__setattr__, Formula.__delattr__
 
     def __init_subclass__(cls) -> None:
-        own = tuple(name for name in cls.__dict__.get("__slots__", ()) if name[0] != "_")
+        own = tuple(cls.__dict__.get("__slots__", ()))
         cls._fields = cls.__match_args__ = cls._fields + own  # __match_args__: positional patterns
         get = operator.attrgetter(*cls._fields)  # _values(record): the fields' values, in order
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
@@ -364,7 +372,7 @@ def parse_bal_schema(text: str) -> Formula:
 
 
 def parse_schema(text: str, system: str) -> Formula:
-    if system not in ("RL", "BAL"):
+    if system not in _LANGUAGES:
         raise ValueError(f"unknown system {system!r}")
     return _parse(text, system.lower(), schema=True)
 
@@ -421,7 +429,9 @@ def memo(build: Callable) -> Callable:
     def cached(f: Formula, *args):
         try:
             return f._memo[build, args]
-        except AttributeError:
+        except AttributeError:  # f's first memo, or f is no node
+            if not isinstance(f, Formula):
+                raise TypeError(f"not a formula: {f!r}") from None
             _set(f, "_memo", {})
         except KeyError:
             pass
@@ -440,11 +450,10 @@ def postorder(f: Formula, reject: Callable[[Formula], None], lang: str = "RL") -
     indices; one ``fold`` per node builds it.  ``reject(node)`` raises for
     the first node, in ``fold`` order, not in the language.
     """
-    steps = _program(f)
-    rl = lang == "RL"
-    if not {op for op, _, _ in steps} <= ({Var, Zero, Imp, Join} if rl else {Var, Imp, Pos}):
-        leaves = (Var, Zero) if rl else (Var,)
-        fold(f, lambda g: type(g) in leaves or reject(g), _ignore, _ignore if rl else None, None if rl else _ignore)
+    steps, ops = _program(f), _LANGUAGES[lang]
+    if not {op for op, _, _ in steps} <= ops:
+        join, pos = (_ignore if op in ops else None for op in (Join, Pos))  # else a leaf, for reject to see
+        fold(f, lambda g: type(g) in ops or reject(g), _ignore, join, pos)
     return steps
 
 
@@ -574,28 +583,22 @@ def match_or_conflict(
 
 def variables(f: Formula) -> set[str]:
     """Names of the object variables occurring in f."""
-    return _names(f, Var)
+    return {name for op, name, _ in _program(f) if op is Var}
 
 
 def metavariables(f: Formula) -> set[str]:
     """Names of the metavariables occurring in f."""
-    return _names(f, MetaVar)
-
-
-def _names(f: Formula, cls: type) -> set[str]:
-    out: set[str] = set()
-    fold(f, lambda g: out.add(g.name) if type(g) is cls else None, _ignore, _ignore, _ignore)
-    return out
+    return {name for op, name, _ in _program(f) if op is MetaVar}
 
 
 def is_rl(f: Formula) -> bool:
     """True iff f is a pure RL formula (no Pos nodes, no metavariables)."""
-    return fold(f, lambda g: type(g) is Var or type(g) is Zero, operator.and_, operator.and_)
+    return {op for op, _, _ in _program(f)} <= _LANGUAGES["RL"]
 
 
 def is_bal(f: Formula) -> bool:
     """True iff f is a pure BAL formula (no Zero or Join, no metavariables)."""
-    return fold(f, lambda g: type(g) is Var, operator.and_, None, _same)
+    return {op for op, _, _ in _program(f)} <= _LANGUAGES["BAL"]
 
 
 def pos_to_join(f: Formula) -> Formula:

@@ -41,6 +41,13 @@ def test_join_with_zero_translates_to_bal_tautology():
     assert isinstance(decide_bal_valid(translated), Valid)
 
 
+def test_translations_refuse_the_other_language():
+    with pytest.raises(TypeError, match=r"^not a BAL formula: a \\/ b$"):
+        bal_to_rl(parse_rl("a \\/ b"))
+    with pytest.raises(TypeError, match=r"^not an RL formula: Pos\(inner=Var\(name='a'\)\)$"):
+        rl_to_bal(parse_bal("a ^+"))
+
+
 def test_reserved_variable_refused():
     with pytest.raises(ReservedVariableError):
         rl_to_bal(parse_rl(f"{RESERVED_ZERO_VAR} -> a"))

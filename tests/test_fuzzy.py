@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -167,3 +168,20 @@ def test_grid_rejects_bad_args():
         list(iter_grid("tl", 0))
     with pytest.raises(ValueError):
         list(iter_grid("nope", 3))
+
+
+@pytest.mark.parametrize(
+    "resolution, message",
+    [
+        (0, "resolution must be >= 1"),
+        (-3, "resolution must be >= 1"),
+        (2.5, "resolution must be >= 1 and an int, not 2.5"),
+        (2.0, "resolution must be >= 1 and an int, not 2.0"),
+        (True, "resolution must be >= 1 and an int, not True"),
+        ("3", "resolution must be >= 1 and an int, not '3'"),
+    ],
+)
+def test_grid_checks_its_resolution_at_the_call(resolution, message):
+    # refused before any row is asked for
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        iter_grid("tl", resolution)

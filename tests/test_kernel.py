@@ -12,6 +12,7 @@ from rieszlogic.kernel import (
     BalMi,
     BalPi,
     Lemma,
+    LineStatus,
     Mp,
     Proof,
     ProofFormatError,
@@ -75,6 +76,17 @@ def test_join_rule_accepted():
         assumptions=("a -> b",),
     )
     assert check_proof(proof).accepted
+
+
+def test_accepted_report_has_no_first_error():
+    report = check_proof(rl_proof("MP_DEMO", [("a", Assume(1))], assumptions=("a",)))
+    assert report.accepted and report.first_error is None and report.summary() == "OK (1 lines)"
+
+
+def test_conclusion_must_name_a_checked_line():
+    report = check_proof(rl_proof("QED_MISSING", [("a", Assume(1))], assumptions=("a",), conclusion=2))
+    assert not report.accepted
+    assert report.statuses[-1] == LineStatus(2, False, "conclusion index is not a checked line")
 
 
 def test_join_rule_rejects_different_tails():
@@ -180,15 +192,50 @@ def test_bal_modus_ponens():
     assert check_proof(proof).accepted
 
 
-def test_balmi_needs_pos_implication():
+@pytest.mark.parametrize("premise", ["x ^+", "x -> x"])
+def test_balmi_needs_pos_implication(premise):
     proof = bal_proof(
         "BAL_MI_BAD",
-        [("x ^+", Assume(1)), ("(x ^+ -> x ^+) ^+", BalMi(1))],
-        assumptions=("x ^+",),
+        [(premise, Assume(1)), ("(x ^+ -> x ^+) ^+", BalMi(1))],
+        assumptions=(premise,),
     )
     report = check_proof(proof)
     assert not report.accepted
-    assert "(a -> b) ^+" in report.statuses[1].message
+    assert report.statuses[1] == LineStatus(2, False, "line 1 does not have shape (a -> b) ^+")
+
+
+#: one accepted and one rejected line for each of balmi, balg and balpi
+BAL_RULES = """\
+system: BAL
+name: BAL_RULES
+assume 1: (a -> b) ^+
+1: (a -> b) ^+ | assume 1
+2: (a ^+ -> b ^+) ^+ | balmi 1
+3: (b ^+ -> a ^+) ^+ | balmi 1
+4: (a -> b) ^+ -> (a ^+ -> b ^+) ^+ | balg 1 2
+5: (a ^+ -> b ^+) ^+ -> (a -> b) ^+ | balg 1 2
+6: (a -> b) ^+ ^+ | balpi 1
+7: a ^+ | balpi 1
+qed: 6
+"""
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        (1, ""),
+        (2, ""),
+        (3, "formula is not (a ^+ -> b ^+) ^+ for line 1"),
+        (4, ""),
+        (5, "formula is not (line 1) -> (line 2)"),
+        (6, ""),
+        (7, "formula is not (line 1) ^+"),
+    ],
+)
+def test_bal_rules_build_the_formula_they_check(index, message):
+    report = check_proof(parse_proof(BAL_RULES))
+    assert report.statuses[index - 1] == LineStatus(index, not message, message)
+    assert report.summary() == "REJECTED at line 3: formula is not (a ^+ -> b ^+) ^+ for line 1"
 
 
 def test_bal_rejects_ri():
@@ -359,6 +406,30 @@ def test_parse_proof_errors():
     for text in bad_texts:
         with pytest.raises(ProofFormatError):
             parse_proof(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("system: RL\nname: X\n1: a |\nqed: 1\n", "line 3: empty justification"),
+        ("system: RL\nname: X\n1: a | axiom\nqed: 1\n", "line 3: axiom needs one name"),
+        ("system: RL\nname: X\n1: a | assume 1 2\nqed: 1\n", "line 3: assume needs one index"),
+        ("system: RL\nname: X\n1: a | lemma\nqed: 1\n", "line 3: lemma needs a name"),
+        ("system: BAL\nname: X\n\n1: a | balg 1\nqed: 1\n", "line 4: balg needs 2 line indices"),
+        ("system: RL\nname: X\nassume 1 a\nqed: 1\n", "line 3: assumption needs `assume <k>: <formula>`"),
+        ("name: X\nassume 1: a\nqed: 1\n", "line 2: system must be declared before assumptions"),
+        ("name: X\n1: a | assume 1\nqed: 1\n", "line 2: system must be declared before proof lines"),
+        ("system: RL\nname: X\n1: a  assume 1\nqed: 1\n", "line 3: proof line needs `<index>: <formula> | <justification>`"),
+        # after the last line: no line to name
+        ("name: X\nqed: 1\n", "missing `system:` header"),
+        ("system: RL\nname: X\n1: a | assume 1\n", "missing `qed:` footer"),
+    ],
+    ids=["empty", "axiom", "assume", "lemma", "arity", "assumption", "system-assume", "system-line", "separator",
+         "no-system", "no-qed"],
+)
+def test_format_errors_name_their_line(text, message):
+    with pytest.raises(ProofFormatError, match=rf"^{re.escape(message)}$"):
+        parse_proof(text)
 
 
 def test_unknown_justification_is_named_before_its_arguments():

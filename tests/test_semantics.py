@@ -403,6 +403,8 @@ def test_deep_rejected_formula_keeps_its_type_error():
 
 def test_evaluator_type_errors():
     v = Valuation(1)
+    with pytest.raises(ValueError, match=r"^unknown system 'XYZ'$"):
+        evaluate(Var("a"), v, "XYZ")
     with pytest.raises(TypeError, match=r"^not an RL formula: Pos\(inner=Var\(name='a'\)\)$"):
         eval_rl(Pos(Var("a")), v)
     with pytest.raises(TypeError, match=r"^not a BAL formula: Join\(left=Var\(name='a'\), right=Var\(name='b'\)\)$"):

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,9 @@ import pytest
 import rieszlogic
 
 from rieszlogic import syntax
-from rieszlogic.bridge import rl_to_bal
+from rieszlogic.bridge import bal_to_rl, rl_to_bal
+from rieszlogic.decide import decide_valid, linearize
+from rieszlogic.semantics import Valuation, eval_rl, random_falsify
 from rieszlogic.syntax import (
     Imp,
     Join,
@@ -34,6 +37,7 @@ from rieszlogic.syntax import (
     parse_bal_schema,
     parse_rl,
     parse_rl_schema,
+    parse_schema,
     substitute,
     variables,
 )
@@ -227,6 +231,37 @@ def test_language_predicates():
     assert not is_rl(parse_bal("a ^+"))
     assert is_bal(parse_bal("x ^+ -> y"))
     assert not is_bal(parse_rl("a \\/ b"))
+    # a metavariable is in neither language
+    assert not is_rl(parse_rl_schema("PHI -> a \\/ 0"))
+    assert not is_bal(parse_bal_schema("PHI ^+ -> a"))
+
+
+def test_unknown_system_is_refused():
+    with pytest.raises(ValueError, match=r"^unknown system 'XYZ'$"):
+        parse_schema("a", "XYZ")
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (decide_valid, 1),
+        (linearize, "a"),
+        (lambda f: eval_rl(f, Valuation(1)), 1),
+        (lambda f: random_falsify(f, 5), 1),
+        (format_formula, 1),
+        (rl_to_bal, 1),
+        (bal_to_rl, 1),
+        (variables, 1),
+        (metavariables, 1),
+        (is_rl, 1),
+        (is_bal, 1),
+    ],
+    ids=["decide_valid", "linearize", "eval_rl", "random_falsify", "format_formula", "rl_to_bal", "bal_to_rl",
+         "variables", "metavariables", "is_rl", "is_bal"],
+)
+def test_entry_points_refuse_a_non_formula(call, argument):
+    with pytest.raises(TypeError, match=rf"^not a formula: {re.escape(repr(argument))}$"):
+        call(argument)
 
 
 def test_variable_collection():
@@ -464,13 +499,16 @@ _DOUBLINGS = r"""
 import json, time
 from rieszlogic.bridge import bal_to_rl, rl_to_bal
 from rieszlogic.semantics import Valuation, eval_bal, eval_rl, vector
-from rieszlogic.syntax import Imp, Join, MetaVar, Pos, Var, pos_to_join, substitute, variables
+from rieszlogic.syntax import Imp, Join, MetaVar, Pos, Var, is_bal, is_rl, metavariables, pos_to_join, substitute, variables
 
 STEPS = {"->": lambda f: Imp(f, f), "\\/": lambda f: Join(f, f), "^+": lambda f: Pos(Imp(f, f))}
 RL, BAL, ALL = ("->", "\\/"), ("->", "^+"), tuple(STEPS)
 v = Valuation(1, {"a": vector(3)})
 CALLS = {
     "variables": (variables, ALL),
+    "metavariables": (metavariables, ALL),
+    "is_rl": (is_rl, ALL),
+    "is_bal": (is_bal, ALL),
     "substitute": (lambda f: substitute(f, {"P": Var("a")}), ALL),
     "eval_rl": (lambda f: eval_rl(f, v), RL),
     "eval_bal": (lambda f: eval_bal(f, v), BAL),
@@ -499,7 +537,7 @@ def test_dag_walkers_take_time_linear_in_the_dag():
     )
     assert result.returncode == 0, result.stderr
     seconds = json.loads(result.stdout)
-    assert len(seconds) == 16  # every call in each language it accepts
+    assert len(seconds) == 25  # every call in each language it accepts
     assert {call: t for call, t in seconds.items() if t > 0.5} == {}
 
 
