@@ -37,7 +37,20 @@ class UnknownTermError(KeyError):
 
 
 class TermDocumentMatrix(Record):
+    """Counts with one row per distinct term and one entry per context;
+    any other shape raises ``MatrixFormatError``."""
+
     __slots__ = ("terms", "contexts", "counts")  # tuple[str, ...] twice, then one Vector per term
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if len(self.counts) != len(self.terms):
+            raise MatrixFormatError(f"counts has length {len(self.counts)}, expected {len(self.terms)}")
+        if len(set(self.terms)) < len(self.terms):
+            raise MatrixFormatError(f"duplicate term {next(t for t in self.terms if self.terms.count(t) > 1)!r}")
+        for term, row in zip(self.terms, self.counts):
+            if len(row) != len(self.contexts):
+                raise MatrixFormatError(f"row {term!r} has length {len(row)}, expected {len(self.contexts)}")
 
     def row(self, term: str) -> Vector:
         try:

@@ -219,7 +219,7 @@ def _draws(seed: int, bound: int) -> Callable[[int], Sequence[int]]:
     bytes; what a read leaves over is kept for the next call.  A wider
     span calls ``randrange`` itself.
     """
-    if not isinstance(bound, int) or bound < 0:
+    if not _is_int(bound) or bound < 0:
         raise ValueError(f"bound must be an int >= 0, not {bound!r}")
     rng, span = random.Random(seed), 2 * bound + 1
     bits = span.bit_length()

@@ -29,7 +29,9 @@ class and fields, so a formula is a DAG of shared subterms, and ``==``
 and ``hash`` are object identity.  Parsing is one loop with one frame
 per open group, so neither it nor comparison has a nesting limit.  Past
 ``2 * _KEY`` characters it reads each distinct parenthesized group once,
-so a printed DAG costs parser steps per distinct group, not per copy.
+and does not read again a right operand of ``->`` or ``(+)`` that repeats
+a group's inside, so a printed DAG costs parser steps per distinct
+subterm, not per copy.
 
 A node's ``postorder`` program is built once and kept on the node
 (``memo``), and the structure queries read node kinds and names from it;
@@ -224,14 +226,15 @@ Substitution = dict[str, Formula]
 _OPERATORS = ("->", "(+)", "\\/", "/\\", "^+", "~", "(", ")", "0")  # "(+)" before "("
 _VAR_NAME = re.compile("[a-z][A-Za-z0-9_]*")
 
-# one match per token: skip whitespace and comments, then capture an
-# operator, a name, a single character no token starts with (a "bad" one),
-# or "" at the end of the text
+# one match per token: skip whitespace and comments, capture an operator, a
+# name, a single character no token starts with (a "bad" one), or "" at the
+# end of the text, then skip whitespace, so that a match ends where the next
+# token or comment starts
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*(" + "|".join(map(re.escape, _OPERATORS)) + r"|[A-Za-z][A-Za-z0-9_]*|.|\Z)",
+    r"(?:[ \t\r\n]+|#[^\n]*)*(" + "|".join(map(re.escape, _OPERATORS)) + r"|[A-Za-z][A-Za-z0-9_]*|.|\Z)[ \t\r\n]*",
     re.DOTALL,
 )
-_KEY = 64  # leading characters of a group's text that key the group memo
+_KEY = 64  # leading characters of a group's inside that key the group memo
 _meet = lambda x, y: Imp(Join(Imp(x, ZERO), Imp(y, ZERO)), ZERO)  # x /\ y  ==  ~(~x \/ ~y)
 
 
@@ -250,24 +253,44 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
 
     In a text of at most ``2 * _KEY`` characters a group's later copy is at
     most ``_KEY`` long, so such a text is tokenized by one ``findall``.  A
-    longer one is read one match at a time, and each closed group is
-    recorded under its first ``_KEY`` characters.  A "(" opening an atom
-    where a recorded group's whole text repeats gives that group's node
-    (equal text parses to the same node), and reading resumes after the
-    copy.  The text past the key is compared in doubling chunks, and near
-    misses may cost ``len(text)`` characters in all before lookups stop, so
-    the parse stays linear.
+    longer one is read one match at a time, and a closed group whose inside
+    (the text between its parentheses) is longer than ``_KEY`` is recorded
+    under the inside's first ``_KEY`` characters.  Where a match ends after
+    a "(" that opens an atom, or after ``->`` or ``(+)``, whose right operand
+    runs to its group's end, a recorded inside that repeats there and is
+    followed by the token closing the group being read gives the recorded
+    node: both are read at the ``imp`` level, and equal text parses to the
+    same node.  Reading resumes at that token.  The text past the key is
+    compared in doubling chunks; a near miss (a copy that differs, or is
+    followed by another token) is charged what it compared, and lookups stop
+    once the charges reach ``len(text)``, so the parse stays linear.
     """
     bal, want_atom = lang == "bal", True
-    frames: list[tuple] = []  # the enclosing groups' frames, each with the offset of its "("
+    frames: list[tuple] = []  # the enclosing groups' frames, each with the offset where its inside starts
     lefts, acc, join, nots, p = [], None, None, 0, 0  # the innermost frame
     names: dict[str, Formula] = {}  # the nodes of the names read so far
     if len(text) > 2 * _KEY:
-        groups, budget = {}, len(text)  # budget: characters that failed comparisons may still cost
+        groups, budget = {}, len(text)  # budget: characters that near misses may still cost
         match, m = _TOKEN.scanner(text).match, None  # anchored: each match starts where the last one ended
         def next_token() -> str:
             nonlocal m
             return (m := match())[1]
+
+        def copy(q: int, close: str) -> Optional[Formula]:
+            # the node of the recorded group whose inside repeats at q and is
+            # followed by the token close, at which reading resumes; else None
+            nonlocal budget, match
+            start, end, x = groups.get(text[q : q + _KEY] if budget > 0 else None, (0, 0, None))
+            if x is None:
+                return None
+            k = _KEY  # the key's characters agree: compare the rest in doubling chunks
+            while k < end - start and text.startswith(text[start + k : min(end, start + 2 * k)], q + k):
+                k *= 2
+            if k >= end - start and _TOKEN.match(text, q + end - start)[1] == close:
+                match = _TOKEN.scanner(text, q + end - start).match
+                return x
+            budget -= k  # a near miss
+            return None
     else:  # the offset of a token that fails is found from its index, by scanning again
         groups, tokens = None, _TOKEN.findall(text)
         next_token = (rest := iter(tokens)).__next__
@@ -279,18 +302,14 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
             if tok == "(":
                 x = None
                 if groups is not None:  # a long text: "(" may open a copy of a recorded group
-                    p = m.end() - 1
-                    start, end, x = groups.get(text[p : p + _KEY] if budget > 0 else None, (0, 0, None))
-                    k = _KEY  # the key's characters agree: compare the rest in doubling chunks
-                    while k < end - start and text.startswith(text[start + k : min(end, start + 2 * k)], p + k):
-                        k *= 2
-                    if k < end - start:  # they differ before offset 2k
-                        budget, x = budget - k, None
+                    p = m.end()
+                    if groups:
+                        x = copy(p, ")")
                 if x is None:
                     frames.append((lefts, acc, join, nots, p))
                     lefts, join, nots = [], None, 0
                     continue
-                match = _TOKEN.scanner(text, p + end - start).match
+                next_token()  # the copy's ")"
             elif tok == "~" and not bal:
                 nots += 1
                 continue
@@ -301,18 +320,20 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
             else:
                 expected = frozenset(("variable", "(") + ("metavariable",) * schema + ("0", "~") * (not bal))
                 break
+        elif tok == "->" or tok == "(+)" and not bal:  # the most frequent operator first
+            if join is not None:
+                x, join = join(acc, x), None
+            lefts.append(x if tok == "->" else Imp(x, ZERO))
+            # in a long text, the right operand may repeat a recorded group's inside up to this group's end
+            if not groups or (x := copy(m.end(), ")" if frames else "")) is None:
+                want_atom = True
+                continue
         elif tok == "^+":  # x ^+  ==  x \/ 0  in RL
             x = Pos(x) if bal else Join(x, ZERO)
             continue
         elif bal and tok in ("(+)", "\\/", "/\\"):
             expected = frozenset(("->", "end of input"))
             break
-        elif tok == "->" or tok == "(+)":
-            if join is not None:
-                x, join = join(acc, x), None
-            lefts.append(x if tok == "->" else Imp(x, ZERO))
-            want_atom = True
-            continue
         elif tok == "\\/" or tok == "/\\":
             acc = x if join is None else join(acc, x)
             join, want_atom = Join if tok == "\\/" else _meet, True
@@ -325,8 +346,8 @@ def _parse(text: str, lang: str, schema: bool) -> Formula:
             if not tok:
                 return x
             lefts, acc, join, nots, p = frames.pop()
-            if groups is not None:
-                groups[text[p : p + _KEY]] = (p, m.end(), x)
+            if groups is not None and m.start(1) - p > _KEY:  # a shorter group costs little to read again
+                groups[text[p : p + _KEY]] = (p, m.start(1), x)
         else:
             expected = frozenset((")",) if frames else ("end of input",))
             break

@@ -127,6 +127,8 @@ def test_check_equivalence_pinned_reports(monkeypatch, text, dimension, bound, t
         ({"dimension": 0}, "dimension must be an int >= 1"),
         ({"bound": -1}, "bound must be an int >= 0"),
         ({"bound": 1.5}, "bound must be an int >= 0"),
+        ({"bound": True}, "bound must be an int >= 0, not True"),
+        ({"bound": False}, "bound must be an int >= 0, not False"),
         ({"trials": True}, "trials must be >= 1 and an int, not True"),
         ({"dimension": True}, "dimension must be an int >= 1, not True"),
     ],

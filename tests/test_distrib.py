@@ -6,6 +6,7 @@ import pytest
 
 from rieszlogic.distrib import (
     MatrixFormatError,
+    TermDocumentMatrix,
     UnknownTermError,
     cosine,
     entails,
@@ -160,3 +161,30 @@ def test_load_rejects_bad_input():
     for text in bad:
         with pytest.raises(MatrixFormatError):
             load_matrix(text)
+
+
+@pytest.mark.parametrize(
+    "terms, contexts, counts, message",
+    [
+        (("a", "b"), ("c1",), (vector(1, 2), vector(2, 1)), "row 'a' has length 2, expected 1"),
+        (("a", "b"), ("c1", "c2"), (vector(1, 2), vector(2)), "row 'b' has length 1, expected 2"),
+        (("a", "a"), ("c1",), (vector(1), vector(2)), "duplicate term 'a'"),
+        (("a",), ("c1",), (vector(1), vector(2)), "counts has length 2, expected 1"),
+        (("a", "b"), ("c1",), (vector(1),), "counts has length 1, expected 2"),
+    ],
+)
+def test_matrix_built_through_the_api_checks_its_shape(terms, contexts, counts, message):
+    # before, every operation zipped a mismatch away: with the first row,
+    # entails(m, "a", "b") read True while meet returned two coordinates
+    with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+        TermDocumentMatrix(terms, contexts, counts)
+    with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+        TermDocumentMatrix(terms=terms, contexts=contexts, counts=counts)
+
+
+def test_load_keeps_its_own_messages():
+    # load_matrix checks each row before it constructs, and names its line
+    with pytest.raises(MatrixFormatError, match=r"^duplicate term 'x'$"):
+        load_matrix("term,d1\nx,1\nx,2\n")
+    with pytest.raises(MatrixFormatError, match=r"^row 3 has 3 cells, expected 2$"):
+        load_matrix("term,d1\nx,1\ny,1,2\n")

@@ -320,6 +320,7 @@ def test_falsify_bound_0_finds_no_witness():
         ({"dimension": -2}, "dimension must be an int >= 1"),
         ({"bound": -1}, "bound must be an int >= 0"),
         ({"bound": 1.5}, "bound must be an int >= 0"),
+        ({"bound": True}, "bound must be an int >= 0, not True"),
         ({"trials": 0}, "trials must be >= 1"),
         ({"trials": 2.5}, "trials must be >= 1"),
         ({"trials": "3"}, "trials must be >= 1"),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -654,11 +655,15 @@ _NAMES = [f"variable_name_{i}" for i in range(10)]
 _LONG = " -> ".join(_NAMES)  # 188 characters in parentheses, about three key lengths
 
 
-def _long(*names):
-    f = Var(names[-1])
+def _long(*names, last=None):
+    f = Var(names[-1]) if last is None else last
     for name in reversed(names[:-1]):
         f = Imp(Var(name), f)
     return f
+
+
+_L = _long(*_NAMES)
+_SPACED = _LONG.replace(" -> variable_name_5", "  ->\t# note\r\n variable_name_5")  # whitespace and a comment inside
 
 
 _REPEATED = [
@@ -689,6 +694,25 @@ _REPEATED = [
         f"({_LONG}) -> ({_LONG.replace('_3', '_x')})",
         Imp(_long(*_NAMES), _long(*(n.replace("_3", "_x") for n in _NAMES))),
     ),
+    # a right operand that repeats a recorded group's inside, up to the end of its own group
+    (parse_rl, f"({_LONG}) -> {_LONG}", Imp(_L, _L)),
+    (parse_rl, f"({_LONG}) -> {_LONG} # end\n", Imp(_L, _L)),
+    (parse_rl, f"a -> (({_LONG}) -> {_LONG}) -> a", Imp(A, Imp(Imp(_L, _L), A))),
+    (parse_rl, f"({_LONG}) (+) {_LONG}", Imp(Imp(_L, ZERO), _L)),
+    (parse_rl, f"(~({_LONG})) -> ~({_LONG})", Imp(Imp(_L, ZERO), Imp(_L, ZERO))),
+    (parse_rl, f"({_SPACED}) -> ({_SPACED}) -> {_SPACED}", Imp(_L, Imp(_L, _L))),
+    (parse_rl_schema, f"(PHI -> {_LONG}) -> PHI -> {_LONG}", Imp(Imp(MetaVar("PHI"), _L), Imp(MetaVar("PHI"), _L))),
+    (parse_bal, f"(({_LONG}) ^+) -> ({_LONG}) ^+", Imp(Pos(_L), Pos(_L))),
+    # near misses: such a copy followed by more of its operand, or differing in its last character
+    (parse_rl, f"({_LONG}) -> {_LONG} \\/ c", Imp(_L, _long(*_NAMES, last=Join(Var(_NAMES[-1]), C)))),
+    (parse_rl, f"(({_LONG}) -> {_LONG} \\/ c)", Imp(_L, _long(*_NAMES, last=Join(Var(_NAMES[-1]), C)))),
+    (parse_bal, f"({_LONG}) -> {_LONG} ^+", Imp(_L, _long(*_NAMES, last=Pos(Var(_NAMES[-1]))))),
+    (parse_rl, f"(({_LONG}) (+) {_LONG} ^+)", Imp(Imp(_L, ZERO), _long(*_NAMES, last=Join(Var(_NAMES[-1]), ZERO)))),
+    (parse_rl, f"({_LONG}) -> {_LONG} -> c", Imp(_L, _long(*_NAMES, "c"))),
+    (parse_rl, f"a -> (({_LONG}) -> {_LONG} -> c)", Imp(A, Imp(_L, _long(*_NAMES, "c")))),
+    (parse_rl, f"({_LONG}) -> {_LONG[:-1]}x", Imp(_L, _long(*_NAMES[:-1], "variable_name_x"))),
+    (parse_rl, f"(({_LONG}) -> {_LONG[:-1]}x)", Imp(_L, _long(*_NAMES[:-1], "variable_name_x"))),
+    (parse_rl, f"({_LONG}) -> {_LONG})", None),
 ]
 
 
@@ -715,6 +739,98 @@ def test_error_after_a_skipped_group_is_the_same_error_shifted(parser, tail):
         errors.append((str(info.value).partition(" at offset ")[0], info.value.offset, info.value.expected))
     once, twice = errors
     assert twice == (once[0], once[1] + len(_GROUP) + 4, once[2])
+
+
+@pytest.mark.parametrize("parser", [parse_rl, parse_bal])
+@pytest.mark.parametrize("tail", [")", "$", "x y"])
+def test_error_after_a_reused_right_operand_is_the_same_error_shifted(parser, tail):
+    # in the second text the group's inside is the right operand of "a ->"
+    errors = []
+    for text in (f"{_GROUP} -> {_GROUP} {tail}", f"{_GROUP} -> (a -> {_GROUP[1:-1]}) {tail}"):
+        with pytest.raises(ParseError) as info:
+            parser(text)
+        errors.append((str(info.value).partition(" at offset ")[0], info.value.offset, info.value.expected))
+    once, reused = errors
+    assert reused == (once[0], once[1] + len("a -> "), once[2])
+
+
+class _Tokens:
+    """``syntax._TOKEN``, replaced for one test by a pattern that counts
+    every token it matches, one at a time or all at once."""
+
+    def __init__(self, monkeypatch):
+        self.pattern, self.read = syntax._TOKEN, 0
+        monkeypatch.setattr(syntax, "_TOKEN", self)
+
+    def counted(self, found):
+        self.read += 1
+        return found
+
+    def match(self, *args):
+        return self.counted(self.pattern.match(*args))
+
+    def scanner(self, *args):
+        match = self.pattern.scanner(*args).match
+        return types.SimpleNamespace(match=lambda: self.counted(match()))
+
+    def findall(self, *args):
+        found = self.pattern.findall(*args)
+        self.read += len(found)
+        return found
+
+
+def test_printed_ladders_parse_in_tokens_linear_in_the_dag(monkeypatch):
+    # reading each copy of a right operand took 5.8 tokens per node at
+    # depth 8 and 8.1 at depth 18, 262 and 772 tokens
+    for depth in range(8, 19):
+        bal = rl_to_bal(_ladder(depth))
+        text = format_formula(bal)
+        tokens = _Tokens(monkeypatch)
+        assert parse_bal(text) is bal
+        assert tokens.read <= 4 * len(syntax._program(bal)), depth
+    assert len(text) == 7864819
+
+
+@pytest.mark.parametrize(
+    "text, copy",
+    [(f"({_LONG}) -> {_LONG}", _LONG), (f"(({_LONG}) -> {_LONG})", _LONG), (f"(({_SPACED})) (+) {_SPACED}", _SPACED)],
+    ids=["top", "group", "oplus"],
+)
+def test_a_reused_right_operand_reads_none_of_its_tokens(monkeypatch, text, copy):
+    # the token after the copy is read twice: first to check that it ends the group
+    in_copy = len(syntax._TOKEN.findall(copy)) - 1  # less the end of input
+    in_text = len(syntax._TOKEN.findall(text))
+    tokens = _Tokens(monkeypatch)
+    parse_rl(text)
+    assert tokens.read == in_text - in_copy + 1
+
+
+class _Compared(str):
+    """A text that counts the characters its ``startswith`` compares."""
+
+    compared = 0
+
+    def startswith(self, prefix, *args):
+        self.compared += len(prefix)
+        return super().startswith(prefix, *args)
+
+
+def test_near_miss_right_operands_stay_linear(monkeypatch):
+    # each copy of the long group's inside is followed by " \/ x", and so is
+    # each of its suffixes that starts at an arrow: without the budget that
+    # near misses are charged to, they compared 244 times the text's length
+    ys = ["y"] * 400
+    inside = " -> ".join(ys)
+    text = _Compared(f"({inside})" + "".join(f" -> (b{i} -> {inside} \\/ x)" for i in range(40)))
+    parts = [_long(*ys)] + [Imp(Var(f"b{i}"), _long(*ys, last=Join(Var("y"), Var("x")))) for i in range(40)]
+    tree = parts.pop()
+    while parts:
+        tree = Imp(parts.pop(), tree)
+    in_text = len(syntax._TOKEN.findall(text))
+    tokens = _Tokens(monkeypatch)
+    assert parse_rl(text) is tree
+    assert text.compared <= 3 * len(text)
+    assert tokens.read <= in_text + 40  # each token once, and the token after a copy at most once more
 
 
 _PADS = [" " * (2 * syntax._KEY + 1), "\t\r\n" * syntax._KEY, "# " + "(a -> b) " * syntax._KEY + "\n"]
