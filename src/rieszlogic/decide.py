@@ -31,13 +31,12 @@ ones) times the rows (one for the root, or one per side of a root join;
 one per side of a positive join; one per negative join), and the pivots
 of each LP.
 
-``linearize`` replays the same ``postorder`` program to rewrite a
-formula into an equivalent *meet of joins* of integer linear terms,
-absorption-pruned after every step, whose clauses ``clause_certificate``
-settles with the same simplex.  A term is a tuple of sorted ``(name,
-coeff)`` pairs, and a left side's terms are negated in sorted order, so
-the clauses, their order and any refusal depend on the formula alone,
-not on the hash seed.
+``linearize`` replays the same ``postorder`` program and polarity pass
+to rewrite a formula into an equivalent *meet of joins* of integer linear
+terms, whose clauses ``clause_certificate`` settles with the same simplex.
+Each step keeps its meet of joins where it is positive and its join of
+meets where it is negative, pruned after every step; no form is converted
+into its dual, and no step reads a set's iteration order.
 
 Validity over these rational models coincides with validity over all
 abelian lattice-ordered groups; this relies on the standard algebraic
@@ -49,34 +48,27 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import reduce
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .syntax import Formula, Imp, Join, Pos, Record, Var, Zero, format_formula, pos_to_join, postorder
-from .semantics import Valuation, Vector, _is_int, _layout, compile_scalar
+from .syntax import Formula, Imp, Join, Pos, Record, Var, Zero, _check_int, format_formula, pos_to_join, postorder
+from .semantics import Valuation, Vector, _layout, compile_scalar
 
 DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceededError(Exception):
     """Work past the budget.  ``stage`` is ``"search"`` when the a-priori
-    bound of ``decide_valid``'s search, ``2^k × rows`` for ``k`` binary
-    negative joins, exceeds it (module docstring), ``"simplex"`` when one
-    LP takes more pivots, and
-    ``"normal form"`` when ``linearize``'s result grows past it;
-    ``size`` is the bound, the pivots or the result size."""
+    bound of ``decide_valid``'s search exceeds it (module docstring),
+    ``"simplex"`` when one LP takes more pivots, and ``"normal form"`` when
+    a step of ``linearize`` grows past it or would pair more than 16 times
+    it; ``size`` is the bound, the pivots, or the step's size or pairs."""
 
     def __init__(self, stage: str, size: int, budget: int):
         super().__init__(f"{stage} size {size} exceeds budget {budget}")
         self.stage = stage
         self.size = size
         self.budget = budget
-
-
-def _check_budget(budget: int) -> None:
-    if not _is_int(budget) or budget < 0:
-        raise ValueError(f"budget must be an int >= 0, not {budget!r}")
 
 
 class LinearTerm(tuple):
@@ -156,32 +148,10 @@ class MeetJoinNormalForm(Record):
 def _dedupe_clauses(clauses: list[Clause]) -> list[Clause]:
     # keep the minimal clauses, without duplicates, in first-occurrence
     # order: a clause with more joined terms is everywhere >= one with a
-    # subset of them, so the meet ignores it.  Visited shortest first, a
-    # clause is minimal iff no kept clause of smaller size is a subset of
-    # it; clauses of equal size are distinct, so none contains another.
-    # Kept clause k is bit k, and `holders` maps each term of a kept clause
-    # to the bits of those that hold it.  A kept clause is a subset of c
-    # iff it holds no term outside c, so c is minimal iff the holders of
-    # the kept terms it lacks cover every kept clause.
-    if len(clauses) < 2:
-        return clauses
+    # subset of them, so the meet ignores it.  Dually, a cube with more met
+    # terms is everywhere <= one with a subset, so a join of cubes ignores it
     unique = list(dict.fromkeys(clauses))
-    if frozenset() in unique:  # a subset of every clause
-        return [frozenset()]
-    kept: list[Clause] = []
-    holders: dict[LinearTerm, int] = {}
-    for _, same_size in itertools.groupby(sorted(unique, key=len), key=len):
-        every = (1 << len(kept)) - 1
-        new = [c for c in same_size if reduce(or_, map(holders.__getitem__, holders.keys() - c), 0) == every]
-        for c in new:
-            bit = 1 << len(kept)
-            kept.append(c)
-            for t in c:
-                holders[t] = holders.get(t, 0) | bit
-    if len(kept) == len(unique):
-        return unique
-    minimal = set(kept)
-    return [c for c in unique if c in minimal]
+    return [c for c in unique if not any(d < c for d in unique)]
 
 
 def _not_rl(g: Formula) -> None:
@@ -190,42 +160,67 @@ def _not_rl(g: Formula) -> None:
     raise TypeError(f"not an RL formula: {g!r}")
 
 
+def _polarity(steps: Sequence[tuple]) -> list[int]:
+    # each postorder step's polarity: bit 1 when it occurs positively, bit 2 negatively
+    polarity = [0] * len(steps)
+    polarity[-1] = 1
+    for s in range(len(steps) - 1, -1, -1):
+        op, i, j = steps[s]
+        if op is Imp or op is Join:
+            p = polarity[s]
+            polarity[i] |= p if op is Join else (p & 1) << 1 | p >> 1  # a left side of -> swaps the bits
+            polarity[j] |= p
+    return polarity
+
+
+def _difference(u: Clause, t: Clause) -> Clause:
+    return frozenset(LinearTerm.of(_minus(dict(a), dict(b))) for a in u for b in t)  # each a - b
+
+
 def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
     """Normal form with exactly the same value as the formula everywhere.
 
-    Built with ``(A \\/ B) + C = (A + C) \\/ (B + C)``, ``-(A \\/ B) =
-    (-A) /\\ (-B)`` and ``A \\/ (B /\\ C) = (A \\/ B) /\\ (A \\/ C)``,
-    keeping the minimal clauses after each step (``_dedupe_clauses``).
-    The budget is checked after each step's product is built, so it
-    bounds the result, not the work of building it.
+    Each step keeps its meet of joins (clauses) where it occurs positively
+    and its join of meets (cubes) where it occurs negatively.  A variable
+    or ``0`` is one term in both.  A positive ``\\/`` distributes, ``A \\/
+    (B /\\ C) = (A \\/ B) /\\ (A \\/ C)``; a negative one concatenates its
+    cubes.  ``x -> y`` is ``y - x = min_(U,T) max (U - T)`` over y's clauses
+    U and x's cubes T, or ``max_(U,T) min (U - T)`` over y's cubes and x's
+    clauses, where ``U - T`` holds each ``u - t``.  Each step keeps its
+    minimal clauses or cubes (``_dedupe_clauses``), of at most ``budget``
+    terms in all; a product of more than ``16 × budget`` pairs is refused
+    before it is built.
     """
-    _check_budget(budget)
+    _check_int("budget", budget, 0)
+
+    def pruned(forms: list[Clause]) -> list[Clause]:
+        forms = _dedupe_clauses(forms)
+        if (size := sum(map(len, forms))) > budget:
+            raise BudgetExceededError("normal form", size, budget)
+        return forms
 
     def product(left: list[Clause], right: list[Clause], combine: Callable) -> list[Clause]:
-        clauses = _dedupe_clauses([combine(ci, dk) for ci in left for dk in right])
-        size = sum(map(len, clauses))
-        if size > budget:
-            raise BudgetExceededError("normal form", size, budget)
-        return clauses
+        if (pairs := len(left) * len(right)) > 16 * budget:
+            raise BudgetExceededError("normal form", pairs, budget)
+        return pruned([combine(a, b) for a in left for b in right])
 
-    values: list[list[Clause]] = []  # each postorder step's clauses
-    for op, i, j in postorder(f, _not_rl):
+    steps = postorder(f, _not_rl)
+    polarity = _polarity(steps)
+    meets, joins = [[]] * len(steps), [[]] * len(steps)  # each step's clauses where positive, cubes where negative
+    for s, (op, i, j) in enumerate(steps):
         if op is Imp:
-            # -(min_i max_j t_ij) = max_i min_j (-t_ij): each negated clause is
-            # a meet of singletons, folded in as pairwise joins and pruned, in
-            # sorted order so that the result does not depend on the hash seed.
-            # Negation is one to one, so `negated` holds each t_ij as it is,
-            # and the right side's terms u subtract it: u - t_ij.
-            negated: list[Clause] = [frozenset()]
-            for clause in values[i]:
-                negated = product(negated, [frozenset((t,)) for t in sorted(clause)], or_)
-            values.append(product(negated, values[j], lambda ci, dk: frozenset(
-                LinearTerm.of(_minus(dict(u), dict(t))) for t in ci for u in dk)))
-        elif op is Join:  # max of min-max forms: distribute the meet over the join
-            values.append(product(values[i], values[j], or_))
+            if polarity[s] & 1:
+                meets[s] = product(meets[j], joins[i], _difference)
+            if polarity[s] & 2:
+                joins[s] = product(joins[j], meets[i], _difference)
+        elif op is Join:
+            if polarity[s] & 1:
+                meets[s] = product(meets[i], meets[j], or_)
+            if polarity[s] & 2:
+                joins[s] = pruned(joins[i] + joins[j])
         else:
-            values.append([frozenset((LinearTerm.var(i) if op is Var else LinearTerm.zero(),))])
-    return MeetJoinNormalForm(tuple(values[-1]))
+            meets[s] = joins[s] = [frozenset((LinearTerm.var(i) if op is Var else LinearTerm.zero(),))]
+    return MeetJoinNormalForm(tuple(meets[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +320,7 @@ def clause_certificate(
     ordered by their coefficients and variables by name, so neither
     result depends on set iteration order.
     """
-    _check_budget(budget)
+    _check_int("budget", budget, 0)
     if not clause:
         raise ValueError("clause must be nonempty")
     terms = sorted(clause)
@@ -463,21 +458,10 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     A countermodel is returned only once exact evaluation finds ``f``
     negative there; VALID carries one refutation per closed branch.
     """
-    _check_budget(budget)
+    _check_int("budget", budget, 0)
     steps = postorder(f, _not_rl)
     names, factor, run = compile_scalar(f, "RL")
-    # polarity of each step: bit 1 when it occurs positively, bit 2 negatively
-    polarity = [0] * len(steps)
-    polarity[-1] = 1
-    for s in range(len(steps) - 1, -1, -1):
-        op, i, j = steps[s]
-        if op is Imp:
-            p = polarity[s]
-            polarity[i] |= (p & 1) << 1 | p >> 1
-            polarity[j] |= p
-        elif op is Join:
-            polarity[i] |= polarity[s]
-            polarity[j] |= polarity[s]
+    polarity = _polarity(steps)
     # each step's linear form where it occurs positively (pos) and where it
     # occurs negatively (neg): variable k is column ~k, join occurrence c is
     # column c, with joins[c] = (step, positive, sides); children come

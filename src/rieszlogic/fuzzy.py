@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional
 
+from .syntax import _check_int
+
 
 class DomainError(ValueError):
     """Argument outside the operation's domain."""
@@ -95,9 +97,7 @@ def iter_grid(op: str, resolution: int) -> Iterator[tuple[float, float, Optional
     ``op`` is ``"tl"`` or ``"tr"``, checked with the resolution at the
     call; undefined corners yield value None.
     """
-    is_int = isinstance(resolution, int) and not isinstance(resolution, bool)  # True is no resolution
-    if not is_int or resolution < 1:
-        raise ValueError("resolution must be >= 1" + ("" if is_int else f" and an int, not {resolution!r}"))
+    _check_int("resolution", resolution, 1)
     if op not in ("tl", "tr"):
         raise ValueError(f"unknown operation {op!r}")
     return _grid(op, resolution)

@@ -49,6 +49,7 @@ from operator import or_
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from .syntax import _LANGUAGES, _MAX_DIGITS, _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, _fraction, memo, postorder
+from .syntax import _check_int, _is_int
 
 Vector = tuple[Fraction, ...]
 
@@ -62,19 +63,13 @@ def vector(*coords) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-def _is_int(x: object) -> bool:
-    # bool is an int subclass, but True is no number here
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 class Valuation(Record):
     """Assignment of rational n-vectors to variable names."""
 
     __slots__ = ("dimension", "assignment")
 
     def __init__(self, dimension: int, assignment: Mapping[str, Vector] = {}):  # copied, never mutated
-        if not _is_int(dimension) or dimension < 1:
-            raise ValuationError(f"dimension must be an int >= 1, not {dimension!r}")
+        _check_int("dimension", dimension, 1, ValuationError)
         # detach from the caller's mapping; bindings are fixed at construction
         super().__init__(dimension, dict(assignment))
         for name, vec in self.assignment.items():
@@ -219,8 +214,7 @@ def _draws(seed: int, bound: int) -> Callable[[int], Sequence[int]]:
     bytes; what a read leaves over is kept for the next call.  A wider
     span calls ``randrange`` itself.
     """
-    if not _is_int(bound) or bound < 0:
-        raise ValueError(f"bound must be an int >= 0, not {bound!r}")
+    _check_int("bound", bound, 0)
     rng, span = random.Random(seed), 2 * bound + 1
     bits = span.bit_length()
     if bits > 8:
@@ -243,10 +237,8 @@ def _sampler(trials: int, dimension: int, seed: int, bound: int) -> Callable:
     """Check the arguments; return ``sample(names, factor, checks)``: the lowest
     trial, and its valuation, where an odd number of ``checks`` (``(run, rl)``)
     fail, or None.  A pass of n trials puts coordinate k of trial t in lane k*n + t."""
-    if not _is_int(trials) or trials < 1:
-        raise ValueError("trials must be >= 1" + ("" if _is_int(trials) else f" and an int, not {trials!r}"))
-    if not _is_int(dimension) or dimension < 1:
-        raise ValueError(f"dimension must be an int >= 1, not {dimension!r}")
+    _check_int("trials", trials, 1)
+    _check_int("dimension", dimension, 1)
     take = _draws(seed, bound)
 
     def sample(names: Sequence[str], factor: int, checks: Sequence[tuple]) -> Optional[tuple[int, Valuation]]:

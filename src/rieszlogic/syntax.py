@@ -40,7 +40,7 @@ A node's ``postorder`` program is built once and kept on the node
 ``Record`` is the slotted, immutable base of every other module's value
 classes (proof lines, reports, verdicts, valuations), whose fields are
 exactly its slots; ``_fraction`` reads the numbers of valuation and
-count-matrix files.
+count-matrix files, and ``_check_int`` checks every int argument.
 """
 
 from __future__ import annotations
@@ -625,6 +625,21 @@ def is_bal(f: Formula) -> bool:
 def pos_to_join(f: Formula) -> Formula:
     """Structurally replace every ``x ^+`` by ``x \\/ 0``."""
     return fold(f, _same, Imp, Join, lambda inner: Join(inner, ZERO))
+
+
+# ---------------------------------------------------------------------------
+# int arguments
+
+def _is_int(x: object) -> bool:
+    # bool is an int subclass, but True is no number here
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_int(name: str, value: object, least: int, error: type = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an int, not a ``bool``, and at
+    least ``least``: the one check of every int argument of the API."""
+    if not _is_int(value) or value < least:
+        raise error(f"{name} must be an int >= {least}, not {value!r}")
 
 
 # ---------------------------------------------------------------------------

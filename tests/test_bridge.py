@@ -120,16 +120,16 @@ def test_check_equivalence_pinned_reports(monkeypatch, text, dimension, bound, t
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"trials": -3}, "trials must be >= 1"),
-        ({"trials": 0}, "trials must be >= 1"),
-        ({"trials": 2.5}, "trials must be >= 1"),
-        ({"trials": "3"}, "trials must be >= 1"),
+        ({"trials": -3}, "trials must be an int >= 1, not -3"),
+        ({"trials": 0}, "trials must be an int >= 1, not 0"),
+        ({"trials": 2.5}, "trials must be an int >= 1, not 2.5"),
+        ({"trials": "3"}, "trials must be an int >= 1, not '3'"),
         ({"dimension": 0}, "dimension must be an int >= 1"),
         ({"bound": -1}, "bound must be an int >= 0"),
         ({"bound": 1.5}, "bound must be an int >= 0"),
         ({"bound": True}, "bound must be an int >= 0, not True"),
         ({"bound": False}, "bound must be an int >= 0, not False"),
-        ({"trials": True}, "trials must be >= 1 and an int, not True"),
+        ({"trials": True}, "trials must be an int >= 1, not True"),
         ({"dimension": True}, "dimension must be an int >= 1, not True"),
     ],
 )

@@ -299,7 +299,7 @@ def test_translate_with_equivalence_trials(capsys):
 def test_translate_negative_trials_exits_2(capsys):
     code, _, err = run(capsys, "translate", "--to", "bal", "--trials", "-5", "a")
     assert code == 2
-    assert err == "error: trials must be >= 1\n"
+    assert err == "error: trials must be an int >= 1, not -5\n"
 
 
 def test_translate_negative_trials_prints_nothing(capsys):
@@ -328,7 +328,7 @@ def test_fuzzy_grid_header_and_corners(capsys):
 
 
 def test_fuzzy_grid_bad_resolution_writes_nothing(capsys):
-    assert run(capsys, "fuzzy", "grid", "--op", "tl", "--n", "0") == (2, "", "error: resolution must be >= 1\n")
+    assert run(capsys, "fuzzy", "grid", "--op", "tl", "--n", "0") == (2, "", "error: resolution must be an int >= 1, not 0\n")
 
 
 def test_fuzzy_grid_streams_its_rows():
@@ -512,7 +512,7 @@ FRESH_ERRORS = {
     "OSError": (
         ("eval", "a", "--valuation", "{dir}/missing.txt"), 2, "[Errno 2] No such file or directory: '{dir}/missing.txt'"
     ),
-    "ValueError": (("fuzzy", "grid", "--op", "tl", "--n", "0"), 2, "resolution must be >= 1"),
+    "ValueError": (("fuzzy", "grid", "--op", "tl", "--n", "0"), 2, "resolution must be an int >= 1, not 0"),
     "MatrixFormatError": (("distrib", "meet", "--matrix", "{dir}/bad_m.csv", "x", "x"), 2, "row 2: bad count 'x'"),
 }
 

@@ -33,7 +33,7 @@ from rieszlogic.decide import (
     pos_to_join,
 )
 from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
-from rieszlogic.semantics import compile_scalar, eval_rl, holds_bal, holds_rl, random_falsify
+from rieszlogic.semantics import Valuation, compile_scalar, eval_rl, holds_bal, holds_rl, random_falsify
 from rieszlogic.syntax import ZERO, Imp, Join, Var, parse_bal, parse_rl, substitute, variables
 from util import SIX_NAMES, random_bal_formula, random_rl_formula, random_valuation
 
@@ -120,23 +120,23 @@ def _meet_of_joins(clauses):
 
 
 #: the normal forms of the first 50 acceptance-3 formulas, recorded from
-#: an earlier, fold-based implementation: a rewrite must keep them
+#: the construction by polarity: a rewrite must keep them
 PINNED_NORMAL_FORMS = (
-    '2b + c - 3d \\/ 2c - 2d /\\ 2b + c - 3d \\/ b + 2c - 3d /\\ 2b - 2d \\/ 2c - 2d /\\ 2b - 2d \\/ b + 2c - 3d /\\ b + c - 2d',
+    '2b + c - 3d \\/ b + 2c - 3d /\\ 2b - 2d \\/ b + c - 2d /\\ 2c - 2d \\/ b + c - 2d',
     '-2b + c - d \\/ a - 2b + c - d /\\ -2b \\/ a - 2b /\\ -b + c - 2d \\/ a - b + c - 2d /\\ -b - c \\/ a - b - c /\\ -b - d \\/ a - b - d',
     '-b + d \\/ 0 \\/ d /\\ -c + d \\/ b - c \\/ d',
     '0 \\/ a \\/ b \\/ d',
     '-a + b \\/ -a + d \\/ -b /\\ a - b \\/ b \\/ d',
-    '2a - 2d \\/ a + b - 2c - d /\\ 2a - 2d \\/ a + b - c - 2d /\\ 2a - c - d \\/ a + b - 2c - d /\\ 2a - c - d \\/ a + b - c - 2d',
+    '2a - 2d \\/ a + b - c - 2d /\\ 2a - c - d \\/ a + b - 2c - d',
     '-a + b + d \\/ a - b \\/ b',
     '-b + 3c',
     '-2a + c + d \\/ -a + c \\/ -a + c + d \\/ 0 \\/ b \\/ c',
-    '2b \\/ a + b /\\ 2b \\/ a + c /\\ a + b \\/ b + c /\\ a + c \\/ b + c',
+    '2b \\/ a + b /\\ a + c \\/ b + c',
     '0',
     '-a + 2c - d \\/ -a + d /\\ -a + c - d \\/ -a + d',
     '2c - d \\/ a + c - d \\/ b + c - d \\/ c - d',
     '-a \\/ -a - c - d',
-    '-a + c \\/ -c + 2d \\/ 0 \\/ b /\\ -a + c \\/ -c + 2d \\/ 0 \\/ b - c + d /\\ -a + c \\/ 0 \\/ b - c + d \\/ d /\\ -a + c \\/ 0 \\/ b \\/ d /\\ -a + d \\/ -c + 2d \\/ 0 \\/ b /\\ -a + d \\/ -c + 2d \\/ 0 \\/ b - c + d /\\ -a + d \\/ 0 \\/ b - c + d \\/ d /\\ -a + d \\/ 0 \\/ b \\/ d',
+    '-a + c \\/ 0 \\/ b \\/ d /\\ -a + d \\/ -c + 2d \\/ -c + d \\/ 0 \\/ b - c + d',
     '-a + d \\/ -a - c',
     'a - c',
     'b',
@@ -157,7 +157,7 @@ PINNED_NORMAL_FORMS = (
     '-a + b + c - d \\/ a - d /\\ -a + b - c \\/ a - c /\\ -a + b - d \\/ a - d /\\ -a + b \\/ a - c /\\ -a + c - d \\/ a - d /\\ -a \\/ a - c',
     '-a + d \\/ b - 2c + d \\/ b - c + d',
     'a \\/ c',
-    '-b - c /\\ -b \\/ a - 2c /\\ -b \\/ a - b - c /\\ -c \\/ a - 2c /\\ -c \\/ a - b - c',
+    '-b - c /\\ -b \\/ a - b - c /\\ -c \\/ a - 2c',
     'b \\/ d',
     'a - 3b + c',
     '-2a \\/ 0 /\\ -2b + c \\/ a - b + c /\\ -a + c \\/ -a + d \\/ a + c \\/ a + d /\\ -a - b + c \\/ a - b + c /\\ -a - b \\/ 0 /\\ -a - c \\/ 0 /\\ -a \\/ 0 /\\ -b + c \\/ -b + d \\/ a + c \\/ a + d /\\ -b + c \\/ a - b + c /\\ -b \\/ a - b + c /\\ -c + d \\/ 0 \\/ a + c \\/ a + d /\\ a + c \\/ a + d \\/ c \\/ d',
@@ -179,11 +179,11 @@ def test_linearize_reproduces_pinned_normal_forms():
     rng = random.Random(2024)
     for pinned in PINNED_NORMAL_FORMS:
         assert _meet_of_joins(linearize(random_rl_formula(rng, max_connectives=12, max_vars=4)).clauses) == pinned
-    # #248's form has 768 clauses and 31,752 terms, so it is pinned by digest
+    # #248's form has 24 clauses and 928 terms, so it is pinned by digest
     clauses = linearize(parse_rl(FORMULA_248)).clauses
-    assert (len(clauses), sum(map(len, clauses))) == (768, 31752)
+    assert (len(clauses), sum(map(len, clauses))) == (24, 928)
     digest = hashlib.sha256(_meet_of_joins(clauses).encode()).hexdigest()
-    assert digest == "4268965af256d749c7354e7536627547bb00b4bcdf91c5595f96ac084f9d153b"
+    assert digest == "f6910a263d5eb86393e47db3d13d4be08795aa46fbe954793c8d461eada814e4"
 
 
 def test_linearize_deep_chains():
@@ -388,7 +388,7 @@ def test_formula_248_settles_every_clause():
     assert isinstance(verdict, CounterExample)
     assert not holds_rl(f, verdict.valuation)
     clauses = linearize(f).clauses
-    assert max(map(len, clauses)) == 48
+    assert max(map(len, clauses)) == 40
     for clause in clauses:
         _assert_settled(clause)
 
@@ -416,9 +416,9 @@ def test_witness_independent_of_hash_seed():
 
 def test_normal_form_independent_of_hash_seed():
     # the clause order of the acceptance-3 formulas' normal forms, and the
-    # size at which #703's is refused: with the left side's terms negated
-    # in set order, both would change with the hash seed
-    formula_703 = "(0 \\/ (0 \\/ 0 \\/ (c \\/ a) \\/ (0 \\/ (d \\/ (c -> c)))) -> c \\/ (0 \\/ c)) -> 0"
+    # size at which #38's is refused: neither may read a set's iteration
+    # order, which changes with the hash seed
+    formula_38 = "(c \\/ d -> 0) \\/ a \\/ (c -> b) -> a \\/ (0 \\/ b \\/ c \\/ a -> 0)"
     script = (
         "import hashlib, random, sys\n"
         f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
@@ -429,7 +429,7 @@ def test_normal_form_independent_of_hash_seed():
         "forms = [linearize(random_rl_formula(rng, 12, 4)).clauses for _ in range(1000)]\n"
         "print(hashlib.sha256(repr([[sorted(map(str, c)) for c in f] for f in forms]).encode()).hexdigest())\n"
         "try:\n"
-        f"    linearize(parse_rl({formula_703!r}), 20)\n"
+        f"    linearize(parse_rl({formula_38!r}), 20)\n"
         "except BudgetExceededError as error:\n"
         "    print(error.stage, error.size)\n"
     )
@@ -442,7 +442,7 @@ def test_normal_form_independent_of_hash_seed():
         for seed in ("0", "7")
     }
     assert len(outputs) == 1
-    assert outputs.pop().endswith("\nnormal form 28\n")
+    assert outputs.pop().endswith("\nnormal form 32\n")
 
 
 # -- verdicts ---------------------------------------------------------------------
@@ -744,6 +744,21 @@ def test_budget_error_keeps_stage_and_size(n, budget, size):
     assert str(error) == f"normal form size {size} exceeds budget {budget}"
 
 
+def test_normal_form_product_is_charged_before_it_is_built(monkeypatch):
+    # g = -(a0 \/ ... \/ a19) is 20 one-term clauses; g \/ g pairs them
+    # 400 ways, past 16 x 20, although its pruned result is g again, of size 20
+    g = Imp(functools.reduce(Join, [Var(f"a{k}") for k in range(20)]), ZERO)
+    candidates = []
+    dedupe = decide._dedupe_clauses
+    monkeypatch.setattr(decide, "_dedupe_clauses", lambda clauses: candidates.append(len(clauses)) or dedupe(clauses))
+    assert len(linearize(g, 20).clauses) == 20
+    with pytest.raises(BudgetExceededError) as caught:
+        linearize(Join(g, g), 20)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("normal form", 400, 20)
+    assert max(candidates) <= 16 * 20
+    assert len(linearize(Join(g, g), 25).clauses) == 20  # 400 pairs are within 16 x 25
+
+
 @pytest.mark.parametrize("depth, budget, size", [(14, 2000, 3072), (15, 500, 6400), (3, 27, 28)])
 def test_search_budget_is_checked_before_any_lp(monkeypatch, depth, budget, size):
     # 2^k x rows for k binary negative joins; rows: 1 + 2 per positive join + 1 per negative
@@ -776,7 +791,46 @@ def test_budget_generous_enough_for_small_formulas():
     assert isinstance(verdict, (Valid, CounterExample))
 
 
-# -- agreement with the falsifier and rule closure -----------------------------------
+# -- agreement with the falsifier, the normal form and rule closure ------------------
+
+def _clause_point(f):
+    # the normal form as a second decider: None when every clause of
+    # linearize(f) has weights that pass check_certificate, else the point
+    # of the first clause that has none, where all its terms are <= -1
+    for clause in linearize(f).clauses:
+        weights, point = clause_certificate(clause)
+        if point is not None:
+            return point
+        assert check_certificate(clause, weights)
+    return None
+
+
+def _assert_deciders_agree(formulas) -> int:
+    # decide_valid is VALID iff every clause is certified, and a refuted
+    # clause's point falsifies f; the normal form settles every formula,
+    # also those whose search is refused for its budget (counted)
+    refused = 0
+    for f in formulas:
+        point = _clause_point(f)
+        if point is not None:
+            assert eval_rl(f, Valuation(1, {name: (x,) for name, x in point.items()}))[0] < 0
+        try:
+            verdict = decide_valid(f)
+        except BudgetExceededError:
+            refused += 1
+            continue
+        assert isinstance(verdict, Valid) == (point is None)
+    return refused
+
+
+def test_normal_form_clauses_agree_with_decide_valid():
+    # the acceptance-3 formulas and the decide-tail family
+    acceptance, tail = random.Random(2024), random.Random(32)
+    formulas = [random_rl_formula(acceptance, 12, 4) for _ in range(1000)]
+    formulas += [random_rl_formula(tail, 32, 6, SIX_NAMES) for _ in range(300)]
+    assert _assert_deciders_agree(formulas) == 0
+
+
 
 def test_oracle_agreement_sampled():
     rng = random.Random(23)
@@ -824,3 +878,14 @@ def test_bal_random_agreement_with_semantics():
             for _ in range(50):
                 v = random_valuation(rng, variables(f), dimension=1, bound=6)
                 assert holds_bal(f, v)
+
+
+if __name__ == "__main__":
+    # the same agreement at scale: 200 formulas of Random(7n+1) with at
+    # most n = 64 connectives over a-f, and g -> g for 60 formulas g of
+    # Random(32) with at most 32; run as  PYTHONPATH=src python tests/test_decide.py
+    scale, doubled = random.Random(7 * 64 + 1), random.Random(32)
+    formulas = [random_rl_formula(scale, 64, 6, SIX_NAMES) for _ in range(200)]
+    formulas += [Imp(g, g) for g in (random_rl_formula(doubled, 32, 6, SIX_NAMES) for _ in range(60))]
+    refused = _assert_deciders_agree(formulas)
+    print(f"the deciders agree on {len(formulas) - refused} formulas; the normal form alone settles {refused}")

@@ -173,12 +173,12 @@ def test_grid_rejects_bad_args():
 @pytest.mark.parametrize(
     "resolution, message",
     [
-        (0, "resolution must be >= 1"),
-        (-3, "resolution must be >= 1"),
-        (2.5, "resolution must be >= 1 and an int, not 2.5"),
-        (2.0, "resolution must be >= 1 and an int, not 2.0"),
-        (True, "resolution must be >= 1 and an int, not True"),
-        ("3", "resolution must be >= 1 and an int, not '3'"),
+        (0, "resolution must be an int >= 1, not 0"),
+        (-3, "resolution must be an int >= 1, not -3"),
+        (2.5, "resolution must be an int >= 1, not 2.5"),
+        (2.0, "resolution must be an int >= 1, not 2.0"),
+        (True, "resolution must be an int >= 1, not True"),
+        ("3", "resolution must be an int >= 1, not '3'"),
     ],
 )
 def test_grid_checks_its_resolution_at_the_call(resolution, message):

@@ -321,11 +321,11 @@ def test_falsify_bound_0_finds_no_witness():
         ({"bound": -1}, "bound must be an int >= 0"),
         ({"bound": 1.5}, "bound must be an int >= 0"),
         ({"bound": True}, "bound must be an int >= 0, not True"),
-        ({"trials": 0}, "trials must be >= 1"),
-        ({"trials": 2.5}, "trials must be >= 1"),
-        ({"trials": "3"}, "trials must be >= 1"),
-        ({"trials": True}, "trials must be >= 1 and an int, not True"),
-        ({"trials": False}, "trials must be >= 1 and an int, not False"),
+        ({"trials": 0}, "trials must be an int >= 1, not 0"),
+        ({"trials": 2.5}, "trials must be an int >= 1, not 2.5"),
+        ({"trials": "3"}, "trials must be an int >= 1, not '3'"),
+        ({"trials": True}, "trials must be an int >= 1, not True"),
+        ({"trials": False}, "trials must be an int >= 1, not False"),
         ({"dimension": True}, "dimension must be an int >= 1, not True"),
     ],
 )
