@@ -214,8 +214,9 @@ _COMMANDS = {
     "eval": (_cmd_eval, "evaluate under a valuation file", *_FORMULA, _LANG,
              ("--valuation", dict(required=True, help="file with `var = (r1, ..., rn)` lines"))),
     "decide": (_cmd_decide, "decide validity, print VALID or COUNTEREXAMPLE", *_FORMULA, _LANG,
-               ("--budget", dict(type=int, help="bound on the search, 2^k x rows for k binary negative joins, and"
-                                 " on the simplex pivots per LP (exit 3 past it; default %(default)s)"))),
+               ("--budget", dict(type=int, help="bound on the sides of a flattened join, on the LPs' summed"
+                                 " tableau sizes at 16 times it, and on the simplex pivots per LP"
+                                 " (exit 3 past it; default %(default)s)"))),
     "check": (_cmd_check, "replay proof script files",
               ("files", dict(nargs="+", metavar="FILE")),
               ("--library", dict(help="directory of proofs to preload in dependency order"))),

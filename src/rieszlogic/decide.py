@@ -12,24 +12,24 @@ first by substituting ``y := l`` or ``y := r``, and its column is free
 until then.  Joins directly under a join are flattened into one n-ary
 maximum, with one row per side if positive and one branch per side if
 negative.  Each step's linear form is built once for each polarity it
-occurs with.  The walk that bounds the search also collects the root
-node's rows, where no join is fixed; ``_system`` builds the others.  A
-node's rows go to ``_farkas`` as the sparse forms ``{column: coeff}``
-they are built as, and that exact integer simplex writes them into its
-tableau, with a scale per row, so pivots skip untouched rows.  An
-infeasible node is closed by weights that ``check_farkas`` confirms
-before they are kept; its dense rows are built for that refutation
-alone.  A feasible node's point is evaluated exactly: where f is
-negative, it is the countermodel; otherwise some free negative join's
-column lies above the maximum of its sides there (were there none, f would
-be at most its form, so ``<= -1``), and the search branches on the lowest
-such join.  At a countermodel, the side attaining each negative join's
-maximum gives a feasible branch, so the closed branches prove validity.
-``--budget``, an int ``>= 0``, bounds the search before any LP, as the
-product of the negative joins' side counts (``2^k`` for ``k`` binary
-ones) times the rows (one for the root, or one per side of a root join;
-one per side of a positive join; one per negative join), and the pivots
-of each LP.
+occurs with, and ``_system`` builds each search node's rows.  They go
+to ``_farkas`` as the sparse forms ``{column: coeff}`` they are built
+as, and that exact integer simplex writes them into its tableau, with a
+scale per row, so pivots skip untouched rows.  An infeasible node is
+closed by weights that ``check_farkas`` confirms before they are kept;
+its dense rows are built for that refutation alone.  A feasible node's
+point is evaluated exactly: where f is negative, it is the countermodel;
+otherwise some free negative join's column lies above the maximum of
+its sides there (were there none, f would be at most its form, so ``<=
+-1``), and the search branches on the lowest such join.  At a
+countermodel, the side attaining each negative join's maximum gives a
+feasible branch, so the closed branches prove validity.
+
+``--budget``, an int ``>= 0``, is charged for work before it is done: a
+flattened join has at most ``budget`` sides, checked before its side
+list is built; the LPs' tableau sizes, ``rows × (columns + 1)`` each,
+sum to at most ``16 × budget``, checked before each LP is solved; and
+one LP takes at most ``budget`` pivots.
 
 ``linearize`` replays the same ``postorder`` program and polarity pass
 to rewrite a formula into an equivalent *meet of joins* of integer linear
@@ -58,11 +58,13 @@ DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceededError(Exception):
-    """Work past the budget.  ``stage`` is ``"search"`` when the a-priori
-    bound of ``decide_valid``'s search exceeds it (module docstring),
+    """Work past the budget.  ``stage`` is ``"search"`` when a join of
+    ``decide_valid`` would flatten into more sides than it, or its LPs'
+    summed tableau sizes would pass 16 times it (module docstring),
     ``"simplex"`` when one LP takes more pivots, and ``"normal form"`` when
     a step of ``linearize`` grows past it or would pair more than 16 times
-    it; ``size`` is the bound, the pivots, or the step's size or pairs."""
+    it; ``size`` is the sides, the summed sizes, the pivots, or the step's
+    size or pairs."""
 
     def __init__(self, stage: str, size: int, budget: int):
         super().__init__(f"{stage} size {size} exceeds budget {budget}")
@@ -420,9 +422,8 @@ def _system(
     Each fixed negative join's column is replaced by its chosen side's
     form.  The rows ``form <= -1`` of ``roots`` come first; then, from the
     root down, the rows ``side - y <= 0`` of each positive join that a row
-    already kept mentions.  Unfixed negative joins stay free columns.  The
-    root node, where nothing is fixed, takes its rows from
-    ``decide_valid``'s bounding walk instead.
+    already kept mentions.  Unfixed negative joins stay free columns; at
+    the root node nothing is fixed.
     """
     resolved: dict[int, dict[int, int]] = {}
 
@@ -479,52 +480,26 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         elif op is Join:
             for forms, bit in ((pos, 1), (neg, 2)):
                 if polarity[s] & bit:
-                    sides = []
-                    for child in (i, j):  # max(max(l, r), ...) = max(l, r, ...)
-                        form = forms[child]
-                        sides += joins[next(iter(form))][2] if steps[child][0] is Join else [form]
+                    # max(max(l, r), ...) = max(l, r, ...); the sides are charged before they are copied
+                    parts = [joins[next(iter(forms[c]))][2] if steps[c][0] is Join else [forms[c]] for c in (i, j)]
+                    if (size := len(parts[0]) + len(parts[1])) > budget:
+                        raise BudgetExceededError("search", size, budget)
                     forms[s] = {len(joins): 1}
-                    joins.append((s, bit == 1, sides))
+                    joins.append((s, bit == 1, parts[0] + parts[1]))
         else:
             pos[s] = neg[s] = {column[i]: 1} if op is Var else {}
     # f <= -1, or every side of a positive join at the root <= -1
     roots = joins[-1][2] if steps[-1][0] is Join else [pos[-1]]
-    # the joins whose columns the system mentions (a join flattened into
-    # its parent has none unless another step shares it), and the rows:
-    # one per root form, per side of a positive join and per negative join.
-    # The root node's rows are the root forms, then those of each positive
-    # join that its rows mention, as _system builds them with nothing fixed
-    live = set().union(*roots)
-    mentioned = live.copy()
-    forms, rhs = list(roots), [-1] * len(roots)
-    negative: list[int] = []
-    height = len(roots)
-    for c in range(len(joins) - 1, -1, -1):
-        if c in live:
-            _, positive, sides = joins[c]
-            live.update(*sides)
-            if positive:
-                height += len(sides)
-                if c in mentioned:
-                    for side in sides:
-                        forms.append(row := {**side, c: -1})
-                        mentioned.update(row)
-                    rhs += [0] * len(sides)
-            else:
-                negative.append(c)
-                height += 1
-    negative.reverse()
-    size = math.prod(len(joins[c][2]) for c in negative) * height
-    if size > budget:
-        raise BudgetExceededError("search", size, budget)
-
+    negative = [c for c, (_, positive, _) in enumerate(joins) if not positive]
     keep = {joins[c][0] for c in negative}  # the steps whose values branching reads
-    root = sorted(mentioned), forms, rhs
     closed: list[Refutation] = []
     stack: list[dict[int, int]] = [{}]  # fixed negative joins: column -> side
+    cells = 0  # len(forms) x (len(columns) + 1), summed over the LPs charged so far
     while stack:
         fixed = stack.pop()
-        columns, forms, rhs = _system(roots, joins, fixed) if fixed else root
+        columns, forms, rhs = _system(roots, joins, fixed)
+        if (cells := cells + len(forms) * (len(columns) + 1)) > 16 * budget:
+            raise BudgetExceededError("search", cells, budget)
         weights, y = _farkas(columns, forms, rhs, budget)
         if y is None:  # dense rows only for the refutation
             rows = _dense(columns, forms)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from rieszlogic import decide
-from rieszlogic.bridge import bal_to_rl
+from rieszlogic.bridge import bal_to_rl, rl_to_bal
 from rieszlogic.decide import (
     BudgetExceededError,
     CounterExample,
@@ -34,7 +34,7 @@ from rieszlogic.decide import (
 )
 from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
 from rieszlogic.semantics import Valuation, compile_scalar, eval_rl, holds_bal, holds_rl, random_falsify
-from rieszlogic.syntax import ZERO, Imp, Join, Var, parse_bal, parse_rl, substitute, variables
+from rieszlogic.syntax import ZERO, Imp, Join, MetaVar, Var, parse_bal, parse_rl, substitute, variables
 from util import SIX_NAMES, random_bal_formula, random_rl_formula, random_valuation
 
 
@@ -43,6 +43,11 @@ from util import SIX_NAMES, random_bal_formula, random_rl_formula, random_valuat
 def test_linearize_rejects_pos():
     with pytest.raises(TypeError, match=r"^not an RL formula \(desugar first\): a \^\+$"):
         linearize(parse_bal("a ^+ -> b"))
+
+
+def test_decide_valid_rejects_a_metavariable():
+    with pytest.raises(TypeError, match=r"^not an RL formula: MetaVar\(name='P'\)$"):
+        decide_valid(MetaVar("P"))
 
 
 def test_linearize_cancelling_chain():
@@ -223,6 +228,11 @@ def test_clause_single_negative_term_gives_witness():
 
 def test_zero_term_clause_is_valid():
     assert clause_valid(frozenset({LinearTerm.zero()})) is True
+
+
+def test_empty_clause_is_refused():
+    with pytest.raises(ValueError, match="^clause must be nonempty$"):
+        clause_certificate(frozenset())
 
 
 def test_witness_makes_all_terms_at_most_minus_one():
@@ -514,16 +524,18 @@ def test_nested_positive_joins_are_one_maximum():
 
 
 def test_nested_negative_joins_are_one_branch():
-    # a1 \/ ... \/ a13 on the left of -> is one 13-way branch, charged
-    # 13 x (1 root + 13 rows of the positive maximum + 1 negative join)
+    # a1 \/ ... \/ a13 on the left of -> is one 13-way branch.  The root's
+    # LP has 14 rows (f and the positive maximum's 13) over 15 columns, each
+    # branch's 14 rows over 14: 14 x 16 + 13 x 14 x 15 = 2,954 cells
     disjuncts = " \\/ ".join(f"a{k}" for k in range(1, 14))
     f = parse_rl(f"{disjuncts} -> {disjuncts}")
     verdict = decide_valid(f)
     _assert_refutations(verdict)
     assert len(verdict.branches) == 13
+    assert decide_valid(f, budget=185) == verdict  # 2,954 <= 16 x 185
     with pytest.raises(BudgetExceededError) as caught:
-        decide_valid(f, budget=194)
-    assert (caught.value.stage, caught.value.size) == ("search", 195)
+        decide_valid(f, budget=184)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", 2954, 184)
     g = parse_rl(" \\/ ".join(f"a{k}" for k in range(1, 17)) + " -> 0")
     verdict = decide_valid(g)
     assert isinstance(verdict, CounterExample) and not holds_rl(g, verdict.valuation)
@@ -592,6 +604,26 @@ def test_tail_formulas_decide_under_default_budget(k):
     verdict = decide_valid(f)
     assert isinstance(verdict, CounterExample)
     assert not holds_rl(f, verdict.valuation)
+
+
+#: the (S_64) formulas, of the 200 that Random(7 x 64 + 1) draws with at
+#: most 64 connectives over a-f, that the a-priori bound 2^k x rows once
+#: refused under the default budget
+S64_ONCE_REFUSED = (8, 13, 51, 64, 112, 129, 142, 183, 192)
+
+
+def test_formulas_the_a_priori_bound_refused_now_settle():
+    # each is invalid, and its countermodel falsifies it; so does each
+    # BAL ladder (L_12)-(L_18), rl_to_bal of a0 \/ ... \/ ad
+    rng = random.Random(7 * 64 + 1)
+    family = [random_rl_formula(rng, 64, 6, SIX_NAMES) for _ in range(200)]
+    for k in S64_ONCE_REFUSED:
+        verdict = decide_valid(family[k])
+        assert isinstance(verdict, CounterExample) and not holds_rl(family[k], verdict.valuation), k
+    for depth in range(12, 19):
+        ladder = rl_to_bal(functools.reduce(Join, [Var(f"a{k}") for k in range(depth + 1)]))
+        verdict = decide_bal_valid(ladder)
+        assert isinstance(verdict, CounterExample) and not holds_bal(ladder, verdict.valuation), depth
 
 
 FORMULA_248 = (
@@ -728,8 +760,15 @@ def _blowup_formula(depth: int):
 
 
 def test_budget_exceeded_is_distinct():
-    with pytest.raises(BudgetExceededError):
-        decide_valid(_blowup_formula(14), budget=2000)
+    # 2^15 branches at worst, but the search settles it in 8 LPs of 544
+    # cells each: 4,352 in all, within 16 x 272 and past 16 x 271
+    f = _blowup_formula(14)
+    verdict = decide_valid(f, budget=2000)
+    assert isinstance(verdict, CounterExample) and not holds_rl(f, verdict.valuation)
+    assert decide_valid(f, budget=272) == verdict
+    with pytest.raises(BudgetExceededError) as caught:
+        decide_valid(f, budget=271)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", 4352, 271)
 
 
 @pytest.mark.parametrize("n, budget, size", [(4, 50, 64), (6, 300, 384), (8, 1000, 2048)])
@@ -759,13 +798,50 @@ def test_normal_form_product_is_charged_before_it_is_built(monkeypatch):
     assert len(linearize(Join(g, g), 25).clauses) == 20  # 400 pairs are within 16 x 25
 
 
-@pytest.mark.parametrize("depth, budget, size", [(14, 2000, 3072), (15, 500, 6400), (3, 27, 28)])
-def test_search_budget_is_checked_before_any_lp(monkeypatch, depth, budget, size):
-    # 2^k x rows for k binary negative joins; rows: 1 + 2 per positive join + 1 per negative
+def _doubled_join(depth: int):
+    # Join(g, g) doubled: depth + 1 nodes, whose flattened join has 2^depth sides
+    f = Var("a")
+    for _ in range(depth):
+        f = Join(f, f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "formula, budget, size",
+    [
+        (lambda: parse_rl(" \\/ ".join(f"a{k}" for k in range(1, 14)) + " -> 0"), 12, 13),
+        (lambda: parse_rl("a \\/ b -> a"), 1, 2),
+        (lambda: _doubled_join(20), 1000, 1024),
+    ],
+    ids=["negative", "smallest", "doubled"],
+)
+def test_search_budget_is_checked_before_any_lp(monkeypatch, formula, budget, size):
+    # a join that would flatten into more sides than the budget is refused
+    # before its side list is built, so before any LP
     monkeypatch.setattr(decide, "_farkas", None)
     with pytest.raises(BudgetExceededError) as caught:
-        decide_valid(_blowup_formula(depth), budget=budget)
+        decide_valid(formula(), budget=budget)
     assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", size, budget)
+
+
+@pytest.mark.parametrize("depth, budget, size, solved", [(3, 2, 45, 0), (14, 100, 1632, 2), (15, 200, 3366, 5)])
+def test_search_charges_each_lp_before_it_is_solved(monkeypatch, depth, budget, size, solved):
+    # each system's rows x (columns + 1) is charged before it is solved: the
+    # solved LPs sum to at most 16 x budget, and the one that would pass it
+    # is built but never solved
+    built, passed = [], []
+    system, farkas = decide._system, decide._farkas
+    monkeypatch.setattr(decide, "_system", lambda *args: built.append(result := system(*args)) or result)
+    monkeypatch.setattr(
+        decide, "_farkas", lambda columns, forms, rhs, budget: passed.append(forms) or farkas(columns, forms, rhs, budget)
+    )
+    with pytest.raises(BudgetExceededError) as caught:
+        decide_valid(_blowup_formula(depth), budget=budget)
+    cells = [len(forms) * (len(columns) + 1) for columns, forms, _ in built]
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", size, budget)
+    assert (len(built), len(passed), sum(cells)) == (solved + 1, solved, size)
+    assert passed == [forms for _, forms, _ in built[:-1]]
+    assert sum(cells[:-1]) <= 16 * budget < size
 
 
 @pytest.mark.parametrize("budget", [-1, True, False, 2.5, "3", None])
@@ -887,5 +963,5 @@ if __name__ == "__main__":
     scale, doubled = random.Random(7 * 64 + 1), random.Random(32)
     formulas = [random_rl_formula(scale, 64, 6, SIX_NAMES) for _ in range(200)]
     formulas += [Imp(g, g) for g in (random_rl_formula(doubled, 32, 6, SIX_NAMES) for _ in range(60))]
-    refused = _assert_deciders_agree(formulas)
-    print(f"the deciders agree on {len(formulas) - refused} formulas; the normal form alone settles {refused}")
+    assert _assert_deciders_agree(formulas) == 0, "the search refused a formula for its budget"
+    print(f"the deciders agree on all {len(formulas)} formulas")

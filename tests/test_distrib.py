@@ -127,8 +127,15 @@ def test_unknown_term(counts):
 
 def test_zero_vector_cosine():
     m = load_matrix("term,d1\nfull,3\nempty,--\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^term 'empty' has the zero vector$"):
         cosine(m, "full", "empty")
+    with pytest.raises(ValueError, match="^term 'empty' has the zero vector$"):
+        cosine(m, "empty", "full")
+
+
+def test_count_of_an_unknown_context(counts):
+    with pytest.raises(MatrixFormatError, match="^unknown context 'd9'$"):
+        counts.count("banana", "d9")
 
 
 def test_load_header_without_label_cell():

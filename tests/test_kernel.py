@@ -11,6 +11,7 @@ from rieszlogic.kernel import (
     BalG,
     BalMi,
     BalPi,
+    CheckReport,
     Lemma,
     LineStatus,
     Mp,
@@ -81,6 +82,17 @@ def test_join_rule_accepted():
 def test_accepted_report_has_no_first_error():
     report = check_proof(rl_proof("MP_DEMO", [("a", Assume(1))], assumptions=("a",)))
     assert report.accepted and report.first_error is None and report.summary() == "OK (1 lines)"
+
+
+def test_assume_past_the_assumptions_is_rejected():
+    report = check_proof(rl_proof("NO_ASSUMPTION", [("a", Assume(2))], assumptions=("a",)))
+    assert report == CheckReport("NO_ASSUMPTION", (LineStatus(1, False, "no assumption 2"),), False)
+
+
+def test_api_built_proof_in_an_unknown_system_is_rejected():
+    # parse_proof refuses the header; a Proof built through the API reaches check_proof
+    proof = Proof("XYZ", "X", (), (ProofLine(1, Var("a"), Axiom("R1a")),), 1)
+    assert check_proof(proof) == CheckReport("X", (LineStatus(0, False, "unknown system 'XYZ'"),), False)
 
 
 def test_conclusion_must_name_a_checked_line():

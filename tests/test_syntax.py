@@ -499,12 +499,23 @@ def test_parse_deep_nesting(case):
 _DOUBLINGS = r"""
 import json, time
 from rieszlogic.bridge import bal_to_rl, rl_to_bal
+from rieszlogic.decide import BudgetExceededError, decide_valid
 from rieszlogic.semantics import Valuation, eval_bal, eval_rl, vector
 from rieszlogic.syntax import Imp, Join, MetaVar, Pos, Var, is_bal, is_rl, metavariables, pos_to_join, substitute, variables
 
 STEPS = {"->": lambda f: Imp(f, f), "\\/": lambda f: Join(f, f), "^+": lambda f: Pos(Imp(f, f))}
 RL, BAL, ALL = ("->", "\\/"), ("->", "^+"), tuple(STEPS)
 v = Valuation(1, {"a": vector(3)})
+
+
+def decide(f):
+    # the verdict's class, or the stage and size of the budget it passed
+    try:
+        return type(decide_valid(f)).__name__
+    except BudgetExceededError as error:
+        return [error.stage, error.size]
+
+
 CALLS = {
     "variables": (variables, ALL),
     "metavariables": (metavariables, ALL),
@@ -516,30 +527,35 @@ CALLS = {
     "rl_to_bal": (rl_to_bal, RL),
     "bal_to_rl": (bal_to_rl, BAL),
     "pos_to_join": (pos_to_join, BAL),
+    "decide_valid": (decide, RL),
 }
-seconds = {}
+seconds, verdicts = {}, {}
 for name, (call, ops) in CALLS.items():
     for op in ops:
         f = MetaVar("P") if name == "substitute" else Var("a")
         for _ in range(40):
             f = STEPS[op](f)
         start = time.process_time()
-        call(f)
+        result = call(f)
         seconds[f"{name} {op}"] = time.process_time() - start
-print(json.dumps(seconds))
+        if name == "decide_valid":
+            verdicts[op] = result
+print(json.dumps([seconds, verdicts]))
 """
 
 
 def test_dag_walkers_take_time_linear_in_the_dag():
-    # left out, being still exponential: match_schema, format_formula and
-    # decide_valid on joins
+    # left out, being still exponential: match_schema and format_formula.
+    # decide_valid charges a flattened join's sides before it copies them,
+    # so the doubled join is refused at 2^17 sides, the first past the budget
     result = subprocess.run(
         [sys.executable, "-c", _DOUBLINGS], capture_output=True, text=True, timeout=120, preexec_fn=limited(30)
     )
     assert result.returncode == 0, result.stderr
-    seconds = json.loads(result.stdout)
-    assert len(seconds) == 25  # every call in each language it accepts
+    seconds, verdicts = json.loads(result.stdout)
+    assert len(seconds) == 27  # every call in each language it accepts
     assert {call: t for call, t in seconds.items() if t > 0.5} == {}
+    assert verdicts == {"->": "Valid", "\\/": ["search", 131072]}
 
 
 # -- hash-consing --------------------------------------------------------------
