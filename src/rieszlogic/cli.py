@@ -214,8 +214,8 @@ _COMMANDS = {
     "eval": (_cmd_eval, "evaluate under a valuation file", *_FORMULA, _LANG,
              ("--valuation", dict(required=True, help="file with `var = (r1, ..., rn)` lines"))),
     "decide": (_cmd_decide, "decide validity, print VALID or COUNTEREXAMPLE", *_FORMULA, _LANG,
-               ("--budget", dict(type=int, help="bound on the sides of a flattened join, on the LPs' summed"
-                                 " tableau sizes at 16 times it, and on the simplex pivots per LP"
+               ("--budget", dict(type=int, help="bound on the search, whose flattened joins' sides and LP rows"
+                                 " sum to at most 2 times it, and on the simplex pivots per LP"
                                  " (exit 3 past it; default %(default)s)"))),
     "check": (_cmd_check, "replay proof script files",
               ("files", dict(nargs="+", metavar="FILE")),

@@ -6,30 +6,33 @@ So f is valid iff no point gives ``f <= -1``.
 
 ``decide_valid`` gives each join occurrence a column ``y`` of a linear
 system asserting ``f <= -1``.  A join is *positive* when an even number
-of ``->`` left sides lie above it, else *negative*.  A positive join adds
-the rows ``y >= l`` and ``y >= r``; a negative join is searched depth
-first by substituting ``y := l`` or ``y := r``, and its column is free
-until then.  Joins directly under a join are flattened into one n-ary
-maximum, with one row per side if positive and one branch per side if
-negative.  Each step's linear form is built once for each polarity it
-occurs with, and ``_system`` builds each search node's rows.  They go
-to ``_farkas`` as the sparse forms ``{column: coeff}`` they are built
-as, and that exact integer simplex writes them into its tableau, with a
-scale per row, so pivots skip untouched rows.  An infeasible node is
-closed by weights that ``check_farkas`` confirms before they are kept;
-its dense rows are built for that refutation alone.  A feasible node's
-point is evaluated exactly: where f is negative, it is the countermodel;
-otherwise some free negative join's column lies above the maximum of
-its sides there (were there none, f would be at most its form, so ``<=
--1``), and the search branches on the lowest such join.  At a
-countermodel, the side attaining each negative join's maximum gives a
-feasible branch, so the closed branches prove validity.
+of ``->`` left sides lie above it, else *negative*.  A positive join
+adds the rows ``y >= l`` and ``y >= r``; a negative join is searched
+depth first by substituting ``y := l`` or ``y := r``, and its column is
+free until then.  Joins directly under a join are flattened into one
+n-ary maximum, with one row per side if positive and one branch per side
+if negative; only a join that a form mentions gets a side list.  Each
+step's linear form is built once for each polarity it occurs with, and
+``_system`` builds each search node's rows.  They go to ``_farkas`` as
+the sparse forms ``{column: coeff}`` they are built as, and that exact
+integer simplex writes them into its tableau, with a scale per row, so
+pivots skip untouched rows.  An infeasible node is closed by weights
+that ``check_farkas`` confirms before they are kept; its dense rows are
+built for that refutation alone.  A feasible node's point is evaluated
+exactly: where f is negative, it is the countermodel; otherwise some
+free negative join's column lies above the maximum of its sides there
+(were there none, f would be at most its form, so ``<= -1``), and the
+search branches on the lowest such join.  At a countermodel, the side
+attaining each negative join's maximum gives a feasible branch, so the
+closed branches prove validity.
 
-``--budget``, an int ``>= 0``, is charged for work before it is done: a
-flattened join has at most ``budget`` sides, checked before its side
-list is built; the LPs' tableau sizes, ``rows × (columns + 1)`` each,
-sum to at most ``16 × budget``, checked before each LP is solved; and
-one LP takes at most ``budget`` pivots.
+``--budget``, an int ``>= 0``, is charged before the work it bounds: a
+join's side count before its side list is built, each LP's rows before
+it is solved, up to ``2 × budget`` in all; one LP takes at most
+``budget`` pivots.  A search over negative joins of ``s_1, ..., s_k``
+sides has under ``2 s_1⋯s_k`` nodes, so none is refused whose ``s_1⋯s_k``
+times rows (root forms, positive joins' sides, one per negative join)
+is within the budget.  The tableau's width is not charged.
 
 ``linearize`` replays the same ``postorder`` program and polarity pass
 to rewrite a formula into an equivalent *meet of joins* of integer linear
@@ -58,13 +61,11 @@ DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceededError(Exception):
-    """Work past the budget.  ``stage`` is ``"search"`` when a join of
-    ``decide_valid`` would flatten into more sides than it, or its LPs'
-    summed tableau sizes would pass 16 times it (module docstring),
-    ``"simplex"`` when one LP takes more pivots, and ``"normal form"`` when
-    a step of ``linearize`` grows past it or would pair more than 16 times
-    it; ``size`` is the sides, the summed sizes, the pivots, or the step's
-    size or pairs."""
+    """Work past the budget.  ``stage`` is ``"search"`` when the sides and
+    LP rows of ``decide_valid`` would pass twice it, ``"simplex"`` when one
+    LP takes more pivots, and ``"normal form"`` when a step of ``linearize``
+    grows past it or would pair more than 16 times it; ``size`` is the
+    search's charge, the pivots, or the step's size or pairs."""
 
     def __init__(self, stage: str, size: int, budget: int):
         super().__init__(f"{stage} size {size} exceeds budget {budget}")
@@ -163,14 +164,15 @@ def _not_rl(g: Formula) -> None:
 
 
 def _polarity(steps: Sequence[tuple]) -> list[int]:
-    # each postorder step's polarity: bit 1 when it occurs positively, bit 2 negatively
+    # each postorder step's polarity: bit 1 when it occurs positively, bit 2
+    # negatively, and bits 4 and 8 likewise as the root or an operand of ->
     polarity = [0] * len(steps)
-    polarity[-1] = 1
+    polarity[-1] = 5
     for s in range(len(steps) - 1, -1, -1):
         op, i, j = steps[s]
         if op is Imp or op is Join:
-            p = polarity[s]
-            polarity[i] |= p if op is Join else (p & 1) << 1 | p >> 1  # a left side of -> swaps the bits
+            p = (polarity[s] & 3) * (5 if op is Imp else 1)  # an operand of -> repeats bits 1 and 2 in 4 and 8
+            polarity[i] |= p if op is Join else (p & 5) << 1 | (p & 10) >> 1  # a left side of -> swaps the bits
             polarity[j] |= p
     return polarity
 
@@ -414,7 +416,7 @@ def _minus(a: Mapping, b: Mapping) -> dict:
 
 
 def _system(
-    roots: list[dict[int, int]], joins: list[tuple], fixed: dict[int, int]
+    roots: list[dict[int, int]], joins: list[list], fixed: dict[int, int]
 ) -> tuple[list[int], list[dict[int, int]], list[int]]:
     """The branch's system ``A x <= b`` as (columns, rows, b), each row a
     sparse form ``{column: coeff}`` over the sorted columns.
@@ -465,12 +467,17 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     polarity = _polarity(steps)
     # each step's linear form where it occurs positively (pos) and where it
     # occurs negatively (neg): variable k is column ~k, join occurrence c is
-    # column c, with joins[c] = (step, positive, sides); children come
-    # first, so sides mention only lower columns
+    # column c, with joins[c] = [step, positive, sides]; children come
+    # first, so sides mention only lower columns.  A join under a join is
+    # flattened into it, max(max(l, r), ...) = max(l, r, ...): a join keeps
+    # its two operands, each a form or such a join's column, and only a
+    # join that a form mentions (bit 4 or 8) gets its side list
     column = {name: ~k for k, name in enumerate(names)}
     pos: list[Optional[dict[int, int]]] = [None] * len(steps)
     neg: list[Optional[dict[int, int]]] = [None] * len(steps)
-    joins: list[tuple] = []
+    joins: list[list] = []
+    count: list[int] = []  # each join's side count
+    work = 0  # the sides flattened and the LP rows, charged before each is built or solved
     for s, (op, i, j) in enumerate(steps):
         if op is Imp:
             if polarity[s] & 1:
@@ -480,12 +487,20 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
         elif op is Join:
             for forms, bit in ((pos, 1), (neg, 2)):
                 if polarity[s] & bit:
-                    # max(max(l, r), ...) = max(l, r, ...); the sides are charged before they are copied
-                    parts = [joins[next(iter(forms[c]))][2] if steps[c][0] is Join else [forms[c]] for c in (i, j)]
-                    if (size := len(parts[0]) + len(parts[1])) > budget:
-                        raise BudgetExceededError("search", size, budget)
+                    operands = [next(iter(forms[k])) if steps[k][0] is Join else forms[k] for k in (i, j)]
+                    count.append(sum([count[p] if type(p) is int else 1 for p in operands]))
                     forms[s] = {len(joins): 1}
-                    joins.append((s, bit == 1, parts[0] + parts[1]))
+                    joins.append([s, bit == 1, operands])
+                    if polarity[s] & bit << 2:  # a form mentions it: it needs its side list
+                        if (work := work + count[-1]) > 2 * budget:
+                            raise BudgetExceededError("search", work, budget)
+                        sides, todo = [], operands[::-1]
+                        while todo:
+                            if type(part := todo.pop()) is int:
+                                todo += reversed(joins[part][2])
+                            else:
+                                sides.append(part)
+                        joins[-1][2] = sides
         else:
             pos[s] = neg[s] = {column[i]: 1} if op is Var else {}
     # f <= -1, or every side of a positive join at the root <= -1
@@ -494,12 +509,11 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     keep = {joins[c][0] for c in negative}  # the steps whose values branching reads
     closed: list[Refutation] = []
     stack: list[dict[int, int]] = [{}]  # fixed negative joins: column -> side
-    cells = 0  # len(forms) x (len(columns) + 1), summed over the LPs charged so far
     while stack:
         fixed = stack.pop()
         columns, forms, rhs = _system(roots, joins, fixed)
-        if (cells := cells + len(forms) * (len(columns) + 1)) > 16 * budget:
-            raise BudgetExceededError("search", cells, budget)
+        if (work := work + len(forms)) > 2 * budget:
+            raise BudgetExceededError("search", work, budget)
         weights, y = _farkas(columns, forms, rhs, budget)
         if y is None:  # dense rows only for the refutation
             rows = _dense(columns, forms)

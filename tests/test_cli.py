@@ -99,13 +99,13 @@ def test_decide_bal(capsys):
 
 
 def test_decide_budget_exit_3(monkeypatch, capsys):
-    # D -> D for D = a1 \/ ... \/ a13: the root's LP, 14 rows over 15
-    # columns, is charged 14 x 16 = 224 cells, past 16 x 13, before it is solved
+    # D -> D for D = a1 \/ ... \/ a13: its two joins' 26 sides and the
+    # root LP's 14 rows pass 2 x 13 before the LP is solved
     solved = []
     monkeypatch.setattr(decide, "_farkas", lambda *args: solved.append(args))
     disjuncts = " \\/ ".join(f"a{k}" for k in range(1, 14))
     code, out, err = run(capsys, "decide", "--budget", "13", f"{disjuncts} -> {disjuncts}")
-    assert (code, out, err, solved) == (3, "", "error: search size 224 exceeds budget 13\n", [])
+    assert (code, out, err, solved) == (3, "", "error: search size 40 exceeds budget 13\n", [])
 
 
 def test_failed_self_check_exits_2(monkeypatch, capsys):
@@ -505,7 +505,7 @@ def test_fresh_process_subcommand(inputs, case):
 FRESH_ERRORS = {
     "ParseError": (("parse", "a -> )"), 2, "unexpected ')' at offset 5 (expected: (, 0, variable, ~)"),
     "ValuationError": (("eval", "p", "--valuation", "{dir}/bad_v.txt"), 2, "line 1: vector must be parenthesized"),
-    "BudgetExceededError": (("decide", "--budget", "1", "a \\/ b -> a"), 3, "search size 2 exceeds budget 1"),
+    "BudgetExceededError": (("decide", "--budget", "1", "a \\/ b -> a"), 3, "search size 3 exceeds budget 1"),
     "ProofFormatError": (("check", "{dir}/bad.rlproof"), 2, "line 3: unknown justification 'zz'"),
     "UnknownTermError": (("distrib", "meet", "--matrix", "{dir}/m.csv", "kiwi", "fruit"), 2, "unknown term 'kiwi'"),
     "ReservedVariableError": (("translate", "--to", "bal", "z"), 2, "formula uses the reserved variable 'z'"),
@@ -616,11 +616,11 @@ def test_fresh_process_accepts_a_4300_digit_number(tmp_path):
 
 def test_fresh_process_decide_refuses_a_negative_budget():
     # one error line and exit 2; a budget of 0 is a budget, which the root's
-    # LP for a, 1 row over 1 column, passes with 2 cells; 0 -> 0 needs no column
+    # LP for a, of 1 row, passes; 0 -> 0 needs no column
     result = fresh("decide", "--budget", "-1", "a")
     assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: budget must be an int >= 0, not -1\n")
     result = fresh("decide", "--budget", "0", "a")
-    assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: search size 2 exceeds budget 0\n")
+    assert (result.returncode, result.stdout, result.stderr) == (3, "", "error: search size 1 exceeds budget 0\n")
     result = fresh("decide", "0 -> 0")
     assert (result.returncode, result.stdout, result.stderr) == (0, "VALID\n", "")
 

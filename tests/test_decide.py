@@ -15,6 +15,7 @@ import pytest
 from rieszlogic import decide
 from rieszlogic.bridge import bal_to_rl, rl_to_bal
 from rieszlogic.decide import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CounterExample,
     LinearTerm,
@@ -34,7 +35,7 @@ from rieszlogic.decide import (
 )
 from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
 from rieszlogic.semantics import Valuation, compile_scalar, eval_rl, holds_bal, holds_rl, random_falsify
-from rieszlogic.syntax import ZERO, Imp, Join, MetaVar, Var, parse_bal, parse_rl, substitute, variables
+from rieszlogic.syntax import ZERO, Imp, Join, MetaVar, Var, parse_bal, parse_rl, postorder, substitute, variables
 from util import SIX_NAMES, random_bal_formula, random_rl_formula, random_valuation
 
 
@@ -524,18 +525,18 @@ def test_nested_positive_joins_are_one_maximum():
 
 
 def test_nested_negative_joins_are_one_branch():
-    # a1 \/ ... \/ a13 on the left of -> is one 13-way branch.  The root's
-    # LP has 14 rows (f and the positive maximum's 13) over 15 columns, each
-    # branch's 14 rows over 14: 14 x 16 + 13 x 14 x 15 = 2,954 cells
+    # a1 \/ ... \/ a13 on the left of -> is one 13-way branch.  The search
+    # flattens the two joins, 13 sides each, and solves the root's LP and
+    # each branch's, 14 rows each: 26 + 14 x 14 = 222, within 2 x 111
     disjuncts = " \\/ ".join(f"a{k}" for k in range(1, 14))
     f = parse_rl(f"{disjuncts} -> {disjuncts}")
     verdict = decide_valid(f)
     _assert_refutations(verdict)
     assert len(verdict.branches) == 13
-    assert decide_valid(f, budget=185) == verdict  # 2,954 <= 16 x 185
+    assert decide_valid(f, budget=111) == verdict
     with pytest.raises(BudgetExceededError) as caught:
-        decide_valid(f, budget=184)
-    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", 2954, 184)
+        decide_valid(f, budget=110)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", 222, 110)
     g = parse_rl(" \\/ ".join(f"a{k}" for k in range(1, 17)) + " -> 0")
     verdict = decide_valid(g)
     assert isinstance(verdict, CounterExample) and not holds_rl(g, verdict.valuation)
@@ -760,15 +761,15 @@ def _blowup_formula(depth: int):
 
 
 def test_budget_exceeded_is_distinct():
-    # 2^15 branches at worst, but the search settles it in 8 LPs of 544
-    # cells each: 4,352 in all, within 16 x 272 and past 16 x 271
+    # 2^15 branches at worst, but the search flattens 15 joins of 2 sides
+    # and settles it in 8 LPs of 17 rows: 30 + 136 = 166, within 2 x 83
     f = _blowup_formula(14)
     verdict = decide_valid(f, budget=2000)
     assert isinstance(verdict, CounterExample) and not holds_rl(f, verdict.valuation)
-    assert decide_valid(f, budget=272) == verdict
+    assert decide_valid(f, budget=83) == verdict
     with pytest.raises(BudgetExceededError) as caught:
-        decide_valid(f, budget=271)
-    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", 4352, 271)
+        decide_valid(f, budget=82)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", 166, 82)
 
 
 @pytest.mark.parametrize("n, budget, size", [(4, 50, 64), (6, 300, 384), (8, 1000, 2048)])
@@ -809,39 +810,115 @@ def _doubled_join(depth: int):
 @pytest.mark.parametrize(
     "formula, budget, size",
     [
-        (lambda: parse_rl(" \\/ ".join(f"a{k}" for k in range(1, 14)) + " -> 0"), 12, 13),
-        (lambda: parse_rl("a \\/ b -> a"), 1, 2),
-        (lambda: _doubled_join(20), 1000, 1024),
+        (lambda: parse_rl(" \\/ ".join(f"a{k}" for k in range(1, 14)) + " -> 0"), 6, 13),
+        (lambda: parse_rl("a \\/ b -> a"), 0, 2),
+        (lambda: _doubled_join(20), 1000, 2**20),
     ],
     ids=["negative", "smallest", "doubled"],
 )
 def test_search_budget_is_checked_before_any_lp(monkeypatch, formula, budget, size):
-    # a join that would flatten into more sides than the budget is refused
-    # before its side list is built, so before any LP
+    # a join's sides are charged before its side list is built, so a join
+    # of more than 2 x budget sides is refused before any LP
     monkeypatch.setattr(decide, "_farkas", None)
     with pytest.raises(BudgetExceededError) as caught:
         decide_valid(formula(), budget=budget)
     assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", size, budget)
 
 
-@pytest.mark.parametrize("depth, budget, size, solved", [(3, 2, 45, 0), (14, 100, 1632, 2), (15, 200, 3366, 5)])
+def test_only_a_join_with_a_column_is_flattened(monkeypatch):
+    # the chain a0 \/ ... \/ a19999 has 19,999 joins, but only the top one
+    # has a column, so only its side list is built; the others keep their
+    # two operands.  Its 20,000 sides and the root LP's 20,000 rows pass
+    # 2 x 15,000 before any LP
+    seen = []
+    system = decide._system
+    monkeypatch.setattr(decide, "_system", lambda *args: seen.append(args[1]) or system(*args))
+    monkeypatch.setattr(decide, "_farkas", None)
+    chain = functools.reduce(Join, [Var(f"a{k}") for k in range(20_000)])
+    with pytest.raises(BudgetExceededError) as caught:
+        decide_valid(chain, budget=15_000)
+    assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", 40_000, 15_000)
+    [joins] = seen
+    assert [len(sides) for _, _, sides in joins] == [2] * 19_998 + [20_000]
+
+
+@pytest.mark.parametrize("depth, budget, size, solved", [(3, 10, 23, 2), (14, 50, 115, 4), (15, 50, 117, 4)])
 def test_search_charges_each_lp_before_it_is_solved(monkeypatch, depth, budget, size, solved):
-    # each system's rows x (columns + 1) is charged before it is solved: the
-    # solved LPs sum to at most 16 x budget, and the one that would pass it
-    # is built but never solved
-    built, passed = [], []
+    # the flattened sides, then each system's rows before it is solved: the
+    # charges of the solved LPs sum to at most 2 x budget, and the LP that
+    # would pass it is built but never solved.  Each join is an operand of
+    # ->, so each is flattened
+    built, passed, seen = [], [], []
     system, farkas = decide._system, decide._farkas
-    monkeypatch.setattr(decide, "_system", lambda *args: built.append(result := system(*args)) or result)
-    monkeypatch.setattr(
-        decide, "_farkas", lambda columns, forms, rhs, budget: passed.append(forms) or farkas(columns, forms, rhs, budget)
-    )
+    monkeypatch.setattr(decide, "_system", lambda *args: seen.append(args[1]) or built.append(r := system(*args)) or r)
+    monkeypatch.setattr(decide, "_farkas", lambda *args: passed.append(args[1]) or farkas(*args))
     with pytest.raises(BudgetExceededError) as caught:
         decide_valid(_blowup_formula(depth), budget=budget)
-    cells = [len(forms) * (len(columns) + 1) for columns, forms, _ in built]
+    flattened = sum(len(sides) for _, _, sides in seen[0])
+    rows = [len(forms) for _, forms, _ in built]
     assert (caught.value.stage, caught.value.size, caught.value.budget) == ("search", size, budget)
-    assert (len(built), len(passed), sum(cells)) == (solved + 1, solved, size)
+    assert (len(built), len(passed), flattened + sum(rows)) == (solved + 1, solved, size)
     assert passed == [forms for _, forms, _ in built[:-1]]
-    assert sum(cells[:-1]) <= 16 * budget < size
+    assert flattened + sum(rows[:-1]) <= 2 * budget < size
+
+
+def test_a_wide_join_is_not_refused():
+    # a1 \/ ... \/ a1300 at the root: 1,300 sides and one LP of 1,300 rows;
+    # a1 \/ ... \/ a50 charges 100, within 2 x 100
+    for n, budget in ((1300, DEFAULT_BUDGET), (50, 100)):
+        f = functools.reduce(Join, [Var(f"a{k}") for k in range(1, n + 1)])
+        verdict = decide_valid(f, budget=budget)
+        assert isinstance(verdict, CounterExample) and not holds_rl(f, verdict.valuation), n
+
+
+def _a_priori_bound(f) -> int:
+    # the bound decide_valid once checked before any LP: the product of the
+    # side counts of the negative joins a system can mention, times the rows,
+    # one per root form, per side of such a positive join and per such
+    # negative join.  Joins are keyed by (step, polarity bit), 1 positive
+    steps = postorder(f, decide._not_rl)
+    polarity = decide._polarity(steps)
+    mentions, sides = {}, {}
+    for s, (op, i, j) in enumerate(steps):
+        for bit in (1, 2):
+            if polarity[s] & bit:
+                if op is Imp:
+                    mentions[s, bit] = mentions[j, bit] | mentions[i, 3 - bit]
+                elif op is Join:
+                    sides[s, bit] = [m for k in (i, j) for m in sides.get((k, bit), [mentions[k, bit]])]
+                    mentions[s, bit] = {(s, bit)}
+                else:
+                    mentions[s, bit] = set()
+    root = (len(steps) - 1, 1)
+    roots = sides[root] if root in sides else [mentions[root]]
+    live, product, rows = set().union(*roots), 1, len(roots)
+    for join in sorted(sides, reverse=True):  # a join's sides mention only earlier steps
+        if join in live:
+            live.update(*sides[join])
+            if join[1] == 1:
+                rows += len(sides[join])
+            else:
+                product *= len(sides[join])
+                rows += 1
+    return product * rows
+
+
+def test_no_formula_within_the_a_priori_bound_is_refused():
+    # the search has fewer than 2 x product nodes, each of at most as many
+    # rows as the bound counts for positive joins and the root, and it
+    # flattens at most those sides and the negative joins' product: within
+    # 2 x the bound in all, so the bound as the budget refuses none
+    rng = random.Random(7 * 64 + 1)
+    family = [random_rl_formula(rng, 64, 6, SIX_NAMES) for _ in range(200)]
+    bounds = list(map(_a_priori_bound, family))
+    assert [k for k, bound in enumerate(bounds) if bound > DEFAULT_BUDGET] == list(S64_ONCE_REFUSED)
+    disjuncts = " \\/ ".join(f"a{k}" for k in range(1, 14))
+    blowups = [_blowup_formula(depth) for depth in range(1, 16)]
+    nested = parse_rl(f"{disjuncts} -> {disjuncts}")
+    assert [_a_priori_bound(f) for f in (blowups[13], blowups[14], blowups[2], nested)] == [3072, 6400, 28, 195]
+    for f in family + blowups + [nested]:
+        if (bound := _a_priori_bound(f)) <= DEFAULT_BUDGET:
+            decide_valid(f, budget=bound)
 
 
 @pytest.mark.parametrize("budget", [-1, True, False, 2.5, "3", None])

@@ -546,8 +546,8 @@ print(json.dumps([seconds, verdicts]))
 
 def test_dag_walkers_take_time_linear_in_the_dag():
     # left out, being still exponential: match_schema and format_formula.
-    # decide_valid charges a flattened join's sides before it copies them,
-    # so the doubled join is refused at 2^17 sides, the first past the budget
+    # decide_valid charges a join's sides before it builds their list, so
+    # the doubled join is refused at its 2^40 sides
     result = subprocess.run(
         [sys.executable, "-c", _DOUBLINGS], capture_output=True, text=True, timeout=120, preexec_fn=limited(30)
     )
@@ -555,7 +555,7 @@ def test_dag_walkers_take_time_linear_in_the_dag():
     seconds, verdicts = json.loads(result.stdout)
     assert len(seconds) == 27  # every call in each language it accepts
     assert {call: t for call, t in seconds.items() if t > 0.5} == {}
-    assert verdicts == {"->": "Valid", "\\/": ["search", 131072]}
+    assert verdicts == {"->": "Valid", "\\/": ["search", 2**40]}
 
 
 # -- hash-consing --------------------------------------------------------------
