@@ -22,9 +22,7 @@ encodes them:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .syntax import Formula, Imp, Pos, Record, Var, Zero, fold, format_formula, is_bal, pos_to_join, variables
+from .syntax import Formula, Imp, Pos, Record, Var, Zero, fold, pos_to_join, postorder, variables
 # holds_rl and holds_bal stay attributes here, where callers have found them
 from .semantics import Valuation, _sampler, compile_scalar, holds_bal, holds_rl
 
@@ -53,27 +51,20 @@ def rl_to_bal(f: Formula) -> Formula:
         raise ReservedVariableError(
             f"formula uses the reserved variable {RESERVED_ZERO_VAR!r}"
         )
+    postorder(f)  # refuses a formula outside RL
     z = Var(RESERVED_ZERO_VAR)
     zero = Imp(z, z)
-
-    def leaf(g: Formula) -> Formula:
-        if type(g) is Var:
-            return g
-        if type(g) is Zero:
-            return zero
-        raise TypeError(f"not an RL formula: {g!r}")
 
     def join(left: Formula, right: Formula) -> Formula:
         # x \/ y = x + (y - x)^+, written with -> and ^+ only
         return Imp(Imp(Pos(Imp(left, right)), zero), left)
 
-    return Pos(Imp(fold(f, leaf, Imp, join), zero))
+    return Pos(Imp(fold(f, lambda g: zero if type(g) is Zero else g, Imp, join), zero))
 
 
 def bal_to_rl(f: Formula) -> RlPair:
     """The pair of RL statements equivalent to the BAL statement f."""
-    if not is_bal(f):
-        raise TypeError(f"not a BAL formula: {format_formula(f)}")
+    postorder(f, "BAL")  # refuses a formula outside BAL
     first = pos_to_join(f)
     return RlPair(first, Imp(first, Zero()))
 

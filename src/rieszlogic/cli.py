@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 # the other modules are imported by the handlers that use them, so that
 # each subcommand loads only what it runs
-from .syntax import Formula, ParseError, format_formula, parse_bal, parse_rl
+from .syntax import DEFAULT_BUDGET, Formula, ParseError, format_formula, parse_bal, parse_rl
 
 if TYPE_CHECKING:
     from . import kernel
@@ -74,10 +74,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_decide(args: argparse.Namespace) -> int:
     from . import decide, semantics
 
-    budget = decide.DEFAULT_BUDGET if args.budget is None else args.budget
     f = _read_formula(args, args.lang)
     solve = decide.decide_valid if args.lang == "rl" else decide.decide_bal_valid
-    verdict = solve(f, budget)
+    verdict = solve(f, args.budget)
     if isinstance(verdict, decide.Valid):
         print("VALID")
         return EXIT_OK
@@ -189,18 +188,6 @@ def _cmd_distrib(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _BudgetHelpFormatter(argparse.HelpFormatter):
-    """Shows ``decide.DEFAULT_BUDGET`` as the default of ``--budget``,
-    importing ``decide`` only when the help is printed."""
-
-    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
-        if action.dest != "budget":
-            return action.help
-        from . import decide
-
-        return action.help.replace("%(default)s", str(decide.DEFAULT_BUDGET))
-
-
 _FORMULA = (
     ("formula", dict(nargs="?", help="inline formula text")),
     ("--file", dict(help="read the formula from a file instead")),
@@ -214,9 +201,9 @@ _COMMANDS = {
     "eval": (_cmd_eval, "evaluate under a valuation file", *_FORMULA, _LANG,
              ("--valuation", dict(required=True, help="file with `var = (r1, ..., rn)` lines"))),
     "decide": (_cmd_decide, "decide validity, print VALID or COUNTEREXAMPLE", *_FORMULA, _LANG,
-               ("--budget", dict(type=int, help="bound on the search, whose flattened joins' sides and LP rows"
-                                 " sum to at most 2 times it, and on the simplex pivots per LP"
-                                 " (exit 3 past it; default %(default)s)"))),
+               ("--budget", dict(type=int, default=DEFAULT_BUDGET, help="bound on the search, whose flattened"
+                                 " joins' sides and LP rows sum to at most 2 times it, and on the simplex pivots"
+                                 " per LP (exit 3 past it; default %(default)s)"))),
     "check": (_cmd_check, "replay proof script files",
               ("files", dict(nargs="+", metavar="FILE")),
               ("--library", dict(help="directory of proofs to preload in dependency order"))),
@@ -257,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for name, (run, text, *arguments) in _COMMANDS.items():
         group, _, word = name.rpartition(" ")
-        p = groups[group].add_parser(word, help=text, formatter_class=_BudgetHelpFormatter)
+        p = groups[group].add_parser(word, help=text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
         p.set_defaults(run=run)  # a group's None is replaced by its subcommand's handler

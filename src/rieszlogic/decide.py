@@ -54,10 +54,10 @@ from fractions import Fraction
 from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .syntax import Formula, Imp, Join, Pos, Record, Var, Zero, _check_int, format_formula, pos_to_join, postorder
+from .syntax import DEFAULT_BUDGET, Formula, Imp, Join, Record, Var, Zero, _check_int, pos_to_join, postorder
+# format_formula stays an attribute here, where callers have found it
+from .syntax import format_formula
 from .semantics import Valuation, Vector, _layout, compile_scalar
-
-DEFAULT_BUDGET = 100_000
 
 
 class BudgetExceededError(Exception):
@@ -157,12 +157,6 @@ def _dedupe_clauses(clauses: list[Clause]) -> list[Clause]:
     return [c for c in unique if not any(d < c for d in unique)]
 
 
-def _not_rl(g: Formula) -> None:
-    if type(g) is Pos:
-        raise TypeError(f"not an RL formula (desugar first): {format_formula(g)}")
-    raise TypeError(f"not an RL formula: {g!r}")
-
-
 def _polarity(steps: Sequence[tuple]) -> list[int]:
     # each postorder step's polarity: bit 1 when it occurs positively, bit 2
     # negatively, and bits 4 and 8 likewise as the root or an operand of ->
@@ -208,7 +202,7 @@ def linearize(f: Formula, budget: int = DEFAULT_BUDGET) -> MeetJoinNormalForm:
             raise BudgetExceededError("normal form", pairs, budget)
         return pruned([combine(a, b) for a in left for b in right])
 
-    steps = postorder(f, _not_rl)
+    steps = postorder(f)
     polarity = _polarity(steps)
     meets, joins = [[]] * len(steps), [[]] * len(steps)  # each step's clauses where positive, cubes where negative
     for s, (op, i, j) in enumerate(steps):
@@ -462,7 +456,7 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     negative there; VALID carries one refutation per closed branch.
     """
     _check_int("budget", budget, 0)
-    steps = postorder(f, _not_rl)
+    steps = postorder(f)
     names, factor, run = compile_scalar(f, "RL")
     polarity = _polarity(steps)
     # each step's linear form where it occurs positively (pos) and where it

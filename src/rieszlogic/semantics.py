@@ -44,11 +44,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from operator import or_
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
-from .syntax import _LANGUAGES, _MAX_DIGITS, _VAR_NAME, Formula, Imp, MetaVar, Record, Var, Zero, _fraction, memo, postorder
+from .syntax import _LANGUAGES, _MAX_DIGITS, _VAR_NAME, Formula, Imp, Record, Var, Zero, _fraction, memo, postorder
 from .syntax import _check_int, _is_int
 
 Vector = tuple[Fraction, ...]
@@ -89,13 +89,6 @@ class Valuation(Record):
         )
 
 
-def _reject(g: Formula, rl: bool = True) -> None:
-    """Raise the TypeError for a node the RL (or BAL) evaluator cannot take."""
-    if type(g) is MetaVar:
-        raise TypeError(f"cannot evaluate schema metavariable {g.name!r}")
-    raise TypeError(f"not {'an RL' if rl else 'a BAL'} formula: {g!r}")
-
-
 def _layout(lanes: int, magnitude: int) -> tuple[int, int]:
     """``(w, H)``: ``lanes`` lanes of ``w + 1`` bits, whole bytes, for values
     at most ``magnitude`` in absolute value; H has ``h = 2^(w-1)`` in each."""
@@ -115,7 +108,7 @@ def compile_scalar(f: Formula, system: str) -> tuple:
     int of lanes (absent: zero), the ``postorder`` steps' values, each lane
     holding ``v + h``, the root's last.  A value is dropped after its last
     use unless its step is kept."""
-    steps = postorder(f, partial(_reject, rl=system == "RL"), system)
+    steps = postorder(f, system)
     # each step's magnitude factor, and the step that uses its value last
     factors, last = [], [None] * len(steps)
     for s, (op, i, j) in enumerate(steps):

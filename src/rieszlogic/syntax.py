@@ -35,7 +35,8 @@ subterm, not per copy.
 
 A node's ``postorder`` program is built once and kept on the node
 (``memo``), and the structure queries read node kinds and names from it;
-``_LANGUAGES`` names each language's node classes.
+``_LANGUAGES`` names each language's node classes.  ``postorder`` raises
+every module's one ``TypeError`` for a formula outside its language.
 
 ``Record`` is the slotted, immutable base of every other module's value
 classes (proof lines, reports, verdicts, valuations), whose fields are
@@ -92,8 +93,7 @@ class Formula:
 
     def __repr__(self) -> str:
         # the dataclass format, built by a fold so that deep formulas print
-        imp, join, pos = "Imp(left={}, right={})", "Join(left={}, right={})", "Pos(inner={})"
-        return fold(self, _repr_leaf, imp.format, join.format, pos.format)
+        return fold(self, _repr_leaf, *(_REPR[op].format for op in (Imp, Join, Pos)))
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -157,6 +157,8 @@ ZERO = _new(Zero)
 
 #: each object language's node classes
 _LANGUAGES = {"RL": {Var, Zero, Imp, Join}, "BAL": {Var, Imp, Pos}}
+#: the repr of each node class with node fields, its children's in the braces
+_REPR = {Imp: "Imp(left={}, right={})", Join: "Join(left={}, right={})", Pos: "Pos(inner={})"}
 
 
 class Record:
@@ -462,20 +464,33 @@ def memo(build: Callable) -> Callable:
     return cached
 
 
-def postorder(f: Formula, reject: Callable[[Formula], None], lang: str = "RL") -> tuple[tuple, ...]:
+def postorder(f: Formula, lang: str = "RL") -> tuple[tuple, ...]:
     """The distinct nodes of the RL (or BAL) formula f as a program of
     steps, children first and the root last.
 
     A step is ``(Var, name, None)``, ``(Zero, None, None)``, ``(Pos, i,
     None)``, ``(Imp, i, j)`` or ``(Join, i, j)``, with the child steps'
-    indices; one ``fold`` per node builds it.  ``reject(node)`` raises for
-    the first node, in ``fold`` order, not in the language.
+    indices; one ``fold`` per node builds it.  A formula outside the
+    language gets ``TypeError("not an RL formula: <repr>")`` (or ``a BAL``)
+    naming its first node, in ``fold`` order, not in it; a repr past
+    ``_SHOWN`` characters is named by the node's class and its length.
     """
     steps, ops = _program(f), _LANGUAGES[lang]
     if not {op for op, _, _ in steps} <= ops:
-        join, pos = (_ignore if op in ops else None for op in (Join, Pos))  # else a leaf, for reject to see
-        fold(f, lambda g: type(g) in ops or reject(g), _ignore, join, pos)
+        join, pos = (_ignore if op in ops else None for op in (Join, Pos))  # else a leaf, for _refuse to see
+        fold(f, lambda g: type(g) in ops or _refuse(g, lang), _ignore, join, pos)
     return steps
+
+
+_SHOWN = 1 << 20  # the longest repr that a refusal prints
+
+
+def _refuse(g: Formula, lang: str) -> None:
+    # the repr's length: each format's own characters plus its children's lengths
+    imp, join, pos = (len(_REPR[op].format("", "")) for op in (Imp, Join, Pos))
+    length = fold(g, lambda g: len(_repr_leaf(g)), lambda x, y: imp + x + y, lambda x, y: join + x + y, pos.__add__)
+    shown = repr(g) if length <= _SHOWN else f"a {type(g).__name__} whose repr has {length} characters"
+    raise TypeError(f"not {'an RL' if lang == 'RL' else 'a BAL'} formula: {shown}")
 
 
 @memo
@@ -629,6 +644,10 @@ def pos_to_join(f: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # int arguments
+
+#: the default bound of every budgeted step of ``decide`` and of ``decide --budget``
+DEFAULT_BUDGET = 100_000
+
 
 def _is_int(x: object) -> bool:
     # bool is an int subclass, but True is no number here

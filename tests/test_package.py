@@ -3,6 +3,7 @@
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,3 +78,13 @@ def test_dir_lists_every_exported_name_before_any_is_read():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rieszlogic.no_such_name
+
+
+def test_bench_tracer_finds_every_name_it_wraps():
+    # the traced bench run wraps entry points by name, in the module that
+    # calls them (bench/spans.py): a name that a module no longer binds fails here
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    child(
+        f"import sys; sys.path.insert(0, {str(bench)!r}); import spans, worker;"
+        "spans.install_all(spans.Tracer(), worker._load_modules())"
+    )

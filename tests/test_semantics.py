@@ -180,7 +180,7 @@ def test_every_step_holds_its_value_plus_h():
         g, h = Imp(g, g), Imp(Imp(h, Var("a")), h)
     cases.append((Imp(Join(g, parse_rl("0")), h), "RL"))
     for k, (f, system) in enumerate(cases):
-        steps = postorder(f, None, system)
+        steps = postorder(f, system)
         nodes = _step_nodes(steps)
         assert nodes[-1] is f  # hash-consing rebuilds the same node
         dimension = 1 + k % 3
@@ -410,8 +410,8 @@ def test_evaluator_type_errors():
         eval_rl(Pos(Var("a")), v)
     with pytest.raises(TypeError, match=r"^not a BAL formula: Join\(left=Var\(name='a'\), right=Var\(name='b'\)\)$"):
         eval_bal(parse_rl("a \\/ b"), v)
-    for evaluate_ in (eval_rl, eval_bal):
-        with pytest.raises(TypeError, match=r"^cannot evaluate schema metavariable 'PHI'$"):
+    for evaluate_, lang in ((eval_rl, "an RL"), (eval_bal, "a BAL")):
+        with pytest.raises(TypeError, match=rf"^not {lang} formula: MetaVar\(name='PHI'\)$"):
             evaluate_(Imp(Var("a"), MetaVar("PHI")), v)
 
 

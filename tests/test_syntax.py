@@ -16,9 +16,18 @@ import pytest
 import rieszlogic
 
 from rieszlogic import syntax
-from rieszlogic.bridge import bal_to_rl, rl_to_bal
+from rieszlogic.bridge import bal_to_rl, check_equivalence, rl_to_bal
 from rieszlogic.decide import decide_valid, linearize
-from rieszlogic.semantics import Valuation, eval_rl, random_falsify
+from rieszlogic.semantics import (
+    Valuation,
+    compile_scalar,
+    eval_bal,
+    eval_rl,
+    evaluate,
+    holds_bal,
+    holds_rl,
+    random_falsify,
+)
 from rieszlogic.syntax import (
     Imp,
     Join,
@@ -265,6 +274,69 @@ def test_entry_points_refuse_a_non_formula(call, argument):
         call(argument)
 
 
+# every entry point that takes one language, and the formulas outside it
+# that it refuses, each with the node the refusal names: the first in fold
+# order that is not in the language
+_RL_ENTRY_POINTS = {
+    "decide_valid": decide_valid,
+    "linearize": linearize,
+    "compile_scalar": lambda f: compile_scalar(f, "RL"),
+    "eval_rl": lambda f: eval_rl(f, Valuation(1)),
+    "holds_rl": lambda f: holds_rl(f, Valuation(1)),
+    "evaluate": lambda f: evaluate(f, Valuation(1), "RL"),
+    "random_falsify": lambda f: random_falsify(f, 5),
+    "check_equivalence": lambda f: check_equivalence(f, 5),
+    "rl_to_bal": rl_to_bal,
+}
+_BAL_ENTRY_POINTS = {
+    "compile_scalar": lambda f: compile_scalar(f, "BAL"),
+    "eval_bal": lambda f: eval_bal(f, Valuation(1)),
+    "holds_bal": lambda f: holds_bal(f, Valuation(1)),
+    "evaluate": lambda f: evaluate(f, Valuation(1), "BAL"),
+    "bal_to_rl": bal_to_rl,
+}
+_OUTSIDE_RL = {
+    "Pos": (Imp(Pos(B), MetaVar("P")), "Pos(inner=Var(name='b'))"),
+    "metavariable": (Join(A, MetaVar("P")), "MetaVar(name='P')"),
+}
+_OUTSIDE_BAL = {
+    "Join": (Imp(Join(A, B), MetaVar("P")), "Join(left=Var(name='a'), right=Var(name='b'))"),
+    "0": (Imp(A, ZERO), "Zero()"),
+    "metavariable": (Pos(MetaVar("P")), "MetaVar(name='P')"),
+}
+_REFUSALS = [
+    pytest.param(call, formula, f"{article} formula: {node}", id=f"{lang} {name} {case}")
+    for lang, article, calls, cases in (
+        ("RL", "an RL", _RL_ENTRY_POINTS, _OUTSIDE_RL),
+        ("BAL", "a BAL", _BAL_ENTRY_POINTS, _OUTSIDE_BAL),
+    )
+    for name, call in calls.items()
+    for case, (formula, node) in cases.items()
+]
+
+
+@pytest.mark.parametrize("call, formula, refusal", _REFUSALS)
+def test_entry_points_refuse_the_other_language_alike(call, formula, refusal):
+    with pytest.raises(TypeError) as caught:
+        call(formula)
+    assert str(caught.value) == f"not {refusal}"
+
+
+def test_a_refusal_counts_a_repr_past_2_20_characters():
+    # doublings holding every node class, refused at their root Join; the
+    # repr is printed while it has at most 2^20 characters, then counted
+    g, lengths = Imp(Pos(A), MetaVar("P")), []
+    while len(lengths) < 2 or lengths[-2] <= 1 << 20:
+        f, g = Join(g, ZERO), Imp(g, g)
+        text = repr(f)
+        shown = text if len(text) <= 1 << 20 else f"a Join whose repr has {len(text)} characters"
+        with pytest.raises(TypeError) as caught:
+            eval_bal(f, Valuation(1))
+        assert str(caught.value) == f"not a BAL formula: {shown}"
+        lengths.append(len(text))
+    assert lengths[-3] <= 1 << 20 < lengths[-2]
+
+
 def test_variable_collection():
     assert variables(parse_rl("a -> b \\/ a")) == {"a", "b"}
     assert metavariables(parse_rl_schema("PHI -> a \\/ PSI")) == {"PHI", "PSI"}
@@ -499,7 +571,7 @@ def test_parse_deep_nesting(case):
 _DOUBLINGS = r"""
 import json, time
 from rieszlogic.bridge import bal_to_rl, rl_to_bal
-from rieszlogic.decide import BudgetExceededError, decide_valid
+from rieszlogic.decide import BudgetExceededError, decide_valid, linearize
 from rieszlogic.semantics import Valuation, eval_bal, eval_rl, vector
 from rieszlogic.syntax import Imp, Join, MetaVar, Pos, Var, is_bal, is_rl, metavariables, pos_to_join, substitute, variables
 
@@ -529,33 +601,65 @@ CALLS = {
     "pos_to_join": (pos_to_join, BAL),
     "decide_valid": (decide, RL),
 }
-seconds, verdicts = {}, {}
+# each call on a doubling outside its language, which it refuses
+REFUSALS = {
+    "eval_rl": (lambda f: eval_rl(f, v), "^+"),
+    "decide_valid": (decide_valid, "^+"),
+    "linearize": (linearize, "^+"),
+    "rl_to_bal": (rl_to_bal, "^+"),
+    "eval_bal": (lambda f: eval_bal(f, v), "\\/"),
+    "bal_to_rl": (bal_to_rl, "\\/"),
+}
+
+
+def doubling(op, f):
+    for _ in range(40):
+        f = STEPS[op](f)
+    return f
+
+
+seconds, verdicts, refusals = {}, {}, {}
 for name, (call, ops) in CALLS.items():
     for op in ops:
-        f = MetaVar("P") if name == "substitute" else Var("a")
-        for _ in range(40):
-            f = STEPS[op](f)
+        f = doubling(op, MetaVar("P") if name == "substitute" else Var("a"))
         start = time.process_time()
         result = call(f)
         seconds[f"{name} {op}"] = time.process_time() - start
         if name == "decide_valid":
             verdicts[op] = result
-print(json.dumps([seconds, verdicts]))
+for name, (call, op) in REFUSALS.items():
+    f = doubling(op, Var("a"))
+    start = time.process_time()
+    try:
+        call(f)
+    except TypeError as error:
+        refusals[name] = str(error)
+    seconds[f"{name} refuses {op}"] = time.process_time() - start
+print(json.dumps([seconds, verdicts, refusals]))
 """
 
 
 def test_dag_walkers_take_time_linear_in_the_dag():
     # left out, being still exponential: match_schema and format_formula.
     # decide_valid charges a join's sides before it builds their list, so
-    # the doubled join is refused at its 2^40 sides
+    # the doubled join is refused at its 2^40 sides.  A refusal names the
+    # first node outside the language, the root here, by its repr's length
     result = subprocess.run(
         [sys.executable, "-c", _DOUBLINGS], capture_output=True, text=True, timeout=120, preexec_fn=limited(30)
     )
     assert result.returncode == 0, result.stderr
-    seconds, verdicts = json.loads(result.stdout)
-    assert len(seconds) == 27  # every call in each language it accepts
+    seconds, verdicts, refusals = json.loads(result.stdout)
+    assert len(seconds) == 33  # every call in each language it accepts, and 6 refusals
     assert {call: t for call, t in seconds.items() if t > 0.5} == {}
     assert verdicts == {"->": "Valid", "\\/": ["search", 2**40]}
+    pos = join = len("Var(name='a')")
+    for _ in range(40):
+        pos, join = len("Pos(inner=Imp(left=, right=))") + 2 * pos, len("Join(left=, right=)") + 2 * join
+    rl = f"not an RL formula: a Pos whose repr has {pos} characters"
+    bal = f"not a BAL formula: a Join whose repr has {join} characters"
+    assert refusals == {
+        "eval_rl": rl, "decide_valid": rl, "linearize": rl, "rl_to_bal": rl, "eval_bal": bal, "bal_to_rl": bal
+    }
 
 
 # -- hash-consing --------------------------------------------------------------
