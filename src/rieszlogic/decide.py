@@ -16,15 +16,16 @@ step's linear form is built once for each polarity it occurs with, and
 ``_system`` builds each search node's rows.  They go to ``_farkas`` as
 the sparse forms ``{column: coeff}`` they are built as, and that exact
 integer simplex writes them into its tableau, with a scale per row, so
-pivots skip untouched rows.  An infeasible node is closed by weights
-that ``check_farkas`` confirms before they are kept; its dense rows are
-built for that refutation alone.  A feasible node's point is evaluated
-exactly: where f is negative, it is the countermodel; otherwise some
-free negative join's column lies above the maximum of its sides there
-(were there none, f would be at most its form, so ``<= -1``), and the
-search branches on the lowest such join.  At a countermodel, the side
-attaining each negative join's maximum gives a feasible branch, so the
-closed branches prove validity.
+pivots skip untouched rows, read only the pivot row's nonzeros, and
+scale a row by the pivot entry only if it is not 1.  An infeasible node
+is closed by weights that ``check_farkas`` confirms before they are
+kept; its dense rows are built for that refutation alone.  A feasible
+node's point is evaluated exactly: where f is negative, it is the
+countermodel; otherwise some free negative join's column lies above the
+maximum of its sides there (were there none, f would be at most its
+form, so ``<= -1``), and the search branches on the lowest such
+join.  At a countermodel, the side attaining each negative join's
+maximum gives a feasible branch, so the closed branches prove validity.
 
 ``--budget``, an int ``>= 0``, is charged before the work it bounds: a
 join's side count before its side list is built, each LP's rows before
@@ -241,10 +242,11 @@ def _farkas(
     has ``A x <= b``.  Each row is integral over a positive scale of its
     own, its entry in its basic column.  A pivot rewrites only the rows
     with an ``f != 0`` in its column, to ``row * p - f * pivot_row`` over
-    its gcd, taken as the row is built.  Bland's rule and the ratio test
-    compare within a row, so the scales do not change the pivots; the
-    ratio test holds the best row's rhs, entry and basic column as it
-    scans.  Past ``budget`` pivots it raises.
+    its gcd, scaling by ``p`` only if ``p != 1`` and reading only the
+    pivot row's nonzeros.  Bland's rule and the ratio test compare within
+    a row, so the scales do not change the pivots; the ratio test holds
+    the best row's rhs, entry and basic column as it scans.  Past
+    ``budget`` pivots it raises.
     """
     m, n = len(forms), len(columns)
     # columns: one weight per row, one artificial per tableau row, the cost row's scale, b
@@ -276,10 +278,12 @@ def _farkas(
         pivots += 1
         if pivots > budget:
             raise BudgetExceededError("simplex", pivots, budget)
-        pivot_row = table[r]
+        nonzero = [(k, b) for k, b in enumerate(table[r]) if b]
         for i, row in enumerate(table):
             if (f := row[c]) and i != r:
-                row = [a * p - f * b for a, b in zip(row, pivot_row)]
+                row = [a * p for a in row] if p != 1 else row
+                for k, b in nonzero:
+                    row[k] -= f * b
                 table[i] = row if (g := math.gcd(*row)) == 1 else [a // g for a in row]
         basis[r], cost = c, table[-1]
     scale = math.lcm(*(table[i][j] for i, j in enumerate(basis)))

@@ -94,11 +94,9 @@ def load_matrix(text: str) -> TermDocumentMatrix:
                 vec.append(Fraction(0))
                 continue
             try:
-                value = _fraction(cell)
-            except OverflowError as exc:  # past the digit bound
+                value = _fraction(cell, "count")
+            except (ValueError, OverflowError) as exc:  # a bad count, or past the digit bound
                 raise MatrixFormatError(f"row {lineno}: {exc}") from None
-            except (ValueError, ZeroDivisionError):
-                raise MatrixFormatError(f"row {lineno}: bad count {cell!r}") from None
             if value < 0:
                 raise MatrixFormatError(f"row {lineno}: negative count {cell!r}")
             vec.append(value)

@@ -308,8 +308,8 @@ def parse_valuation(text: str) -> Valuation:
         if not body:
             raise ValuationError(f"line {lineno}: empty vector")
         try:
-            vec = tuple(_fraction(part.strip()) for part in body.split(","))
-        except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, or OverflowError past the digit bound
+            vec = tuple(_fraction(part.strip(), "coordinate") for part in body.split(","))
+        except (ValueError, OverflowError) as exc:  # a bad coordinate, or past the digit bound
             raise ValuationError(f"line {lineno}: {exc}") from None
         if name in assignment:
             raise ValuationError(f"line {lineno}: duplicate binding for {name!r}")

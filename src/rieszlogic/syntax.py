@@ -674,7 +674,7 @@ _MAX_DIGITS = 4300
 _NUMBER = r"\s*[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?)(\d*)|\s*/\s*(\d*))?\s*"
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, what: str) -> Fraction:
     """``Fraction(text)``, refused with ``OverflowError`` before any
     conversion if the numerator or the denominator that ``Fraction`` builds
     would have more than ``_MAX_DIGITS`` digits, leading zeros included.
@@ -692,4 +692,7 @@ def _fraction(text: str) -> Fraction:
             if size > _MAX_DIGITS:
                 shown = text if len(text) <= 24 else f"{text[:20]}..."
                 raise OverflowError(f"number {shown!r} has a {part} of more than {_MAX_DIGITS} digits")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # not a number, or a zero denominator
+        raise ValueError(f"bad {what} {text!r}") from None

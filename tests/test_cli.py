@@ -78,6 +78,16 @@ def test_eval_bal(tmp_path, capsys):
     assert out == "value: (0)\nholds: true\n"
 
 
+@pytest.mark.parametrize("coordinate", ["1/0", "x", "1/"])
+def test_eval_names_a_bad_coordinate(tmp_path, capsys, coordinate):
+    # a zero denominator is named as the text it is, like any other bad
+    # number, and not by the text of its ZeroDivisionError
+    vals = tmp_path / "v.txt"
+    vals.write_text(f"a = ({coordinate})\n")
+    result = run(capsys, "eval", "a", "--valuation", str(vals))
+    assert result == (2, "", f"error: line 1: bad coordinate {coordinate!r}\n")
+
+
 # -- decide -----------------------------------------------------------------------
 
 def test_decide_valid(capsys):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import gc
 import hashlib
@@ -332,9 +333,11 @@ def test_simplex_budget_bounds_pivots():
         assert decide._farkas(*_sparse(rows), rhs, pivots) == result
 
 
-def _dense_farkas(rows, rhs, budget):
-    # the simplex as it took dense rows, transposed into its tableau: the
-    # reference that the sparse rows must reproduce pivot for pivot
+def _dense_farkas(rows, rhs, budget, entries=None):
+    # the simplex as it took dense rows, transposed into its tableau, each
+    # pivot rewriting whole rows: the reference that the sparse rows must
+    # reproduce pivot for pivot.  A Counter given as entries counts the
+    # pivot entries p, and the arithmetic does not read it
     m, n = len(rows), len(rows[0])
     table = [[*col, *[0] * v, 1, *[0] * (n - v), 0, 0] for v, col in enumerate(zip(*rows))]
     table.append([*(-b for b in rhs), *[0] * n, 1, 0, 1])
@@ -354,6 +357,8 @@ def _dense_farkas(rows, rhs, budget):
         pivots += 1
         if pivots > budget:
             raise BudgetExceededError("simplex", pivots, budget)
+        if entries is not None:
+            entries[p] += 1
         pivot_row = table[r]
         for i, row in enumerate(table):
             if (f := row[c]) and i != r:
@@ -366,8 +371,11 @@ def _dense_farkas(rows, rhs, budget):
 
 
 def test_sparse_rows_solve_as_the_dense_simplex(monkeypatch):
-    # every LP that decide_valid solves on the acceptance-3 formulas, and
-    # the longest LPs: the same (weights, y) as the dense reference
+    # every LP that decide_valid solves on the acceptance-3 formulas and on
+    # the decide-tail family (the first 300 that Random(32) draws over a-f),
+    # and the longest LPs: the same (weights, y) as the dense reference.
+    # Their pivot entries include 1 and others, so both of _farkas' row
+    # rewrites, in place and scaled by the entry, are compared
     for rows, rhs, pivots, result in LONGEST_LPS:
         assert _dense_farkas(rows, rhs, pivots) == result == decide._farkas(*_sparse(rows), rhs, pivots)
     solved = []
@@ -378,14 +386,19 @@ def test_sparse_rows_solve_as_the_dense_simplex(monkeypatch):
         return result
 
     monkeypatch.setattr(decide, "_farkas", recording)
-    rng = random.Random(2024)
+    acceptance, tail = random.Random(2024), random.Random(32)
     for _ in range(1000):
-        decide_valid(random_rl_formula(rng, 12, 4))
+        decide_valid(random_rl_formula(acceptance, 12, 4))
     assert len(solved) > 1000
     assert any(not columns for columns, *_ in solved)  # zero-column systems among them
+    for _ in range(300):
+        decide_valid(random_rl_formula(tail, 32, 6, SIX_NAMES))
+    assert len(solved) > 1700
+    entries = collections.Counter()
     for columns, forms, rhs, result in solved:
         assert all(set(form) <= set(columns) for form in forms)
-        assert _dense_farkas(decide._dense(columns, forms), rhs, decide.DEFAULT_BUDGET) == result
+        assert _dense_farkas(decide._dense(columns, forms), rhs, decide.DEFAULT_BUDGET, entries) == result
+    assert entries[1] and entries.total() > entries[1]
 
 
 def test_formula_248_settles_every_clause():

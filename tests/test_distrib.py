@@ -193,5 +193,7 @@ def test_load_keeps_its_own_messages():
     # load_matrix checks each row before it constructs, and names its line
     with pytest.raises(MatrixFormatError, match=r"^duplicate term 'x'$"):
         load_matrix("term,d1\nx,1\nx,2\n")
+    with pytest.raises(MatrixFormatError, match=r"^row 3: bad count '1/0'$"):
+        load_matrix("term,d1\nx,1\ny,1/0\n")
     with pytest.raises(MatrixFormatError, match=r"^row 3 has 3 cells, expected 2$"):
         load_matrix("term,d1\nx,1\ny,1,2\n")
