@@ -12,20 +12,23 @@ depth first by substituting ``y := l`` or ``y := r``, and its column is
 free until then.  Joins directly under a join are flattened into one
 n-ary maximum, with one row per side if positive and one branch per side
 if negative; only a join that a form mentions gets a side list.  Each
-step's linear form is built once for each polarity it occurs with, and
-``_system`` builds each search node's rows.  They go to ``_farkas`` as
-the sparse forms ``{column: coeff}`` they are built as, and that exact
+step's linear form is built once per polarity it occurs with, and
+``_system`` builds each search node's rows from the root's forms and
+the flattened positive joins, listed once per call; it substitutes
+nothing at a node with nothing fixed.  The rows go to ``_farkas`` as the
+sparse forms ``{column: coeff}`` they are built as, and that exact
 integer simplex writes them into its tableau, with a scale per row, so
 pivots skip untouched rows, read only the pivot row's nonzeros, and
 scale a row by the pivot entry only if it is not 1.  An infeasible node
 is closed by weights that ``check_farkas`` confirms before they are
 kept; its dense rows are built for that refutation alone.  A feasible
-node's point is evaluated exactly: where f is negative, it is the
+node's point is evaluated exactly, its variables' coordinates read once
+for that and the countermodel: where f is negative, it is the
 countermodel; otherwise some free negative join's column lies above the
 maximum of its sides there (were there none, f would be at most its
-form, so ``<= -1``), and the search branches on the lowest such
-join.  At a countermodel, the side attaining each negative join's
-maximum gives a feasible branch, so the closed branches prove validity.
+form, so ``<= -1``), and the search branches on the lowest such join.
+At a countermodel, the side attaining each negative join's maximum gives
+a feasible branch, so the closed branches prove validity.
 
 ``--budget``, an int ``>= 0``, is charged before the work it bounds: a
 join's side count before its side list is built, each LP's rows before
@@ -49,6 +52,7 @@ fact that the reals generate that variety.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -414,40 +418,40 @@ def _minus(a: Mapping, b: Mapping) -> dict:
 
 
 def _system(
-    roots: list[dict[int, int]], joins: list[list], fixed: dict[int, int]
+    roots: list[dict[int, int]], joins: list[list], fixed: dict[int, int], positive: list[int]
 ) -> tuple[list[int], list[dict[int, int]], list[int]]:
     """The branch's system ``A x <= b`` as (columns, rows, b), each row a
     sparse form ``{column: coeff}`` over the sorted columns.
 
     Each fixed negative join's column is replaced by its chosen side's
-    form.  The rows ``form <= -1`` of ``roots`` come first; then, from the
-    root down, the rows ``side - y <= 0`` of each positive join that a row
-    already kept mentions.  Unfixed negative joins stay free columns; at
-    the root node nothing is fixed.
+    form; with nothing fixed, as at the root, nothing is substituted.  The
+    rows ``form <= -1`` of ``roots`` come first; then, for each column y of
+    ``positive``, the flattened positive joins from the root down, the
+    rows ``side - y <= 0`` if a row already kept mentions y.
     """
-    resolved: dict[int, dict[int, int]] = {}
+    if fixed:
+        resolved: dict[int, dict[int, int]] = {}
 
-    def sub(form: dict[int, int]) -> dict[int, int]:
-        if resolved.keys().isdisjoint(form):
-            return form
-        out: dict[int, int] = {}
-        for c, k in form.items():
-            for d, m in resolved.get(c, {c: 1}).items():
-                out[d] = out.get(d, 0) + k * m
-        return {c: k for c, k in out.items() if k}
+        def sub(form: dict[int, int]) -> dict[int, int]:
+            if resolved.keys().isdisjoint(form):
+                return form
+            out: dict[int, int] = {}
+            for c, k in form.items():
+                for d, m in resolved.get(c, {c: 1}).items():
+                    out[d] = out.get(d, 0) + k * m
+            return {c: k for c, k in out.items() if k}
 
-    for c in sorted(fixed):  # a join's sides mention only lower columns
-        resolved[c] = sub(joins[c][2][fixed[c]])
-    forms = [sub(form) for form in roots]
-    rhs = [-1] * len(forms)
+        for c in sorted(fixed):  # a join's sides mention only lower columns
+            resolved[c] = sub(joins[c][2][fixed[c]])
+        roots = [sub(form) for form in roots]
+    forms, rhs = roots[:], [-1] * len(roots)
     live = set().union(*forms)
-    for c in range(len(joins) - 1, -1, -1):
-        _, positive, sides = joins[c]
-        if positive and c in live:
-            for side in sides:
-                forms.append(row := {**sub(side), c: -1})
+    for c in positive:
+        if c in live:
+            for side in joins[c][2]:
+                forms.append(row := {**(sub(side) if fixed else side), c: -1})
                 live.update(row)
-            rhs += [0] * len(sides)
+            rhs += [0] * len(joins[c][2])
     return sorted(live), forms, rhs
 
 
@@ -469,12 +473,14 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     # first, so sides mention only lower columns.  A join under a join is
     # flattened into it, max(max(l, r), ...) = max(l, r, ...): a join keeps
     # its two operands, each a form or such a join's column, and only a
-    # join that a form mentions (bit 4 or 8) gets its side list
+    # join that a form mentions (bit 4 or 8) gets its form and side list
     column = {name: ~k for k, name in enumerate(names)}
     pos: list[Optional[dict[int, int]]] = [None] * len(steps)
     neg: list[Optional[dict[int, int]]] = [None] * len(steps)
+    at = [None] * len(steps), [None] * len(steps)  # each join step's column where positive, where negative
     joins: list[list] = []
     count: list[int] = []  # each join's side count
+    flat: tuple[list[int], list[int]] = [], []  # the flattened joins' columns, positive and negative
     work = 0  # the sides flattened and the LP rows, charged before each is built or solved
     for s, (op, i, j) in enumerate(steps):
         if op is Imp:
@@ -483,33 +489,36 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
             if polarity[s] & 2:
                 neg[s] = _minus(neg[j], pos[i])
         elif op is Join:
-            for forms, bit in ((pos, 1), (neg, 2)):
-                if polarity[s] & bit:
-                    operands = [next(iter(forms[k])) if steps[k][0] is Join else forms[k] for k in (i, j)]
-                    count.append(sum([count[p] if type(p) is int else 1 for p in operands]))
-                    forms[s] = {len(joins): 1}
-                    joins.append([s, bit == 1, operands])
-                    if polarity[s] & bit << 2:  # a form mentions it: it needs its side list
-                        if (work := work + count[-1]) > 2 * budget:
+            for b in 0, 1:  # bit 1 << b: positive, then negative
+                if polarity[s] >> b & 1:
+                    forms, cols = neg if b else pos, at[b]
+                    c, left, right = len(joins), cols[i], cols[j]
+                    operands = [forms[i] if left is None else left, forms[j] if right is None else right]
+                    count.append((1 if left is None else count[left]) + (1 if right is None else count[right]))
+                    cols[s] = c
+                    joins.append([s, not b, operands])
+                    if polarity[s] >> b & 4:  # a form mentions it
+                        if (work := work + count[c]) > 2 * budget:
                             raise BudgetExceededError("search", work, budget)
+                        forms[s] = {c: 1}
                         sides, todo = [], operands[::-1]
                         while todo:
                             if type(part := todo.pop()) is int:
                                 todo += reversed(joins[part][2])
                             else:
                                 sides.append(part)
-                        joins[-1][2] = sides
+                        joins[c][2] = sides
+                        flat[b].append(c)
         else:
             pos[s] = neg[s] = {column[i]: 1} if op is Var else {}
     # f <= -1, or every side of a positive join at the root <= -1
     roots = joins[-1][2] if steps[-1][0] is Join else [pos[-1]]
-    negative = [c for c, (_, positive, _) in enumerate(joins) if not positive]
-    keep = {joins[c][0] for c in negative}  # the steps whose values branching reads
+    positive, keep = flat[0][::-1], {joins[c][0] for c in flat[1]}  # from the root down; the steps branching reads
     closed: list[Refutation] = []
     stack: list[dict[int, int]] = [{}]  # fixed negative joins: column -> side
     while stack:
         fixed = stack.pop()
-        columns, forms, rhs = _system(roots, joins, fixed)
+        columns, forms, rhs = _system(roots, joins, fixed, positive)
         if (work := work + len(forms)) > 2 * budget:
             raise BudgetExceededError("search", work, budget)
         weights, y = _farkas(columns, forms, rhs, budget)
@@ -520,14 +529,16 @@ def decide_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
             closed.append(Refutation(tuple(map(tuple, rows)), tuple(rhs), tuple(weights)))
             continue
         # homogeneous but for b, so y_v / y_last's least integer multiple is feasible
-        x = dict(zip(columns, y))
-        w, h = _layout(1, factor * max(map(abs, x.values()), default=0))  # one lane: v is held as v + h
-        values = run({name: x.get(~k, 0) + h for k, name in enumerate(names)}, w, h, keep)
+        v = bisect.bisect(columns, -1)  # the variables' columns ~k come first
+        point = {names[~c]: a for c, a in zip(columns[:v], y)}
+        w, h = _layout(1, factor * max(map(abs, y[:v]), default=0))  # one lane: a is held as a + h
+        values = run({name: a + h for name, a in point.items()}, w, h, keep)
         if values[-1] < h:
-            return CounterExample(Valuation(1, {name: (Fraction(x.get(~k, 0)),) for k, name in enumerate(names)}))
-        # f is not negative here, so a free negative join's column lies
-        # above its value; branch on the lowest such column, side 0 first
-        c = next((c for c in negative if c not in fixed and c in x and x[c] + h > values[joins[c][0]]), None)
+            return CounterExample(Valuation(1, {name: (Fraction(point.get(name, 0)),) for name in names}))
+        # f is not negative here, so a free negative join's column lies above
+        # its value (a fixed one's is substituted away); branch on the lowest
+        # such column, side 0 first
+        c = next((c for c, a in zip(columns[v:], y[v:]) if not joins[c][1] and a + h > values[joins[c][0]]), None)
         if c is None:
             raise SelfCheckError(f"self-check failed: feasible branch {fixed} has value {values[-1] - h} >= 0")
         stack += ({**fixed, c: k} for k in reversed(range(len(joins[c][2]))))
@@ -540,6 +551,7 @@ def decide_bal_valid(f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
     Compiles ``^+`` to ``\\/ 0`` and checks both ``t >= 0`` and
     ``-t >= 0``; a countermodel is any valuation with nonzero value.
     """
+    postorder(f, "BAL")  # refuses a formula outside BAL
     term = pos_to_join(f)
     return _both(decide_valid(term, budget), lambda: decide_valid(Imp(term, Zero()), budget))
 

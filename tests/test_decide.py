@@ -394,6 +394,10 @@ def test_sparse_rows_solve_as_the_dense_simplex(monkeypatch):
     for _ in range(300):
         decide_valid(random_rl_formula(tail, 32, 6, SIX_NAMES))
     assert len(solved) > 1700
+    # the LPs themselves, in call order: each one's columns, rows as sorted
+    # items, rhs and result
+    lps = "".join(repr((c, [sorted(form.items()) for form in forms], rhs, r)) + "\n" for c, forms, rhs, r in solved)
+    assert hashlib.sha256(lps.encode()).hexdigest() == "7e1d2fdf075951a0f4e49ce254955041bdaedeb493888d52afcff7ff35474404"
     entries = collections.Counter()
     for columns, forms, rhs, result in solved:
         assert all(set(form) <= set(columns) for form in forms)

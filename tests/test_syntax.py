@@ -17,7 +17,7 @@ import rieszlogic
 
 from rieszlogic import syntax
 from rieszlogic.bridge import bal_to_rl, check_equivalence, rl_to_bal
-from rieszlogic.decide import decide_valid, linearize
+from rieszlogic.decide import decide_bal_valid, decide_equal, decide_valid, linearize
 from rieszlogic.semantics import (
     Valuation,
     compile_scalar,
@@ -279,6 +279,7 @@ def test_entry_points_refuse_a_non_formula(call, argument):
 # order that is not in the language
 _RL_ENTRY_POINTS = {
     "decide_valid": decide_valid,
+    "decide_equal": lambda f: decide_equal(f, f),
     "linearize": linearize,
     "compile_scalar": lambda f: compile_scalar(f, "RL"),
     "eval_rl": lambda f: eval_rl(f, Valuation(1)),
@@ -294,6 +295,7 @@ _BAL_ENTRY_POINTS = {
     "holds_bal": lambda f: holds_bal(f, Valuation(1)),
     "evaluate": lambda f: evaluate(f, Valuation(1), "BAL"),
     "bal_to_rl": bal_to_rl,
+    "decide_bal_valid": decide_bal_valid,
 }
 _OUTSIDE_RL = {
     "Pos": (Imp(Pos(B), MetaVar("P")), "Pos(inner=Var(name='b'))"),
