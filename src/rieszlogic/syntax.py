@@ -33,8 +33,9 @@ and does not read again a right operand of ``->`` or ``(+)`` that repeats
 a group's inside, so a printed DAG costs parser steps per distinct
 subterm, not per copy.
 
-A node's ``postorder`` program is built once and kept on the node
-(``memo``), and the structure queries read node kinds and names from it;
+A node's ``postorder`` program is walked once by ``_program``, the one
+node walker, and kept on the node (``memo``) with the set of its steps'
+operations; ``fold`` replays it, and the structure queries read it.
 ``_LANGUAGES`` names each language's node classes.  ``postorder`` raises
 every module's one ``TypeError`` for a formula outside its language.
 
@@ -403,9 +404,6 @@ def parse_schema(text: str, system: str) -> Formula:
 # ---------------------------------------------------------------------------
 # structural recursion
 
-_EMIT = object()  # stack marker: the node below it has all children done
-
-
 def fold(f: Formula, leaf: Callable, imp: Callable, join: Optional[Callable], pos: Optional[Callable] = None):
     """Value of f in the algebra (leaf, imp, join, pos), computed bottom-up
     without recursion; each distinct node (by identity) is evaluated once.
@@ -415,33 +413,25 @@ def fold(f: Formula, leaf: Callable, imp: Callable, join: Optional[Callable], po
     None, maps to ``leaf(node)``, which raises for nodes the algebra does
     not accept.  Nodes are evaluated in left-to-right postorder, so errors
     surface in the order a recursive evaluator would raise them.
+
+    It replays f's kept ``postorder`` program, one value per step.  Where f
+    is no node, or holds nodes whose operation is None, f is walked once
+    more, with those nodes as leaves, into a program that is not kept.
     """
-    # an inner node goes back on the stack under _EMIT and its children;
-    # when _EMIT comes off, the children's values top the value stack
-    memo, values, stack = {}, [], [f]
-    while stack:
-        g = stack.pop()
-        if g is _EMIT:
-            g = stack.pop()
-            if type(g) is Pos:
-                value = pos(values.pop())
-            else:
-                right = values.pop()
-                value = (imp if type(g) is Imp else join)(values.pop(), right)
-            memo[id(g)] = value
-        elif id(g) in memo:
-            value = memo[id(g)]
-        else:
-            t = type(g)
-            if t is Imp or (t is Join and join is not None):
-                stack += (g, _EMIT, g.right, g.left)
-                continue
-            if t is Pos and pos is not None:
-                stack += (g, _EMIT, g.inner)
-                continue
-            value = memo[id(g)] = leaf(g)
-        values.append(value)
-    return values[0]
+    leaves = {op for op, call in ((Join, join), (Pos, pos)) if call is None}
+    kept = _kept(f) if isinstance(f, Formula) else None
+    steps = kept[0] if kept and leaves.isdisjoint(kept[1]) else _program(f, _INNER - leaves)
+    values: list = []
+    for op, i, j in steps:
+        if op is Imp:
+            values.append(imp(values[i], values[j]))
+        elif op is Join and join is not None:
+            values.append(join(values[i], values[j]))
+        elif op is Pos and pos is not None:
+            values.append(pos(values[i]))
+        else:  # a leaf step holds a name, nothing (ZERO) or the leaf itself
+            values.append(leaf(Var(i) if op is Var else MetaVar(i) if op is MetaVar else ZERO if op is Zero else i))
+    return values[-1]
 
 
 def memo(build: Callable) -> Callable:
@@ -470,15 +460,16 @@ def postorder(f: Formula, lang: str = "RL") -> tuple[tuple, ...]:
 
     A step is ``(Var, name, None)``, ``(Zero, None, None)``, ``(Pos, i,
     None)``, ``(Imp, i, j)`` or ``(Join, i, j)``, with the child steps'
-    indices; one ``fold`` per node builds it.  A formula outside the
-    language gets ``TypeError("not an RL formula: <repr>")`` (or ``a BAL``)
+    indices; one walk of f's nodes builds it, and f keeps it with the set
+    of its steps' operations.  A formula outside the language (one subset
+    test) gets ``TypeError("not an RL formula: <repr>")`` (or ``a BAL``)
     naming its first node, in ``fold`` order, not in it; a repr past
     ``_SHOWN`` characters is named by the node's class and its length.
     """
-    steps, ops = _program(f), _LANGUAGES[lang]
-    if not {op for op, _, _ in steps} <= ops:
-        join, pos = (_ignore if op in ops else None for op in (Join, Pos))  # else a leaf, for _refuse to see
-        fold(f, lambda g: type(g) in ops or _refuse(g, lang), _ignore, join, pos)
+    (steps, ops), lang_ops = _kept(f), _LANGUAGES[lang]
+    if not ops <= lang_ops:
+        join, pos = (_ignore if op in lang_ops else None for op in (Join, Pos))  # else a leaf, for _refuse to see
+        fold(f, lambda g: type(g) in lang_ops or _refuse(g, lang), _ignore, join, pos)
     return steps
 
 
@@ -493,16 +484,39 @@ def _refuse(g: Formula, lang: str) -> None:
     raise TypeError(f"not {'an RL' if lang == 'RL' else 'a BAL'} formula: {shown}")
 
 
-@memo
-def _program(f: Formula) -> tuple[tuple, ...]:
-    steps: list[tuple] = []
+_INNER = frozenset((Imp, Join, Pos))  # the node classes with node fields
 
-    def emit(op, i=None, j=None) -> int:
-        steps.append((op, i, j))
-        return len(steps) - 1
 
-    fold(f, lambda g: emit(type(g), getattr(g, "name", None)), *(partial(emit, op) for op in (Imp, Join, Pos)))
+def _program(f: Formula, inner: frozenset = _INNER) -> tuple[tuple, ...]:
+    """The one node walker: f's program of ``postorder`` steps, where a node
+    of a class not in ``inner`` is a leaf, a metavariable's step is
+    ``(MetaVar, name, None)`` and another leaf g's ``(type(g), g, None)``.
+    The path holds the nodes from f down to the one whose step comes next."""
+    steps, index, path = [], {}, [f]  # index: node -> the index of its step
+    while path:
+        g = path[-1]
+        t = type(g)
+        if t not in inner:
+            step = (t, g.name, None) if t is Var or t is MetaVar else (t, None, None) if t is Zero else (t, g, None)
+        elif (i := index.get(c := g.inner if t is Pos else g.left)) is None:  # a child goes on the path
+            path.append(c)
+            continue
+        elif t is Pos:
+            step = (Pos, i, None)
+        elif (j := index.get(g.right)) is None:
+            path.append(g.right)
+            continue
+        else:
+            step = (t, i, j)
+        index[g] = len(steps)
+        steps.append(step)
+        path.pop()
     return tuple(steps)
+
+
+@memo
+def _kept(f: Formula) -> tuple[tuple[tuple, ...], set]:  # f's program and the set of its steps' operations
+    return (steps := _program(f)), {op for op, _, _ in steps}
 
 
 def _same(g: Formula) -> Formula:
@@ -619,22 +633,22 @@ def match_or_conflict(
 
 def variables(f: Formula) -> set[str]:
     """Names of the object variables occurring in f."""
-    return {name for op, name, _ in _program(f) if op is Var}
+    return {name for op, name, _ in _kept(f)[0] if op is Var}
 
 
 def metavariables(f: Formula) -> set[str]:
     """Names of the metavariables occurring in f."""
-    return {name for op, name, _ in _program(f) if op is MetaVar}
+    return {name for op, name, _ in _kept(f)[0] if op is MetaVar}
 
 
 def is_rl(f: Formula) -> bool:
     """True iff f is a pure RL formula (no Pos nodes, no metavariables)."""
-    return {op for op, _, _ in _program(f)} <= _LANGUAGES["RL"]
+    return _kept(f)[1] <= _LANGUAGES["RL"]
 
 
 def is_bal(f: Formula) -> bool:
     """True iff f is a pure BAL formula (no Zero or Join, no metavariables)."""
-    return {op for op, _, _ in _program(f)} <= _LANGUAGES["BAL"]
+    return _kept(f)[1] <= _LANGUAGES["BAL"]
 
 
 def pos_to_join(f: Formula) -> Formula:

@@ -343,13 +343,14 @@ def test_falsify_runs_no_code_from_variable_names(capsys):
 
 
 def test_falsifier_folds_once_per_call(monkeypatch):
-    # 500 trials are eleven passes; each replays the one compiled program
-    folds = []
-    fold = syntax.fold
-    monkeypatch.setattr(syntax, "fold", lambda *args: folds.append(args[0]) or fold(*args))
+    # 500 trials are eleven passes; each replays the one compiled program,
+    # so the walker goes over f's nodes once
+    walks = []
+    walk = syntax._program
+    monkeypatch.setattr(syntax, "_program", lambda *args: walks.append(args[0]) or walk(*args))
     f = parse_rl("a -> a \\/ b")
     assert random_falsify(f, trials=500, seed=3) is None
-    assert folds == [f]
+    assert walks == [f]
 
 
 def test_deep_formulas_need_no_recursion():

@@ -18,6 +18,7 @@ import rieszlogic
 from rieszlogic import syntax
 from rieszlogic.bridge import bal_to_rl, check_equivalence, rl_to_bal
 from rieszlogic.decide import decide_bal_valid, decide_equal, decide_valid, linearize
+from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
 from rieszlogic.semantics import (
     Valuation,
     compile_scalar,
@@ -38,6 +39,7 @@ from rieszlogic.syntax import (
     Var,
     ZERO,
     Zero,
+    fold,
     format_formula,
     is_bal,
     is_rl,
@@ -48,10 +50,11 @@ from rieszlogic.syntax import (
     parse_rl,
     parse_rl_schema,
     parse_schema,
+    postorder,
     substitute,
     variables,
 )
-from util import limited, random_bal_formula, random_rl_formula, random_schema
+from util import SIX_NAMES, limited, random_bal_formula, random_rl_formula, random_schema, reference_fold, reference_program
 
 A, B, C = Var("a"), Var("b"), Var("c")
 
@@ -575,7 +578,7 @@ import json, time
 from rieszlogic.bridge import bal_to_rl, rl_to_bal
 from rieszlogic.decide import BudgetExceededError, decide_valid, linearize
 from rieszlogic.semantics import Valuation, eval_bal, eval_rl, vector
-from rieszlogic.syntax import Imp, Join, MetaVar, Pos, Var, is_bal, is_rl, metavariables, pos_to_join, substitute, variables
+from rieszlogic.syntax import Imp, Join, MetaVar, Pos, Var, fold, is_bal, is_rl, metavariables, pos_to_join, substitute, variables
 
 STEPS = {"->": lambda f: Imp(f, f), "\\/": lambda f: Join(f, f), "^+": lambda f: Pos(Imp(f, f))}
 RL, BAL, ALL = ("->", "\\/"), ("->", "^+"), tuple(STEPS)
@@ -602,6 +605,7 @@ CALLS = {
     "bal_to_rl": (bal_to_rl, BAL),
     "pos_to_join": (pos_to_join, BAL),
     "decide_valid": (decide, RL),
+    "fold": (lambda f: fold(f, lambda g: 1, lambda x, y: 1 + x + y, lambda x, y: 1 + x + y, lambda x: 1 + x), ALL),
 }
 # each call on a doubling outside its language, which it refuses
 REFUSALS = {
@@ -651,7 +655,7 @@ def test_dag_walkers_take_time_linear_in_the_dag():
     )
     assert result.returncode == 0, result.stderr
     seconds, verdicts, refusals = json.loads(result.stdout)
-    assert len(seconds) == 33  # every call in each language it accepts, and 6 refusals
+    assert len(seconds) == 36  # every call in each language it accepts, and 6 refusals
     assert {call: t for call, t in seconds.items() if t > 0.5} == {}
     assert verdicts == {"->": "Valid", "\\/": ["search", 2**40]}
     pos = join = len("Var(name='a')")
@@ -662,6 +666,80 @@ def test_dag_walkers_take_time_linear_in_the_dag():
     assert refusals == {
         "eval_rl": rl, "decide_valid": rl, "linearize": rl, "rl_to_bal": rl, "eval_bal": bal, "bal_to_rl": bal
     }
+
+
+# -- the walker against the reference fold --------------------------------------
+
+def _walked_formulas() -> list:
+    """(A), (B), the ladders (L_2)-(L_12) with their rl_to_bal and bal_to_rl
+    images, every axiom schema, 3,000-deep chains and depth-40 doublings."""
+    acceptance, tail = random.Random(2024), random.Random(32)
+    formulas = [random_rl_formula(acceptance) for _ in range(1000)]
+    formulas += [random_rl_formula(tail, 32, 6, SIX_NAMES) for _ in range(300)]
+    for depth in range(2, 13):
+        ladder = parse_rl(" \\/ ".join(f"a{i}" for i in range(depth + 1)))
+        pair = bal_to_rl(rl_to_bal(ladder))
+        formulas += [ladder, rl_to_bal(ladder), pair.first, pair.second]
+    formulas += [*RL_AXIOMS.values(), *BAL_AXIOMS.values()]
+    imp, join, pos = A, A, A
+    for k in range(3000):
+        imp, join, pos = Imp(Var(f"v{k % 7}"), imp), Join(join, Var(f"v{k % 5}")), Pos(Imp(pos, B))
+    formulas += [imp, join, pos]
+    for step in (lambda f: Imp(f, f), lambda f: Join(f, f), lambda f: Pos(Imp(f, f)), lambda f: Join(Pos(f), Imp(f, ZERO))):
+        f = A
+        for _ in range(40):
+            f = step(f)
+        formulas.append(f)
+    return formulas
+
+
+def _calls(fold_function, f, join=True, pos=True) -> tuple[list, object]:
+    """Every callback call that one fold of f makes, in order, and its value;
+    each call's value is its index, so the calls name the values they take."""
+    calls: list = []
+
+    def record(name: str):
+        return lambda *args: calls.append((name, *args)) or len(calls) - 1
+
+    value = fold_function(f, record("leaf"), record("imp"), record("join") if join else None, record("pos") if pos else None)
+    return calls, value
+
+
+def test_the_walker_builds_the_reference_program():
+    for f in _walked_formulas():
+        expected = reference_program(f)
+        assert syntax._program(f) == expected
+        assert syntax._kept(f) == (expected, {op for op, _, _ in expected})
+
+
+def test_fold_calls_back_as_the_reference_fold():
+    # all operations, join=None and pos=None (whose nodes are leaves), on
+    # nodes and on a root or a child that is no node
+    formulas = _walked_formulas()
+    for f in formulas + [1, Imp(A, 1), Join(Imp(1, A), Pos(Join(A, 1)))]:
+        for join, pos in ((True, True), (False, True), (True, False)):
+            assert _calls(fold, f, join, pos) == _calls(reference_fold, f, join, pos)
+    for f in formulas:  # the program walked with leaves for a None operation is not kept
+        assert syntax._kept(f)[0] == reference_program(f)
+
+
+@pytest.mark.parametrize(
+    "call, formula, message",
+    [
+        (lambda f: postorder(f, "BAL"), Imp(Join(ZERO, A), ZERO), "not a BAL formula: Join(left=Zero(), right=Var(name='a'))"),
+        (format_formula, Imp(A, 1), "not a formula: 1"),
+        (lambda f: substitute(f, {"P": A}), Imp(Join(B, MetaVar("Q")), Imp(MetaVar("P"), MetaVar("R"))),
+         "no binding for metavariable 'Q'"),
+    ],
+    ids=["postorder", "format_formula", "substitute"],
+)
+def test_fold_raises_the_reference_folds_first_error(call, formula, message, monkeypatch):
+    # the first node in fold order that the algebra refuses, as with the reference
+    for fold_function in (fold, reference_fold):
+        monkeypatch.setattr(syntax, "fold", fold_function)
+        with pytest.raises((TypeError, SubstitutionError)) as caught:
+            call(formula)
+        assert str(caught.value) == message
 
 
 # -- hash-consing --------------------------------------------------------------

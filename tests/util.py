@@ -1,10 +1,12 @@
-"""Shared helpers: seeded random formulas and valuations, and a reference
-evaluator."""
+"""Shared helpers: seeded random formulas and valuations, a reference
+evaluator and a reference fold."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
+from typing import Callable, Optional
 
 from rieszlogic.syntax import Formula, Imp, Join, MetaVar, Pos, Var, ZERO, Zero, fold
 from rieszlogic.semantics import Valuation
@@ -127,3 +129,51 @@ def reference_eval(f: Formula, v: Valuation, system: str = "RL") -> tuple[Fracti
         return [max(a, Fraction(0)) for a in x]
 
     return tuple(fold(f, leaf, imp, join if rl else None, None if rl else pos))
+
+
+_EMIT = object()  # stack marker: the node below it has all children done
+
+
+def reference_fold(f: Formula, leaf: Callable, imp: Callable, join: Optional[Callable], pos: Optional[Callable] = None):
+    """``syntax.fold`` as a stack machine over the nodes themselves, which
+    builds no program: the reference that ``fold`` and the walker are
+    compared against.  Each distinct node (by identity) is evaluated once,
+    in left-to-right postorder; a node whose operation is None is a leaf."""
+    # an inner node goes back on the stack under _EMIT and its children;
+    # when _EMIT comes off, the children's values top the value stack
+    memo, values, stack = {}, [], [f]
+    while stack:
+        g = stack.pop()
+        if g is _EMIT:
+            g = stack.pop()
+            if type(g) is Pos:
+                value = pos(values.pop())
+            else:
+                right = values.pop()
+                value = (imp if type(g) is Imp else join)(values.pop(), right)
+            memo[id(g)] = value
+        elif id(g) in memo:
+            value = memo[id(g)]
+        else:
+            t = type(g)
+            if t is Imp or (t is Join and join is not None):
+                stack += (g, _EMIT, g.right, g.left)
+                continue
+            if t is Pos and pos is not None:
+                stack += (g, _EMIT, g.inner)
+                continue
+            value = memo[id(g)] = leaf(g)
+        values.append(value)
+    return values[0]
+
+
+def reference_program(f: Formula) -> tuple[tuple, ...]:
+    """f's ``postorder`` program, built by one ``reference_fold``."""
+    steps: list[tuple] = []
+
+    def emit(op, i=None, j=None) -> int:
+        steps.append((op, i, j))
+        return len(steps) - 1
+
+    reference_fold(f, lambda g: emit(type(g), getattr(g, "name", None)), *(partial(emit, op) for op in (Imp, Join, Pos)))
+    return tuple(steps)
