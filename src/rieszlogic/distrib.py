@@ -142,13 +142,13 @@ def entails_witness(m: TermDocumentMatrix, t1: str, t2: str) -> Optional[tuple[s
 
 
 def cosine(m: TermDocumentMatrix, t1: str, t2: str) -> float:
-    """Cosine of the angle between two nonzero term vectors, in [0, 1]
-    as counts are nonnegative.  Its square is computed exactly, so counts
+    """Cosine of the angle between two nonzero term vectors, in [-1, 1],
+    and in [0, 1] for counts.  Its square is computed exactly, so counts
     past the float range neither overflow nor round a norm to zero."""
     u, v = m.row(t1), m.row(t2)
-    if not any(u):
-        raise ValueError(f"term {t1!r} has the zero vector")
-    if not any(v):
-        raise ValueError(f"term {t2!r} has the zero vector")
+    for term, row in ((t1, u), (t2, v)):
+        if not any(row):
+            raise ValueError(f"term {term!r} has the zero vector")
     dot = sum(a * b for a, b in zip(u, v))
-    return math.sqrt(dot * dot / (sum(a * a for a in u) * sum(b * b for b in v)))
+    root = math.sqrt(dot * dot / (sum(a * a for a in u) * sum(b * b for b in v)))
+    return math.copysign(root, -1 if dot < 0 else 1)  # dot's sign; float(dot) can overflow

@@ -18,19 +18,19 @@ Evaluation clauses:
 An RL formula holds under a valuation when every coordinate of its
 value is >= 0; a BAL formula holds when every coordinate equals 0.
 
-Coordinates are independent under every connective, so an evaluator
-replays the formula's ``syntax.postorder`` program once over many
-numbers packed into one int (Lamport, "Multiple byte processing with
-full-word instructions", 1975): a valuation's coordinates, scaled by
-the lcm of their denominators, or those of a pass of falsifier trials.
-Each lane is ``w + 1`` bits and holds ``v + h``, one offset for every
-step: ``h = 2^(w-1)`` exceeds a static bound on every step's magnitude
-(the largest coordinate for a variable, 0 for ``0``, the children's sum
-for ``->`` and their max for ``\\/`` and ``^+``), so no lane carries into
-the next.  With ``H`` holding h in every lane, ``0`` is ``H``, ``x -> y``
-is ``Y - X + H``, and ``x \\/ y`` picks lanes by the guard bit ``w`` of
-``(X | G) - Y``, ``G = 2H``; a value is negative when bit ``w-1`` of its
-lane is clear.
+Coordinates are independent under every connective, so an evaluator replays
+the formula's ``syntax.postorder`` program once over many numbers packed into
+one int (Lamport, "Multiple byte processing with full-word instructions",
+1975): a valuation's coordinates, scaled by the lcm of their denominators, or
+those of a pass of falsifier trials.  Each lane is ``w + 1`` bits and holds
+``v + h``, one offset for every step: ``h = 2^(w-1)`` exceeds a static bound
+on every step's magnitude (the largest coordinate for a variable, 0 for ``0``,
+the children's sum for ``->`` and their max for ``\\/`` and ``^+``), so no
+lane carries into the next.  With ``H`` holding h in every lane, ``0`` is
+``H``, ``x -> y`` is ``Y - X + H``, and ``x \\/ y`` picks lanes by the guard
+bit ``w`` of ``(X | G) - Y``, ``G = 2H``; a value is negative when bit ``w-1``
+of its lane is clear, all that ``holds_*`` read.  One coordinate's lane is the
+int ``v + h``; more go through bytes, packed and unpacked in linear time.
 
 The falsifier and ``bridge.check_equivalence`` draw their trials from one
 seeded stream: the values ``random.Random(seed).randrange(2*bound+1) - bound``
@@ -103,20 +103,23 @@ def _fails(value: int, H: int, rl: bool = True) -> int:
 
 @memo
 def compile_scalar(f: Formula, system: str) -> tuple:
-    """The sorted variable names, the factor that bounds every step by the
-    largest coordinate, and ``run(lanes, w, H, keep=())``: from each name's
-    int of lanes (absent: zero), the ``postorder`` steps' values, each lane
-    holding ``v + h``, the root's last.  A value is dropped after its last
-    use unless its step is kept."""
+    """The sorted variable names and the factor that bounds every step by the
+    largest coordinate, both found in one pass, and ``run(lanes, w, H, keep=())``:
+    from each name's int of lanes (absent: H; one coordinate: the int ``v + h``),
+    the ``postorder`` steps' values, each lane holding ``v + h``, the root's
+    last.  A value is dropped after its last use unless its step is kept."""
     steps = postorder(f, system)
-    # each step's magnitude factor, and the step that uses its value last
-    factors, last = [], [None] * len(steps)
+    factors, last, names = [0] * len(steps), [None] * len(steps), []  # each step's factor and last user
     for s, (op, i, j) in enumerate(steps):
-        if op is Var or op is Zero:
-            factors.append(1 if op is Var else 0)
-        else:
-            k = i if j is None else j  # x ^+ is x \/ 0, bounded like x
-            factors.append(factors[i] + factors[k] if op is Imp else max(factors[i], factors[k]))
+        if op is Imp:
+            factors[s] = factors[i] + factors[j]
+            last[i] = last[j] = s
+        elif op is Var:
+            factors[s] = 1
+            names.append(i)
+        elif op is not Zero:  # x ^+ is x \/ 0, bounded like x
+            k = i if j is None else j
+            factors[s] = factors[i] if factors[i] > factors[k] else factors[k]
             last[i] = last[k] = s
 
     def run(lanes: Mapping[str, int], w: int, H: int, keep: Container[int] = ()) -> list:
@@ -139,41 +142,45 @@ def compile_scalar(f: Formula, system: str) -> tuple:
                         values[k] = None
         return values
 
-    return tuple(sorted({i for op, i, _ in steps if op is Var})), factors[-1], run
+    return tuple(sorted(names)), factors[-1], run
 
 
-def _exact(f: Formula, v: Valuation, system: str) -> tuple[Vector, bool]:
-    """f's value at v and whether it holds, on lanes of v times its denominators' lcm."""
+def _exact(f: Formula, v: Valuation, system: str) -> tuple[int, int, int, int, int]:
+    """``(value, H, h, size, scale)``: f's value at v, on ``size``-byte lanes of the
+    coordinates v binds times ``scale``, their denominators' lcm; see the module docstring."""
     names, factor, run = compile_scalar(f, system)
-    vectors = [v.vector(name) for name in names]
-    scale = math.lcm(*(c.denominator for vec in vectors for c in vec))
-    rows = [[c.numerator * (scale // c.denominator) for c in vec] for vec in vectors]
-    w, H = _layout(v.dimension, factor * max((abs(x) for row in rows for x in row), default=0))
-    size, h = (w + 1) // 8, 1 << (w - 1)
-    packed = (b"".join((x + h).to_bytes(size, "little") for x in row) for row in rows)
-    value = run({name: int.from_bytes(p, "little") for name, p in zip(names, packed)}, w, H)[-1]
-    coords = ((value >> k * (w + 1) & (2 << w) - 1) - h for k in range(v.dimension))
-    return tuple(Fraction(x, scale) for x in coords), not _fails(value, H, system == "RL")
+    bound = [name for name in names if name in v.assignment]
+    parts = [c.as_integer_ratio() for name in bound for c in v.assignment[name]]  # each read once
+    scale = math.lcm(*[d for _, d in parts])
+    ints = [n * (scale // d) for n, d in parts]
+    w, H = _layout(v.dimension, factor * max(map(abs, ints), default=0))
+    h, size = 1 << (w - 1), (w + 1) // 8
+    if v.dimension == 1:  # the lane is an int, with no bytes round trip
+        lanes = {name: x + h for name, x in zip(bound, ints)}
+    else:  # through bytes, linear in the dimension; a shift per coordinate is quadratic
+        data, row = b"".join((x + h).to_bytes(size, "little") for x in ints), size * v.dimension
+        lanes = {name: int.from_bytes(data[k * row : (k + 1) * row], "little") for k, name in enumerate(bound)}
+    return run(lanes, w, H)[-1], H, h, size, scale
 
 
 def eval_rl(f: Formula, v: Valuation) -> Vector:
     """Value of an RL formula as a vector of exact rationals."""
-    return _exact(f, v, "RL")[0]
+    return evaluate(f, v, "RL").value
 
 
 def eval_bal(f: Formula, v: Valuation) -> Vector:
     """Value of a BAL formula; ``x ^+`` takes the positive part."""
-    return _exact(f, v, "BAL")[0]
+    return evaluate(f, v, "BAL").value
 
 
 def holds_rl(f: Formula, v: Valuation) -> bool:
-    """True iff every coordinate of the value is >= 0."""
-    return _exact(f, v, "RL")[1]
+    """True iff every coordinate of the value is >= 0; builds no vector."""
+    return not _fails(*_exact(f, v, "RL")[:2])
 
 
 def holds_bal(f: Formula, v: Valuation) -> bool:
-    """True iff every coordinate of the value equals 0."""
-    return _exact(f, v, "BAL")[1]
+    """True iff every coordinate of the value equals 0; builds no vector."""
+    return not _fails(*_exact(f, v, "BAL")[:2], False)
 
 
 class EvalResult(Record):
@@ -184,7 +191,10 @@ def evaluate(f: Formula, v: Valuation, system: str = "RL") -> EvalResult:
     """Evaluate under either reading and report value plus holds flag."""
     if system not in _LANGUAGES:
         raise ValueError(f"unknown system {system!r}")
-    return EvalResult(*_exact(f, v, system))
+    value, H, h, size, scale = _exact(f, v, system)
+    data = value.to_bytes(size * v.dimension, "little")  # one slice per lane: linear in the dimension
+    coords = (int.from_bytes(data[k : k + size], "little") - h for k in range(0, len(data), size))
+    return EvalResult(tuple(Fraction(x, scale) for x in coords), not _fails(value, H, system == "RL"))
 
 
 # ---------------------------------------------------------------------------

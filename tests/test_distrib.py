@@ -107,6 +107,15 @@ def test_cosine_orange_fruit_regression(counts):
     assert abs(cosine(counts, "orange", "fruit") - 0.5308517143921717) <= 1e-12
 
 
+def test_cosine_keeps_the_sign_of_negative_entries():
+    # the constructor takes negative entries; only load_matrix refuses them
+    m = TermDocumentMatrix(("x", "y", "z"), ("d1", "d2"), (vector(1, 0), vector(-1, 0), vector("-1e400", 1)))
+    assert cosine(m, "x", "y") == -1.0
+    assert cosine(m, "y", "x") == -1.0
+    assert cosine(m, "x", "z") == -1.0  # past the float range, the sign still comes from the exact dot
+    assert cosine(m, "y", "z") == 1.0
+
+
 @pytest.mark.parametrize(
     "rows",
     ["orange,1e400,1\nfruit,1e400,2\n", "orange,1e-400,1e-400\nfruit,1e-400,2e-400\n"],

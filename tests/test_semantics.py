@@ -1,8 +1,12 @@
+import json
 import pickle
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +44,7 @@ from rieszlogic.syntax import (
     substitute,
     variables,
 )
-from util import random_bal_formula, random_rational_valuation, random_rl_formula, random_valuation, reference_eval
+from util import limited, random_bal_formula, random_rational_valuation, random_rl_formula, random_valuation, reference_eval
 
 # rows from the shipped term-document fixture, reused as handy vectors
 ORANGE = vector(0, 2, 1, 0, 0, 7, 0, 3)
@@ -130,31 +134,83 @@ def test_valuation_takes_int_and_fraction_coordinates():
     assert v.scale(Fraction(2)) == Valuation(2, {"a": vector(2, 1)})
 
 
+def _int_point(rng: random.Random, names) -> Valuation:
+    """A dimension-1 valuation of plain ints: the first of the sorted names
+    is bound to 0, and "e", which no formula here has, is bound too."""
+    ints = {name: (rng.randint(-10, 10) if k else 0,) for k, name in enumerate(sorted(names))}
+    return Valuation(1, {**ints, "e": (rng.randint(-10, 10),)})
+
+
 def test_evaluators_match_reference_on_rl_formulas():
     # the 1,000 acceptance-3 formulas, and their BAL translations, at
-    # rational points of dimension 1 to 3 with unmapped variables
-    formulas, points = random.Random(2024), random.Random(31)
+    # rational points of dimension 1 to 3 with unmapped variables, and at
+    # integer points of dimension 1
+    formulas, points, ints = random.Random(2024), random.Random(31), random.Random(33)
     for k in range(1000):
         f = random_rl_formula(formulas, max_connectives=12, max_vars=4)
-        v = random_rational_valuation(points, variables(f) | {"e"}, dimension=1 + k % 3)
-        expected = reference_eval(f, v)
-        assert eval_rl(f, v) == expected, k
-        assert evaluate(f, v) == EvalResult(expected, min(expected) >= 0)
-        assert holds_rl(f, v) == (min(expected) >= 0)
+        rational = random_rational_valuation(points, variables(f) | {"e"}, dimension=1 + k % 3)
         translated = rl_to_bal(f)
-        assert eval_bal(translated, v) == reference_eval(translated, v, "BAL"), k
-        assert holds_bal(translated, v) == holds_rl(f, v)
+        for v in (rational, _int_point(ints, variables(f))):
+            expected = reference_eval(f, v)
+            assert eval_rl(f, v) == expected, k
+            assert evaluate(f, v) == EvalResult(expected, min(expected) >= 0)
+            assert holds_rl(f, v) == (min(expected) >= 0)
+            assert eval_bal(translated, v) == reference_eval(translated, v, "BAL"), k
+            assert holds_bal(translated, v) == holds_rl(f, v)
 
 
 def test_evaluators_match_reference_on_bal_formulas():
-    formulas, points = random.Random(77), random.Random(32)
+    formulas, points, ints = random.Random(77), random.Random(32), random.Random(34)
     for k in range(300):
         g = random_bal_formula(formulas)
-        for v in (random_rational_valuation(points, variables(g), dimension=1 + k % 3), Valuation(1 + k % 3)):
+        rational = random_rational_valuation(points, variables(g), dimension=1 + k % 3)
+        for v in (rational, Valuation(1 + k % 3), _int_point(ints, variables(g))):
             expected = reference_eval(g, v, "BAL")
             assert eval_bal(g, v) == expected, k
             assert evaluate(g, v, "BAL") == EvalResult(expected, not any(expected))
             assert holds_bal(g, v) == (not any(expected))
+
+
+_WIDE = r"""
+import json, random
+from fractions import Fraction
+from rieszlogic.bridge import rl_to_bal
+from rieszlogic.semantics import Valuation, eval_bal, eval_rl, holds_bal, holds_rl
+from rieszlogic.syntax import parse_rl
+from util import reference_eval
+
+n, rng = 200_000, random.Random(8)
+# plain ints, and every 1,000th coordinate a Fraction over 7, so the lcm is 7
+v = Valuation(n, {
+    name: tuple(rng.randint(-10, 10) + (Fraction(rng.randint(1, 6), 7) if k % 1000 == 0 else 0) for k in range(n))
+    for name in "abc"
+})
+f = parse_rl("(a -> b) \\/ c -> a")
+g = rl_to_bal(f)
+rl, bal = eval_rl(f, v), eval_bal(g, v)
+flags = [holds_rl(f, v), min(rl) >= 0, holds_bal(g, v), not any(bal)]
+# coordinates are independent, so coordinate k is the value at v's k-th coordinates
+checked = [0, n - 1] + rng.sample(range(1, n - 1), 50)
+for k in checked:
+    point = Valuation(1, {name: (vec[k],) for name, vec in v.assignment.items()})
+    assert (rl[k],) == reference_eval(f, point), k
+    assert (bal[k],) == reference_eval(g, point, "BAL"), k
+print(json.dumps([len(rl), len(bal), len(checked), flags]))
+"""
+
+
+def test_evaluation_takes_time_linear_in_the_dimension():
+    # a shift per coordinate to pack or unpack the lanes is quadratic in the
+    # dimension and runs past this CPU limit at 200,000 coordinates; packing
+    # and unpacking through bytes takes about 4 s here
+    result = subprocess.run(
+        [sys.executable, "-c", _WIDE], capture_output=True, text=True, timeout=120,
+        cwd=Path(__file__).parent, preexec_fn=limited(15),
+    )
+    assert result.returncode == 0, result.stderr
+    rl, bal, checked, (holds_rl_, rl_nonnegative, holds_bal_, bal_zero) = json.loads(result.stdout)
+    assert (rl, bal, checked) == (200_000, 200_000, 52)
+    assert (holds_rl_, holds_bal_) == (rl_nonnegative, bal_zero)
 
 
 def _step_nodes(steps: tuple) -> list:
