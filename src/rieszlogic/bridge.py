@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .syntax import Formula, Imp, Pos, Record, Var, Zero, fold, pos_to_join, postorder, variables
 # holds_rl and holds_bal stay attributes here, where callers have found them
-from .semantics import Valuation, _sampler, compile_scalar, holds_bal, holds_rl
+from .semantics import Valuation, _sample, compile_scalar, holds_bal, holds_rl
 
 #: variable reserved for the zero encoding in translated formulas
 RESERVED_ZERO_VAR = "z"
@@ -86,10 +86,9 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Sample valuations and compare holds_rl(f) with holds_bal(rl_to_bal(f)).
 
-    Trials are drawn as in ``semantics.random_falsify``, for both at once.
+    Trials are drawn by ``semantics._sample``, as in ``random_falsify``; f is checked first.
     """
-    sample = _sampler(trials, dimension, seed, bound)
-    translated = rl_to_bal(f)
+    _, bal_factor, bal = compile_scalar(rl_to_bal(f), "BAL")  # the reserved variable, then the language
     names, rl_factor, rl = compile_scalar(f, "RL")
-    _, bal_factor, bal = compile_scalar(translated, "BAL")
-    return EquivalenceReport(trials, sample(names, max(rl_factor, bal_factor), [(rl, True), (bal, False)]))
+    found = _sample(names, max(rl_factor, bal_factor), [(rl, True), (bal, False)], trials, dimension, seed, bound)
+    return EquivalenceReport(trials, found)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -47,7 +48,7 @@ class TermDocumentMatrix(Record):
         if len(self.counts) != len(self.terms):
             raise MatrixFormatError(f"counts has length {len(self.counts)}, expected {len(self.terms)}")
         if len(set(self.terms)) < len(self.terms):
-            raise MatrixFormatError(f"duplicate term {next(t for t in self.terms if self.terms.count(t) > 1)!r}")
+            raise MatrixFormatError(f"duplicate term {next(t for t, n in Counter(self.terms).items() if n > 1)!r}")
         for term, row in zip(self.terms, self.counts):
             if len(row) != len(self.contexts):
                 raise MatrixFormatError(f"row {term!r} has length {len(row)}, expected {len(self.contexts)}")
@@ -66,6 +67,8 @@ class TermDocumentMatrix(Record):
 
 
 def load_matrix(text: str) -> TermDocumentMatrix:
+    """The matrix in CSV text (module docstring), its rows kept in one dict by term,
+    so linear in the terms; a malformed row raises ``MatrixFormatError``."""
     rows = [row for row in csv.reader(io.StringIO(text)) if any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise MatrixFormatError("matrix needs a header row and at least one term row")
@@ -77,32 +80,27 @@ def load_matrix(text: str) -> TermDocumentMatrix:
         contexts = tuple(cell.strip() for cell in header)
     else:
         raise MatrixFormatError("header length does not fit the data rows")
-    terms: list[str] = []
-    counts: list[Vector] = []
+    counts: dict[str, Vector] = {}
     for lineno, row in enumerate(data, start=2):
         if len(row) != width:
             raise MatrixFormatError(f"row {lineno} has {len(row)} cells, expected {width}")
         term = row[0].strip()
         if not term:
             raise MatrixFormatError(f"row {lineno} has an empty term name")
-        if term in terms:
+        if term in counts:
             raise MatrixFormatError(f"duplicate term {term!r}")
         vec = []
         for cell in row[1:]:
             cell = cell.strip()
-            if cell in ("", "--"):
-                vec.append(Fraction(0))
-                continue
             try:
-                value = _fraction(cell, "count")
+                value = Fraction(0) if cell in ("", "--") else _fraction(cell, "count")
             except (ValueError, OverflowError) as exc:  # a bad count, or past the digit bound
                 raise MatrixFormatError(f"row {lineno}: {exc}") from None
             if value < 0:
                 raise MatrixFormatError(f"row {lineno}: negative count {cell!r}")
             vec.append(value)
-        terms.append(term)
-        counts.append(tuple(vec))
-    return TermDocumentMatrix(tuple(terms), tuple(contexts), tuple(counts))
+        counts[term] = tuple(vec)
+    return TermDocumentMatrix(tuple(counts), contexts, tuple(counts.values()))
 
 
 def load_word_counts() -> TermDocumentMatrix:

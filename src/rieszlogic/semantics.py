@@ -32,11 +32,12 @@ bit ``w`` of ``(X | G) - Y``, ``G = 2H``; a value is negative when bit ``w-1``
 of its lane is clear, all that ``holds_*`` read.  One coordinate's lane is the
 int ``v + h``; more go through bytes, packed and unpacked in linear time.
 
-The falsifier and ``bridge.check_equivalence`` draw their trials from one
-seeded stream: the values ``random.Random(seed).randrange(2*bound+1) - bound``
-would give, in the order trial, sorted variable name, coordinate.
-``_draws`` reads them in bulk when the span fits a byte, and such draws
-fill lanes by slice assignment.
+The falsifier and ``bridge.check_equivalence`` call one sampling function,
+``_sample``, which draws their trials from one seeded stream: the values
+``random.Random(seed).randrange(2*bound+1) - bound`` would give, in the order
+trial, sorted variable name, coordinate.  ``_draws`` reads them in bulk when
+the span fits a byte, and such draws fill lanes by slice assignment.  A pass
+reads its flags back one coordinate block at a time, linear in the dimension.
 """
 
 from __future__ import annotations
@@ -236,46 +237,45 @@ def _draws(seed: int, bound: int) -> Callable[[int], Sequence[int]]:
     return take
 
 
-def _sampler(trials: int, dimension: int, seed: int, bound: int) -> Callable:
-    """Check the arguments; return ``sample(names, factor, checks)``: the lowest
-    trial, and its valuation, where an odd number of ``checks`` (``(run, rl)``)
-    fail, or None.  A pass of n trials puts coordinate k of trial t in lane k*n + t."""
+def _sample(
+    names: Sequence[str], factor: int, checks: Sequence[tuple], trials: int, dimension: int, seed: int, bound: int
+) -> Optional[tuple[int, Valuation]]:
+    """The one sampler, which ``random_falsify`` and ``bridge.check_equivalence`` share:
+    the lowest trial, and its valuation, where an odd number of ``checks`` (``(run, rl)``)
+    fail, or None.  A pass of n trials puts coordinate k of trial t in lane k*n + t, and
+    its flags are read one coordinate block at a time, linear in the dimension."""
     _check_int("trials", trials, 1)
     _check_int("dimension", dimension, 1)
     take = _draws(seed, bound)
-
-    def sample(names: Sequence[str], factor: int, checks: Sequence[tuple]) -> Optional[tuple[int, Valuation]]:
-        width = len(names) * dimension  # values per trial
-        done, chunk = 0, 8
-        while done < trials:
-            size = min(chunk, trials - done)
-            w, H = _layout(size * dimension, factor * bound)
-            lane, block = (w + 1) // 8, size * (w + 1)
-            # entry t * width + n * dimension + k is coordinate k, in trial t, of name n
-            flat = take(size * width)
-            wide = not isinstance(flat, bytes)
-            buf, lanes, offset = bytearray(size * dimension * lane), {}, H - bound * (H >> (w - 1))
-            for n, name in enumerate(names):
-                for k in range(dimension):
-                    column = flat[n * dimension + k :: width]
-                    if wide:
-                        column = b"".join(d.to_bytes(lane, "little") for d in column)
-                    buf[k * size * lane : (k + 1) * size * lane : 1 if wide else lane] = column
-                lanes[name] = int.from_bytes(buf, "little") + offset  # d - bound + h
-            failed = 0
-            for run, rl in checks:  # fold each check's lane flags into its trials' first lanes
-                flags = _fails(run(lanes, w, H)[-1], H, rl)
-                failed ^= reduce(or_, (flags >> k * block for k in range(dimension))) & ((1 << block) - 1)
-            if failed:
-                t = ((failed & -failed).bit_length() - 1) // (w + 1)
-                row = [Fraction(d - bound) for d in flat[t * width : (t + 1) * width]]
-                vectors = (tuple(row[s : s + dimension]) for s in range(0, width, dimension))
-                return done + t, Valuation(dimension, dict(zip(names, vectors)))
-            done += size
-            chunk = min(4 * chunk, _MAX_CHUNK)
-        return None
-
-    return sample
+    width = len(names) * dimension  # values per trial
+    done, chunk = 0, 8
+    while done < trials:
+        size = min(chunk, trials - done)
+        w, H = _layout(size * dimension, factor * bound)
+        lane, block = (w + 1) // 8, size * (w + 1) // 8  # bytes per lane and per coordinate
+        # entry t * width + n * dimension + k is coordinate k, in trial t, of name n
+        flat = take(size * width)
+        wide = not isinstance(flat, bytes)
+        buf, lanes, offset = bytearray(dimension * block), {}, H - bound * (H >> (w - 1))
+        for n, name in enumerate(names):
+            for k in range(dimension):
+                column = flat[n * dimension + k :: width]
+                if wide:
+                    column = b"".join(d.to_bytes(lane, "little") for d in column)
+                buf[k * block : (k + 1) * block : 1 if wide else lane] = column
+            lanes[name] = int.from_bytes(buf, "little") + offset  # d - bound + h
+        failed = 0
+        for run, rl in checks:  # fold each check's lane flags into its trials' first lanes
+            data = _fails(run(lanes, w, H)[-1], H, rl).to_bytes(dimension * block, "little")
+            failed ^= reduce(or_, (int.from_bytes(data[k : k + block], "little") for k in range(0, len(data), block)))
+        if failed:
+            t = ((failed & -failed).bit_length() - 1) // (w + 1)
+            row = [Fraction(d - bound) for d in flat[t * width : (t + 1) * width]]
+            vectors = (tuple(row[s : s + dimension]) for s in range(0, width, dimension))
+            return done + t, Valuation(dimension, dict(zip(names, vectors)))
+        done += size
+        chunk = min(4 * chunk, _MAX_CHUNK)
+    return None
 
 
 def random_falsify(
@@ -290,9 +290,8 @@ def random_falsify(
     valuation from the lowest-index successful trial, or None.
     Deterministic for a fixed seed.
     """
-    sample = _sampler(trials, dimension, seed, bound)
     names, factor, run = compile_scalar(f, "RL")
-    found = sample(names, factor, [(run, True)])
+    found = _sample(names, factor, [(run, True)], trials, dimension, seed, bound)
     return None if found is None else found[1]
 
 

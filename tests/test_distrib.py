@@ -1,6 +1,10 @@
 import itertools
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from rieszlogic.distrib import (
     meet,
 )
 from rieszlogic.semantics import vector
+from util import limited
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +211,32 @@ def test_load_keeps_its_own_messages():
         load_matrix("term,d1\nx,1\ny,1/0\n")
     with pytest.raises(MatrixFormatError, match=r"^row 3 has 3 cells, expected 2$"):
         load_matrix("term,d1\nx,1\ny,1,2\n")
+
+
+_MANY_TERMS = r"""
+import json
+from rieszlogic.distrib import MatrixFormatError, TermDocumentMatrix, load_matrix
+
+n = 60_000
+m = load_matrix("t,c1,c2\n" + "".join(f"w{i},{i % 7},{i % 5}\n" for i in range(n)))
+terms = tuple(f"w{i}" for i in range(n)) + (f"w{n - 1}",)
+try:
+    TermDocumentMatrix(terms, ("c1",), ((0,),) * len(terms))
+    message = None
+except MatrixFormatError as exc:
+    message = str(exc)
+print(json.dumps([len(m.terms), [int(c) for c in m.row("w59999")], message]))
+"""
+
+
+def test_loading_takes_time_linear_in_the_terms():
+    # a duplicate check that scans the terms read so far, or counts each term
+    # among all of them, is quadratic and runs past this CPU limit at 60,000
+    # terms; one dict of rows and one counting pass take about 1.3 s of CPU on
+    # a shared 2-vCPU Xeon VM
+    result = subprocess.run(
+        [sys.executable, "-c", _MANY_TERMS], capture_output=True, text=True, timeout=120,
+        cwd=Path(__file__).parent, preexec_fn=limited(15),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [60_000, [59_999 % 7, 59_999 % 5], "duplicate term 'w59999'"]

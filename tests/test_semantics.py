@@ -213,6 +213,31 @@ def test_evaluation_takes_time_linear_in_the_dimension():
     assert (holds_rl_, holds_bal_) == (rl_nonnegative, bal_zero)
 
 
+_WIDE_SAMPLES = r"""
+import json
+from rieszlogic.bridge import check_equivalence
+from rieszlogic.semantics import holds_rl, random_falsify
+from rieszlogic.syntax import parse_rl
+
+f = parse_rl("a")
+v = random_falsify(f, 512, dimension=200_000)
+report = check_equivalence(parse_rl("a \\/ b -> a"), 64, dimension=200_000)
+print(json.dumps([v.dimension, holds_rl(f, v), report.trials, report.agreed]))
+"""
+
+
+def test_sampling_takes_time_linear_in_the_dimension():
+    # a shift per coordinate to fold a pass's flags is quadratic in the
+    # dimension and runs past this CPU limit at 200,000 coordinates; folding
+    # through bytes takes about 3 s of CPU on a shared 2-vCPU Xeon VM
+    result = subprocess.run(
+        [sys.executable, "-c", _WIDE_SAMPLES], capture_output=True, text=True, timeout=120,
+        cwd=Path(__file__).parent, preexec_fn=limited(15),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [200_000, False, 64, True]
+
+
 def _step_nodes(steps: tuple) -> list:
     """Each ``postorder`` step's node, rebuilt from the program."""
     nodes: list = []
@@ -293,7 +318,7 @@ def test_falsify_higher_dimension():
 
 
 # witnesses recorded from the falsifier's seeded stream; they come from
-# trials 344, 145 and 149, so they lie past the first evaluation passes
+# trials 344, 145, 149, 46 and 51, so they lie past the first evaluation passes
 PINNED_WITNESSES = [
     (
         "c \\/ (c \\/ d -> a \\/ d \\/ b \\/ d) \\/ d", 386, 1, 344,
@@ -306,6 +331,24 @@ PINNED_WITNESSES = [
     (
         "(c -> b) \\/ d \\/ ((d -> a) \\/ ((0 -> c) \\/ c)) \\/ (b -> d)", 802, 3, 149,
         {"a": (-10, 3, 8), "b": (-8, 8, 8), "c": (-7, 7, 7), "d": (-9, 5, -10)},
+    ),
+    # 8 and 16 coordinates, so a pass folds its flags over as many blocks; each
+    # value is negative at one coordinate only, 6 and 15, far from the first
+    (
+        "a \\/ b \\/ c \\/ d \\/ (a -> b) \\/ (c -> d)", 74, 8, 46,
+        {
+            "a": (2, 5, -3, 9, -9, 2, -5, -9), "b": (-5, -5, 5, 6, 1, 5, -9, 0),
+            "c": (9, 2, -7, -5, -3, -3, -4, -7), "d": (-2, 1, 0, -7, 5, 0, -6, -6),
+        },
+    ),
+    (
+        "a \\/ b \\/ c \\/ d \\/ (a -> b) \\/ (c -> d)", 51, 16, 51,
+        {
+            "a": (7, -6, -10, 3, -3, -6, -10, 8, -3, 3, 6, -10, -6, 0, -3, -1),
+            "b": (3, 4, 0, 9, 5, 2, -10, -3, -9, -8, -8, 10, 2, 3, 6, -3),
+            "c": (2, -1, -8, -4, 9, 5, -5, 1, -3, 0, -10, -7, -7, 6, 6, -3),
+            "d": (-6, -1, 4, -7, 4, -4, 0, 3, 1, -8, -5, 4, -3, -10, -7, -9),
+        },
     ),
 ]
 
