@@ -205,6 +205,8 @@ def evaluate(f: Formula, v: Valuation, system: str = "RL") -> EvalResult:
 _MAX_CHUNK = 512
 #: ``_TOP_BITS[k][b]`` is the top k bits of the byte b
 _TOP_BITS = [bytes(b >> (8 - k) for b in range(256)) for k in range(9)]
+#: most 32-bit outputs one ``getrandbits`` read of ``_draws`` holds
+_READ = 1 << 16
 
 
 def _draws(seed: int, bound: int) -> Callable[[int], Sequence[int]]:
@@ -214,9 +216,10 @@ def _draws(seed: int, bound: int) -> Callable[[int], Sequence[int]]:
     For a span of k <= 8 bits, ``randrange`` keeps the top k bits of one
     32-bit Mersenne Twister output if they fall below the span, else
     draws again.  ``take`` reads the outputs in bulk (``getrandbits(32*m)``
-    holds m of them, the first lowest) and rejects alike on their top
-    bytes; what a read leaves over is kept for the next call.  A wider
-    span calls ``randrange`` itself.
+    holds m of them, the first lowest), at most ``_READ`` of them a read,
+    rejects alike on their top bytes and joins the kept bytes once; what
+    the reads leave over is kept for the next call.  Outputs are used in
+    order whatever a read's size.  A wider span calls ``randrange`` itself.
     """
     _check_int("bound", bound, 0)
     rng, span = random.Random(seed), 2 * bound + 1
@@ -228,9 +231,12 @@ def _draws(seed: int, bound: int) -> Callable[[int], Sequence[int]]:
 
     def take(n: int) -> bytes:
         nonlocal pending
-        while len(pending) < n:
-            m = ((n - len(pending)) << bits) // span + 1  # enough outputs, on average
-            pending += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(_TOP_BITS[bits], reject)
+        kept, have = [pending], len(pending)
+        while have < n:
+            m = min(((n - have) << bits) // span + 1, _READ)  # enough outputs on average, at most _READ
+            kept.append(rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(_TOP_BITS[bits], reject))
+            have += len(kept[-1])
+        pending = b"".join(kept)
         taken, pending = pending[:n], pending[n:]
         return taken
 

@@ -5,19 +5,22 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rieszlogic import syntax
-from rieszlogic.bridge import bal_to_rl, rl_to_bal
+from rieszlogic import semantics, syntax
+from rieszlogic.bridge import bal_to_rl, check_equivalence, rl_to_bal
 from rieszlogic.decide import linearize
 from rieszlogic.kernel import RL_AXIOMS
 from rieszlogic.semantics import (
     EvalResult,
     Valuation,
     ValuationError,
+    _READ,
+    _draws,
     _layout,
     compile_scalar,
     eval_bal,
@@ -236,6 +239,32 @@ def test_sampling_takes_time_linear_in_the_dimension():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [200_000, False, 64, True]
+
+
+class _Recorded(random.Random):
+    """A generator that records the bits each ``getrandbits`` call asks for."""
+
+    reads: list = []
+
+    def getrandbits(self, k):
+        self.reads.append(k)
+        return super().getrandbits(k)
+
+
+def test_draws_read_at_most_READ_outputs_at_once(monkeypatch):
+    # takes that need several reads still give randrange's values
+    for bound in (10, 127):
+        rng, take = random.Random(5), _draws(5, bound)
+        for n in (5, 3 * _READ, 7):
+            assert list(take(n)) == [rng.randrange(2 * bound + 1) for _ in range(n)], (bound, n)
+    # the 32-trial pass of a 200,000-coordinate check takes 12.8M draws; one
+    # read of them all took the call's peak RSS from 225 to 292 MB
+    monkeypatch.setattr(semantics, "random", types.SimpleNamespace(Random=_Recorded))
+    monkeypatch.setattr(_Recorded, "reads", [])
+    report = check_equivalence(parse_rl("a \\/ b -> a"), 64, dimension=200_000)
+    assert (report.trials, report.agreed) == (64, True)
+    assert max(_Recorded.reads) == 32 * _READ
+    assert sum(_Recorded.reads) >= 32 * 64 * 2 * 200_000  # a 32-bit output per draw, or more
 
 
 def _step_nodes(steps: tuple) -> list:

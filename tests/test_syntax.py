@@ -18,7 +18,7 @@ import rieszlogic
 from rieszlogic import syntax
 from rieszlogic.bridge import bal_to_rl, check_equivalence, rl_to_bal
 from rieszlogic.decide import decide_bal_valid, decide_equal, decide_valid, linearize
-from rieszlogic.kernel import BAL_AXIOMS, RL_AXIOMS
+from rieszlogic.kernel import BAL_AXIOMS, CORPUS_NAMES, RL_AXIOMS, corpus_text, parse_proof
 from rieszlogic.semantics import (
     Valuation,
     compile_scalar,
@@ -530,6 +530,78 @@ def test_parser_outcomes_pinned():
         for parser in (parse_rl, parse_bal, parse_rl_schema, parse_bal_schema):
             digest.update(repr(_outcome(parser, text)).encode() + b"\n")
     assert digest.hexdigest() == "ef2568cc3f8c7dc79101b689f769bedd377c6763bc171a6c81887f2beb1ba860"
+
+
+# -- the tight loop for short texts against the scanner loop -------------------
+
+_LANGS = {parse_rl: ("rl", False), parse_bal: ("bal", False), parse_rl_schema: ("rl", True), parse_bal_schema: ("bal", True)}
+
+
+def _corpus_formulas(monkeypatch) -> list:
+    """Each (text, lang, schema) that the corpus proofs hand to ``_parse``, in order."""
+    calls, parse = [], syntax._parse
+    monkeypatch.setattr(syntax, "_parse", lambda text, lang, schema: calls.append((text, lang, schema)) or parse(text, lang, schema))
+    for stem in CORPUS_NAMES:
+        parse_proof(corpus_text(stem))
+    monkeypatch.setattr(syntax, "_parse", parse)
+    return calls
+
+
+def test_the_tight_loop_parses_as_the_scanner_loop(monkeypatch):
+    # the parser corpus, the acceptance-3 prints and the corpus formulas
+    prints, formulas = [], random.Random(2024)
+    for _ in range(1000):
+        f = random_rl_formula(formulas, max_connectives=12, max_vars=4)
+        prints += [format_formula(f), format_formula(rl_to_bal(f))]
+    calls = [(text, *_LANGS[parser]) for text in _parser_corpus() + prints for parser in _LANGS]
+    calls = [call for call in calls + _corpus_formulas(monkeypatch) if len(call[0]) <= 2 * syntax._KEY]
+
+    def outcomes() -> list:
+        out = []
+        for call in calls:
+            try:
+                out.append(syntax._parse(*call))
+            except ParseError as error:
+                out.append((str(error), error.offset, error.expected))
+        return out
+
+    tight = outcomes()
+    short = [None if "#" in text else syntax._parse_short(text, lang == "bal", schema) for text, lang, schema in calls]
+    monkeypatch.setattr(syntax, "_parse_short", lambda text, bal, schema: None)
+    scanned = outcomes()
+    for call, x, y, z in zip(calls, tight, scanned, short, strict=True):
+        node = isinstance(y, syntax.Formula)
+        assert x is y if node else x == y, call
+        # the tight loop reads every valid text without comments to its node
+        assert z is (y if node and "#" not in call[0] else None), call
+    assert (len(calls), sum(z is not None for z in short)) == (17202, 4942)
+
+
+class _Scanned:
+    """``_TOKEN``, recording each text that the scanner loop starts to read."""
+
+    def __init__(self, monkeypatch):
+        self.pattern, self.texts = syntax._TOKEN, []
+        monkeypatch.setattr(syntax, "_TOKEN", self)
+
+    def scanner(self, text, *start):
+        if not start:  # a copy resumes reading at a start
+            self.texts.append(text)
+        return self.pattern.scanner(text, *start)
+
+    def __getattr__(self, name):
+        return getattr(self.pattern, name)
+
+
+def test_only_long_corpus_formulas_reach_the_scanner_loop(monkeypatch):
+    # so a valid short text that falls back to the scanner loop fails here
+    calls = _corpus_formulas(monkeypatch)
+    scanned = _Scanned(monkeypatch)
+    for stem in CORPUS_NAMES:
+        parse_proof(corpus_text(stem))
+    long = [text for text, _, _ in calls if len(text) > 2 * syntax._KEY]
+    assert (len(CORPUS_NAMES), len(calls), len(long)) == (18, 391, 37)
+    assert scanned.texts == long
 
 
 # -- deep nesting --------------------------------------------------------------
