@@ -26,15 +26,15 @@ Grammar (ASCII only, ``#`` starts a comment):
 Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): a constructor returns the one live node with its
 class and fields, so a formula is a DAG of shared subterms, and ``==``
-and ``hash`` are object identity.  Parsing has two loops, neither
-recursive, so neither it nor comparison has a nesting limit.  A text of
-at most ``2 * _KEY`` characters without ``#`` is read by ``_parse_short``,
-a tight loop over its ``findall`` tokens.  Where that loop meets a token
-it does not accept, and for every longer or commented text, the scanner
-loop of ``_parse`` reads the text from the start, so every ``ParseError``
-comes from the scanner loop.  It reads each distinct parenthesized group
-longer than ``_KEY`` once, and does not read again a right operand of
-``->`` or ``(+)`` that repeats a group's inside, so a printed DAG costs
+and ``hash`` are object identity.  Parsing is one loop, not recursive,
+so neither it nor comparison has a nesting limit.  The loop takes its
+tokens from one of two sources: one ``findall`` over a text of at most
+``2 * _KEY`` characters without ``#``, and a scanner, one match at a
+time, over every other text.  A findall token's offset, which only an
+error needs, is found from its index in the list by the scan that looks
+for bad characters.  The scanner source reads each distinct parenthesized
+group longer than ``_KEY`` once, and does not read again a right operand
+of ``->`` or ``(+)`` that repeats a group's inside, so a printed DAG costs
 parser steps per distinct subterm, not per copy.
 
 A node's ``postorder`` program is walked once by ``_program``, the one
@@ -233,207 +233,157 @@ Substitution = dict[str, Formula]
 _OPERATORS = ("->", "(+)", "\\/", "/\\", "^+", "~", "(", ")", "0")  # "(+)" before "("
 _VAR_NAME = re.compile("[a-z][A-Za-z0-9_]*")
 
-# one match per token: skip whitespace and comments, capture an operator, a
-# name, a single character no token starts with (a "bad" one), or "" at the
-# end of the text, then skip whitespace, so that a match ends where the next
-# token or comment starts
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*(" + "|".join(map(re.escape, _OPERATORS)) + r"|[A-Za-z][A-Za-z0-9_]*|.|\Z)[ \t\r\n]*",
-    re.DOTALL,
-)
+# the tokens of both token sources: an operator, then a name
+_TOKENS = "|".join(map(re.escape, _OPERATORS)) + r"|[A-Za-z][A-Za-z0-9_]*"
+# one match per token: skip whitespace and comments, capture a token, a
+# single character no token starts with (a "bad" one), or "" at the end of
+# the text, then skip whitespace, so that a match ends where the next token
+# or comment starts
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(" + _TOKENS + r"|.|\Z)[ \t\r\n]*", re.DOTALL)
+# _TOKEN's tokens of a text without comments, for findall, which skips only
+# the whitespace between them; it has no group, so it lists the tokens faster
+_SHORT = re.compile(_TOKENS + r"|[^ \t\r\n]")
 _KEY = 64  # leading characters of a group's inside that key the group memo
 _meet = lambda x, y: Imp(Join(Imp(x, ZERO), Imp(y, ZERO)), ZERO)  # x /\ y  ==  ~(~x \/ ~y)
 _join = partial(Imp.__new__, Join)  # Join(x, y) without the type call
 
 
-# _TOKEN's tokens of a text without comments, for findall: each match is an
-# operator, a name or a single character no token starts with, and findall
-# skips only the whitespace between them
-_SHORT = re.compile("|".join(map(re.escape, _OPERATORS)) + r"|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
+def _parse(text: str, lang: str, schema: bool) -> Formula:
+    """Operator-precedence parse of the grammar above, without recursion.
 
+    One loop reads the tokens, with one frame per open group.  A frame
+    holds its group's ``->`` and ``(+)`` left sides (``x (+)`` as ``x ->
+    0``), its join chain so far with the join that continues it, and the
+    count of ``~`` in front of the group.  Joins apply as their right side
+    is read (they associate to the left), ``->`` and ``(+)`` when their
+    group ends (to the right), ``^+`` to the atom just read.  A token is
+    looked up in the names read so far (and ``0``) before any other test,
+    and ``Imp`` and ``Join`` nodes are built through ``Imp.__new__``,
+    without the type call.  Each token is checked in the state the grammar
+    puts it in (an atom expected, or an operator after one), so an error
+    names the first token the grammar cannot accept there.
 
-def _parse_short(text: str, bal: bool, schema: bool) -> Optional[Formula]:
-    """The node of a text of at most ``2 * _KEY`` characters without ``#``
-    (no group memo pays there), or None at the first token it does not
-    accept, which leaves ``_parse``'s scanner loop to name the error.
+    The tokens come from one of two sources.  A text of at most ``2 *
+    _KEY`` characters without ``#`` is split by one ``_SHORT.findall``, with
+    ``""`` for its end; no group memo pays there.  Every other text is read
+    one ``_TOKEN`` match at a time, and the match gives each token's offset.
+    On an error the text is scanned once more for a bad character, which
+    wins over any grammar error; that scan also gives a findall token's
+    offset, from the token's index in the list.
 
-    It takes the scanner loop's steps over the text's ``findall`` tokens,
-    looks a token up in the names read so far (and ``0``) before any other
-    test, and builds ``Imp`` and ``Join`` nodes through ``Imp.__new__``,
-    without the type call.
+    On the scanner source, a closed group whose inside (the text between
+    its parentheses) is longer than ``_KEY`` is recorded under the inside's
+    first ``_KEY`` characters.  Where a match ends after a "(" that opens an
+    atom, or after ``->`` or ``(+)``, whose right operand runs to its
+    group's end, a recorded inside that repeats there and is followed by the
+    token closing the group being read gives the recorded node: both are
+    read at the ``imp`` level, and equal text parses to the same node.
+    Reading resumes at that token.  The text past the key is compared in
+    doubling chunks; a near miss (a copy that differs, or is followed by
+    another token) is charged what it compared, and lookups stop once the
+    charges reach ``len(text)``, so the parse stays linear.
     """
-    new, names = Imp.__new__, {} if bal else {"0": ZERO}
-    frames: list[tuple] = []
-    lefts, acc, join, nots, want_atom = [], None, None, 0, True
-    for tok in _SHORT.findall(text):
+    bal, new = lang == "bal", Imp.__new__
+    names: dict[str, Formula] = {} if bal else {"0": ZERO}  # the nodes of the names read so far
+    want_atom, frames = True, []  # frames: the enclosing groups' frames, each with the offset where its inside starts (None from findall)
+    lefts, acc, join, nots = [], None, None, 0  # the innermost frame
+    groups = m = None  # the group memo, and the scanner's last match: neither on the findall source
+    if len(text) <= 2 * _KEY and "#" not in text:
+        rest = iter(tokens := _SHORT.findall(text) + [""])
+    else:
+        groups, budget, match = {}, len(text), _TOKEN.scanner(text).match  # budget: characters that near misses may still cost
+
+        def scan():
+            nonlocal m
+            while True:  # match is read again after a copy moves it
+                yield (m := match())[1]
+
+        def copy(q: int, close: str, text: str = text, groups: dict = groups) -> Optional[Formula]:
+            # the node of the recorded group whose inside repeats at q and is
+            # followed by the token close, at which reading resumes; else
+            # None (text and groups are bound here, so that _parse, which
+            # every short text calls, keeps them out of closure cells)
+            nonlocal budget, match
+            start, end, x = groups.get(text[q : q + _KEY] if budget > 0 else None, (0, 0, None))
+            if x is None:
+                return None
+            k = _KEY  # the key's characters agree: compare the rest in doubling chunks
+            while k < end - start and text.startswith(text[start + k : min(end, start + 2 * k)], q + k):
+                k *= 2
+            if k >= end - start and _TOKEN.match(text, q + end - start)[1] == close:
+                match = _TOKEN.scanner(text, q + end - start).match
+                return x
+            budget -= k  # a near miss
+            return None
+
+        rest = scan()
+
+    # a token is a name iff its first character is an ASCII letter, that is
+    # iff "a" <= tok < "{" (a variable) or "A" <= tok < "[" (a metavariable)
+    for tok in rest:
         if want_atom:
             x = names.get(tok)
             if x is None:
                 if tok == "(":
-                    frames.append((lefts, acc, join, nots))
-                    lefts, join, nots = [], None, 0
-                    continue
-                if tok == "~" and not bal:
+                    # "(" may open a copy of a recorded group
+                    if not groups or (x := copy(m.end(), ")")) is None:
+                        frames.append((lefts, acc, join, nots, m and m.end()))
+                        lefts, join, nots = [], None, 0
+                        continue
+                    next(rest)  # the copy's ")"
+                elif tok == "~" and not bal:
                     nots += 1
                     continue
-                if not ("a" <= tok < "{" or "A" <= tok < "[" and schema):
-                    return None
-                x = names[tok] = Var.__new__(Var if tok >= "a" else MetaVar, tok)
-        elif tok == "->" or tok == "(+)" and not bal:
-            if join is not None:
-                x, join = join(acc, x), None
-            lefts.append(x if tok == "->" else new(Imp, x, ZERO))
-            want_atom = True
-            continue
-        elif tok == ")" and frames:
-            if join is not None:
-                x = join(acc, x)
-            while lefts:
-                x = new(Imp, lefts.pop(), x)
-            lefts, acc, join, nots = frames.pop()
-        elif (tok == "\\/" or tok == "/\\") and not bal:
-            acc = x if join is None else join(acc, x)
-            join, want_atom = _join if tok == "\\/" else _meet, True
-            continue
-        elif tok == "^+":
-            x = Pos(x) if bal else _join(x, ZERO)
-            continue
-        else:
-            return None
-        while nots:  # x completes an atom: apply the ~ in front of it
-            x = new(Imp, x, ZERO)
-            nots -= 1
-        want_atom = False
-    if want_atom or frames:
-        return None
-    if join is not None:
-        x = join(acc, x)
-    while lefts:
-        x = new(Imp, lefts.pop(), x)
-    return x
-
-
-def _parse(text: str, lang: str, schema: bool) -> Formula:
-    """Operator-precedence parse of the grammar above, without recursion.
-
-    A text of at most ``2 * _KEY`` characters without ``#`` is first read by
-    ``_parse_short``, the tight loop.  Where it returns None, and for every
-    longer or commented text, the scanner loop below reads the text from
-    the start, so it is the one source of ``ParseError``.
-
-    The scanner loop reads one ``_TOKEN`` match at a time, with one frame
-    per open group.  A frame holds its group's ``->`` and ``(+)`` left sides
-    (``x (+)`` as ``x -> 0``), its join chain so far with the join that
-    continues it, and the count of ``~`` in front of the group.  Joins apply
-    as their right side is read (they associate to the left), ``->`` and
-    ``(+)`` when their group ends (to the right), ``^+`` to the atom just
-    read.  Each token is checked in the state the grammar puts it in (an
-    atom expected, or an operator after one), so an error names the first
-    token the grammar cannot accept there.
-
-    A closed group whose inside (the text between its parentheses) is
-    longer than ``_KEY`` is recorded under the inside's first ``_KEY``
-    characters.  Where a match ends after a "(" that opens an atom, or after
-    ``->`` or ``(+)``, whose right operand runs to its group's end, a
-    recorded inside that repeats there and is followed by the token closing
-    the group being read gives the recorded node: both are read at the
-    ``imp`` level, and equal text parses to the same node.  Reading resumes
-    at that token.  The text past the key is compared in doubling chunks; a
-    near miss (a copy that differs, or is followed by another token) is
-    charged what it compared, and lookups stop once the charges reach
-    ``len(text)``, so the parse stays linear.
-    """
-    bal = lang == "bal"
-    if len(text) <= 2 * _KEY and "#" not in text and (x := _parse_short(text, bal, schema)) is not None:
-        return x
-    want_atom, frames = True, []  # frames: the enclosing groups' frames, each with the offset where its inside starts
-    lefts, acc, join, nots, p = [], None, None, 0, 0  # the innermost frame
-    names: dict[str, Formula] = {}  # the nodes of the names read so far
-    groups, budget = {}, len(text)  # budget: characters that near misses may still cost
-    match, m = _TOKEN.scanner(text).match, None  # anchored: each match starts where the last one ended
-
-    def copy(q: int, close: str) -> Optional[Formula]:
-        # the node of the recorded group whose inside repeats at q and is
-        # followed by the token close, at which reading resumes; else None
-        nonlocal budget, match
-        start, end, x = groups.get(text[q : q + _KEY] if budget > 0 else None, (0, 0, None))
-        if x is None:
-            return None
-        k = _KEY  # the key's characters agree: compare the rest in doubling chunks
-        while k < end - start and text.startswith(text[start + k : min(end, start + 2 * k)], q + k):
-            k *= 2
-        if k >= end - start and _TOKEN.match(text, q + end - start)[1] == close:
-            match = _TOKEN.scanner(text, q + end - start).match
-            return x
-        budget -= k  # a near miss
-        return None
-
-    # a token is a name iff its first character is an ASCII letter, that is
-    # iff "a" <= tok < "{" (a variable) or "A" <= tok < "[" (a metavariable)
-    while True:
-        tok = (m := match())[1]
-        if want_atom:
-            if tok == "(":
-                p = m.end()
-                x = copy(p, ")") if groups else None  # "(" may open a copy of a recorded group
-                if x is None:
-                    frames.append((lefts, acc, join, nots, p))
-                    lefts, join, nots = [], None, 0
-                    continue
-                match()  # the copy's ")"
-            elif tok == "~" and not bal:
-                nots += 1
-                continue
-            elif "a" <= tok < "{" or "A" <= tok < "[" and schema:
-                x = names.get(tok) or names.setdefault(tok, (Var if tok >= "a" else MetaVar)(tok))
-            elif tok == "0" and not bal:
-                x = ZERO
-            else:
-                expected = frozenset(("variable", "(") + ("metavariable",) * schema + ("0", "~") * (not bal))
-                break
+                elif "a" <= tok < "{" or "A" <= tok < "[" and schema:
+                    x = names[tok] = Var.__new__(Var if tok >= "a" else MetaVar, tok)
+                else:
+                    break
         elif tok == "->" or tok == "(+)" and not bal:  # the most frequent operator first
             if join is not None:
                 x, join = join(acc, x), None
-            lefts.append(x if tok == "->" else Imp(x, ZERO))
+            lefts.append(x if tok == "->" else new(Imp, x, ZERO))
             # the right operand may repeat a recorded group's inside up to this group's end
             if not groups or (x := copy(m.end(), ")" if frames else "")) is None:
                 want_atom = True
                 continue
-        elif tok == "^+":  # x ^+  ==  x \/ 0  in RL
-            x = Pos(x) if bal else Join(x, ZERO)
-            continue
-        elif bal and tok in ("(+)", "\\/", "/\\"):
-            expected = frozenset(("->", "end of input"))
-            break
-        elif tok == "\\/" or tok == "/\\":
-            acc = x if join is None else join(acc, x)
-            join, want_atom = Join if tok == "\\/" else _meet, True
-            continue
         elif tok == ")" and frames or not tok and not frames:
             if join is not None:
                 x = join(acc, x)
             while lefts:
-                x = Imp(lefts.pop(), x)
+                x = new(Imp, lefts.pop(), x)
             if not tok:
                 return x
             lefts, acc, join, nots, p = frames.pop()
-            if m.start(1) - p > _KEY:  # a shorter group costs little to read again
+            if p and m.start(1) - p > _KEY:  # a shorter group costs little to read again
                 groups[text[p : p + _KEY]] = (p, m.start(1), x)
+        elif tok == "^+":  # x ^+  ==  x \/ 0  in RL
+            x = Pos(x) if bal else _join(x, ZERO)
+            continue
+        elif (tok == "\\/" or tok == "/\\") and not bal:
+            acc = x if join is None else join(acc, x)
+            join, want_atom = _join if tok == "\\/" else _meet, True
+            continue
         else:
-            expected = frozenset((")",) if frames else ("end of input",))
             break
         while nots:  # x completes an atom: apply the ~ in front of it (~x == x -> 0)
-            x = Imp(x, ZERO)
+            x = new(Imp, x, ZERO)
             nots -= 1
         want_atom = False
     # tok failed, unless a bad character comes anywhere: the first of those
     # wins over any grammar error, so the text is scanned again from 0
+    if want_atom:
+        expected = frozenset(("variable", "(") + ("metavariable",) * schema + ("0", "~") * (not bal))
+    else:
+        expected = frozenset(("->", "end of input") if bal and tok in ("(+)", "\\/", "/\\") else (")",) if frames else ("end of input",))
     if want_atom and "A" <= tok < "[":
         message = f"metavariable {tok!r} not allowed outside schemas"
     else:
         message = f"unexpected {repr(tok) if tok else 'end of input'}"
-    offset = m.start(1)
-    for found in _TOKEN.finditer(text):
+    # a scanner token's offset is its match's; a findall token's is found by its index
+    offset, index = (m.start(1), -1) if m else (None, len(tokens) - rest.__length_hint__() - 1)
+    for i, found in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            offset = found.start(1)
         tok = found[1]
         if tok and tok not in _OPERATORS and not ("a" <= tok < "{" or "A" <= tok < "["):
             offset, message, expected = found.start(1), f"unexpected character {tok!r}", frozenset(_OPERATORS + ("variable",))

@@ -532,9 +532,10 @@ def test_parser_outcomes_pinned():
     assert digest.hexdigest() == "ef2568cc3f8c7dc79101b689f769bedd377c6763bc171a6c81887f2beb1ba860"
 
 
-# -- the tight loop for short texts against the scanner loop -------------------
+# -- the two token sources of the one parser loop ---------------------------
 
 _LANGS = {parse_rl: ("rl", False), parse_bal: ("bal", False), parse_rl_schema: ("rl", True), parse_bal_schema: ("bal", True)}
+_SOURCE_PADS = (" " * (2 * syntax._KEY + 1), "# pad\n")  # each sends any text to the scanner source
 
 
 def _corpus_formulas(monkeypatch) -> list:
@@ -547,34 +548,85 @@ def _corpus_formulas(monkeypatch) -> list:
     return calls
 
 
-def test_the_tight_loop_parses_as_the_scanner_loop(monkeypatch):
-    # the parser corpus, the acceptance-3 prints and the corpus formulas
+def _given(call: tuple, pad: str = ""):
+    """The node of ``_parse(pad + text, lang, schema)``, or its error's
+    message, offset less the pad and expected set."""
+    text, lang, schema = call
+    try:
+        return syntax._parse(pad + text, lang, schema)
+    except ParseError as error:
+        return (str(error).partition(" at offset ")[0], error.offset - len(pad), error.expected)
+
+
+def _same(x, y) -> bool:
+    return x is y if isinstance(x, syntax.Formula) else x == y
+
+
+def _sources_agree(call: tuple) -> bool:
+    """The text read as given and behind each pad gives the same node, or
+    the same error at the same place."""
+    given = _given(call)
+    return all(_same(given, _given(call, pad)) for pad in _SOURCE_PADS)
+
+
+def _edge_texts() -> list:
+    """Texts of exactly ``2 * _KEY`` and ``2 * _KEY + 1`` characters: valid,
+    a metavariable, a grammar error and a bad character."""
+    texts = []
+    for n in (2 * syntax._KEY, 2 * syntax._KEY + 1):
+        texts += ["(x -> " + "y" * (n - 7) + ")", "X -> " + "y" * (n - 5), "x -> " + "y" * (n - 7) + " )", "x -> $ " + "y" * (n - 7)]
+    return texts
+
+
+def test_the_two_token_sources_agree(monkeypatch):
+    # the parser corpus, the acceptance-3 prints and the corpus formulas, as
+    # given (the findall source, unless a "#" is in the text) and behind
+    # each pad (the scanner source)
     prints, formulas = [], random.Random(2024)
     for _ in range(1000):
         f = random_rl_formula(formulas, max_connectives=12, max_vars=4)
         prints += [format_formula(f), format_formula(rl_to_bal(f))]
     calls = [(text, *_LANGS[parser]) for text in _parser_corpus() + prints for parser in _LANGS]
     calls = [call for call in calls + _corpus_formulas(monkeypatch) if len(call[0]) <= 2 * syntax._KEY]
+    edges = [(text, *lang) for text in _edge_texts() for lang in _LANGS.values()]
+    assert (len(calls), sum(isinstance(_given(call), syntax.Formula) for call in calls)) == (17202, 5001)
+    for call in calls + edges:
+        assert _sources_agree(call), call
+    # only the texts past 2 * _KEY characters reach the scanner source as given
+    scanned = _Scanned(monkeypatch)
+    for call in edges:
+        _given(call)
+    assert scanned.texts == [text for text, _, _ in edges if len(text) > 2 * syntax._KEY]
 
-    def outcomes() -> list:
-        out = []
-        for call in calls:
-            try:
-                out.append(syntax._parse(*call))
-            except ParseError as error:
-                out.append((str(error), error.offset, error.expected))
-        return out
 
-    tight = outcomes()
-    short = [None if "#" in text else syntax._parse_short(text, lang == "bal", schema) for text, lang, schema in calls]
-    monkeypatch.setattr(syntax, "_parse_short", lambda text, bal, schema: None)
-    scanned = outcomes()
-    for call, x, y, z in zip(calls, tight, scanned, short, strict=True):
-        node = isinstance(y, syntax.Formula)
-        assert x is y if node else x == y, call
-        # the tight loop reads every valid text without comments to its node
-        assert z is (y if node and "#" not in call[0] else None), call
-    assert (len(calls), sum(z is not None for z in short)) == (17202, 4942)
+_REPEATS = ("({0}) -> {1}", "({0}) (+) ({1})", "(b -> ({0}) -> {1}) \\/ a", "({0}) \\/ ~({1})")  # {1}: {0} again, or nearly
+
+
+def _random_texts(rng: random.Random, count: int) -> list:
+    """count texts: fuzz token strings with comments and bad characters,
+    printed RL and BAL formulas, mutated or not, and long texts whose right
+    operand repeats a recorded group's inside or nearly does."""
+    texts = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:  # half of them without the two comment tokens
+            tokens = rng.choices(_FUZZ_TOKENS[: -2 if rng.random() < 0.5 else None], k=rng.randint(0, 64))
+            if tokens and rng.random() < 0.3:
+                tokens[rng.randrange(len(tokens))] = rng.choice(_BAD_TOKENS)
+            texts.append("".join(tokens))
+            continue
+        size = rng.choice((8, 24, 48))
+        f = random_rl_formula(rng, max_connectives=size, max_vars=4)
+        text = format_formula(rl_to_bal(f) if size < 48 and rng.random() < 0.3 else f)  # BAL prints grow fast
+        if kind == 3:
+            text = rng.choice(_REPEATS).format(text, _mutate(rng, text) if rng.random() < 0.3 else text)
+        elif rng.random() < 0.5:
+            text = _mutate(rng, text)
+        if rng.random() < 0.1 and " " in text:  # a comment in place of a space
+            i = rng.choice([i for i, c in enumerate(text) if c == " "])
+            text = f"{text[:i]} # note\n{text[i + 1 :]}"
+        texts.append(text)
+    return texts
 
 
 class _Scanned:
@@ -1289,3 +1341,20 @@ def test_match_on_deep_chains():
     assert _sound_match(chain(P), chain(B, head=C)) is None
     assert _sound_match(Imp(chain(P), P), Imp(chain(B), C)) == "P"
 
+
+if __name__ == "__main__":
+    # the two-source agreement at scale: 100,000 seeded random texts, each
+    # read by all four parsers as given, behind each pad, and once more with
+    # _KEY past every text's length, so that every text without "#" takes
+    # the findall source, with no group memo; run as
+    #   PYTHONPATH=src python tests/test_syntax.py
+    key, nodes = syntax._KEY, 0
+    calls = [(text, *lang) for text in _random_texts(random.Random(36), 100_000) for lang in _LANGS.values()]
+    for call in calls:
+        given = _given(call)
+        syntax._KEY = 1 << 60
+        whole = _given(call)
+        syntax._KEY = key
+        assert all(_same(given, y) for y in (whole, *(_given(call, pad) for pad in _SOURCE_PADS))), call
+        nodes += isinstance(given, syntax.Formula)
+    print(f"the two token sources agree on all {len(calls)} calls ({nodes} nodes)")
